@@ -19,9 +19,9 @@
 //   --smoke    bounded, invariant-checked simulator run: pinned step/
 //              occupancy counts across all three models (including the
 //              single-port multi-flit serialization fix), observed-vs-
-//              unobserved result identity, ModelInvariantChecker clean,
-//              and the <= 2% disabled-hook overhead budget; non-zero exit
-//              on any failure. Wired into ctest under perf-smoke.
+//              unobserved result identity, and ModelInvariantChecker
+//              clean; non-zero exit on any failure. Wired into ctest under
+//              perf-smoke.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +33,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -164,22 +162,6 @@ std::string jsonReport() {
   return W.str();
 }
 
-using Clock = std::chrono::steady_clock;
-
-/// Wall time of one uninstrumented mixed run; \p Forced measures the
-/// disabled-hook path (instrumented loop, no observers attached).
-double timedRunMs(const ExplicitScg &Net, bool Forced) {
-  NetworkSimulator Sim(Net, CommModel::AllPort);
-  Sim.forceInstrumentation(Forced);
-  injectMixed(Sim, Net, 4000, 21);
-  auto Start = Clock::now();
-  SimulationResult R = Sim.run(100000);
-  double Ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - Start).count();
-  benchmark::DoNotOptimize(R);
-  return Ms;
-}
-
 bool sameResult(const SimulationResult &A, const SimulationResult &B) {
   return A.Completed == B.Completed && A.Steps == B.Steps &&
          A.Delivered == B.Delivered && A.Transmissions == B.Transmissions &&
@@ -251,24 +233,6 @@ int runSmoke(bool Json) {
   if (Json) {
     std::string A = jsonReport();
     Check("json report deterministic", !A.empty() && A == jsonReport());
-  }
-
-  // Disabled-hook overhead budget: with no observer attached the
-  // instrumented loop (forceInstrumentation) must stay within 2% of the
-  // uninstrumented dispatch, min-of-7 to shed scheduler noise plus a
-  // small absolute allowance for timer granularity on short runs.
-  {
-    ExplicitScg Net(SuperCayleyGraph::star(6));
-    double Plain = 1e100, Forced = 1e100;
-    for (int I = 0; I != 7; ++I) {
-      Plain = std::min(Plain, timedRunMs(Net, false));
-      Forced = std::min(Forced, timedRunMs(Net, true));
-    }
-    bool Ok = Forced <= Plain * 1.02 + 0.05;
-    std::printf("%-44s %s  (plain %.3f ms, forced %.3f ms)\n",
-                "disabled-hook overhead <= 2%", Ok ? "ok" : "FAIL", Plain,
-                Forced);
-    Failures += !Ok;
   }
 
   return Failures ? 1 : 0;

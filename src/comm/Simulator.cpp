@@ -1,21 +1,20 @@
-//===- comm/Simulator.cpp - Packet-level simulator (step + event) --------===//
+//===- comm/Simulator.cpp - Packet-level simulator -----------------------===//
 //
-// Two engines, one semantics. The step engine is the original globally
-// synchronous loop. The event engine reproduces its results exactly while
-// touching only scheduled work; the correspondence argument is spelled out
-// inline at each point where the engines could diverge (queue sampling,
-// multi-flit occupancy accounting, the MaxSteps cap, stalled traffic).
+// One globally synchronous step loop that touches only active work: a
+// bitmap of non-empty link queues and a bitmap of in-flight multi-flit
+// links, both scanned in ascending id, and a jump over every step at which
+// nothing is due. Why each skipped step could not have changed a result
+// is spelled out at the jump (NextDueStep) and at the cap.
 //
 //===----------------------------------------------------------------------===//
 
 #include "comm/Simulator.h"
 
 #include "comm/SimObserver.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <queue>
 
 using namespace scg;
 
@@ -29,17 +28,6 @@ std::string scg::commModelName(CommModel Model) {
     return "single-dimension";
   }
   assert(false && "unknown model");
-  return "?";
-}
-
-std::string scg::simEngineName(SimEngine Engine) {
-  switch (Engine) {
-  case SimEngine::Step:
-    return "step";
-  case SimEngine::Event:
-    return "event";
-  }
-  assert(false && "unknown engine");
   return "?";
 }
 
@@ -111,25 +99,15 @@ uint32_t NetworkSimulator::scheduleInjectionShared(uint64_t Step, NodeId Src,
 
 void NetworkSimulator::setDimensionCycle(std::vector<GenIndex> Cycle) {
   assert(!Cycle.empty() && "dimension cycle must be nonempty");
+  assert(std::all_of(Cycle.begin(), Cycle.end(),
+                     [&](GenIndex G) { return G < Net.degree(); }) &&
+         "dimension cycle names a generator the network lacks");
   DimensionCycle = std::move(Cycle);
 }
 
 void NetworkSimulator::addObserver(SimObserver *Observer) {
   assert(Observer && "null observer");
   Observers.push_back(Observer);
-}
-
-void NetworkSimulator::enqueueOrDeliver(uint32_t Id, SimulationResult &Result,
-                                        std::vector<uint32_t> *DeliveredOut) {
-  Packet &P = Packets[Id];
-  if (P.NextHop == P.RouteLen) {
-    ++Result.Delivered;
-    --Pending;
-    if (DeliveredOut)
-      DeliveredOut->push_back(Id);
-    return;
-  }
-  Queues[queueIndex(P.At, routeHop(P, P.NextHop))].push_back(Id);
 }
 
 SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
@@ -139,36 +117,40 @@ SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
                    [](const TimedInjection &A, const TimedInjection &B) {
                      return A.Step < B.Step;
                    });
-  // One dispatch on entry: the uninstrumented loops contain no observer
+  // One dispatch on entry: the uninstrumented loop contains no observer
   // code at all, so observability is free when no observer is attached.
-  const bool Observed = !Observers.empty() || AlwaysInstrument;
-  if (Engine == SimEngine::Event)
-    return Observed ? runEventImpl<true>(MaxSteps)
-                    : runEventImpl<false>(MaxSteps);
-  // Collection is decided by whether a hook is registered, not by
-  // forceInstrumentation: with no observer there is nothing to collect,
-  // so the forced mode exercises the dispatch and lands on the same
-  // pristine instantiation (which is the zero-overhead claim itself).
   return Observers.empty() ? runImpl<false>(MaxSteps)
                            : runImpl<true>(MaxSteps);
 }
 
-//===----------------------------------------------------------------------===//
-// Step engine: the globally synchronous reference loop
-//===----------------------------------------------------------------------===//
+namespace {
+
+/// Calls \p F(I) for every set bit I of \p Bits in ascending order. Each
+/// word is read once, so \p F may clear bits (its own or later ones)
+/// without disturbing the scan.
+template <typename Fn>
+void forEachSetBit(const std::vector<uint64_t> &Bits, Fn F) {
+  for (size_t W = 0; W != Bits.size(); ++W)
+    for (uint64_t Word = Bits[W]; Word; Word &= Word - 1)
+      F(W * 64 + size_t(std::countr_zero(Word)));
+}
+
+constexpr uint64_t NeverStep = ~uint64_t(0);
+
+} // namespace
 
 template <bool Collect>
 SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   SimulationResult Result;
   Result.Delivered = DeliveredAtInject;
-  unsigned Degree = Net.degree();
+  const unsigned Degree = Net.degree();
+  const uint64_t CycleLen = DimensionCycle.size();
   std::vector<uint32_t> Moved;
+  std::vector<size_t> Landed; ///< links whose message arrived this step.
 
   // Collection is a compile-time parameter: with no observer attached the
   // dispatch selects the Collect = false instantiation, whose hot loop
-  // contains no observer code at all -- zero-overhead observability is
-  // structural, not a measured budget (the forceInstrumentation benchmark
-  // mode verifies the dispatch itself stays free).
+  // contains no observer code at all.
   StepEvents Events;
   if constexpr (Collect) {
     Events.Model = Model;
@@ -176,27 +158,124 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       O->onRunBegin(*this);
   }
 
+  // The active sets. Queued has a bit per non-empty link queue, Flying a
+  // bit per link occupied by a multi-flit message (through its arrival
+  // step). Selection tests these bits, not the queues and Busy records,
+  // so an idle link costs no cache miss. Pending counts queued plus
+  // in-flight packets, so between steps packets are queued somewhere
+  // exactly when Pending > InFlightLinks. Single-dimension runs also count
+  // queued packets per generator, to find the next step whose scheduled
+  // generator has work.
+  std::vector<uint64_t> Queued((Queues.size() + 63) / 64, 0);
+  std::vector<uint64_t> Flying(Queued.size(), 0);
+  uint64_t InFlightLinks = 0;
+  const bool PerGen = Model == CommModel::SingleDimension;
+  std::vector<uint64_t> QueuedOnGen(PerGen ? Degree : 0, 0);
+  auto SetBit = [](std::vector<uint64_t> &Bits, size_t I) {
+    Bits[I / 64] |= uint64_t(1) << (I % 64);
+  };
+  auto ClearBit = [](std::vector<uint64_t> &Bits, size_t I) {
+    Bits[I / 64] &= ~(uint64_t(1) << (I % 64));
+  };
+  auto TestBit = [](const std::vector<uint64_t> &Bits, size_t I) {
+    return (Bits[I / 64] >> (I % 64)) & 1;
+  };
+  auto Push = [&](size_t Q, uint32_t Id) {
+    Queues[Q].push_back(Id);
+    SetBit(Queued, Q);
+    if (PerGen)
+      ++QueuedOnGen[Q % Degree];
+  };
+  auto PopFront = [&](size_t Q) {
+    Queues[Q].pop_front();
+    if (Queues[Q].empty())
+      ClearBit(Queued, Q);
+    if (PerGen)
+      --QueuedOnGen[Q % Degree];
+  };
+  // Packets injected before run() sit in their queues already: one pass
+  // over every queue seeds the active sets.
+  for (size_t Q = 0; Q != Queues.size(); ++Q)
+    if (!Queues[Q].empty()) {
+      SetBit(Queued, Q);
+      if (PerGen)
+        QueuedOnGen[Q % Degree] += Queues[Q].size();
+    }
+
   // Closed-loop admission state: deferred injections retried FIFO each
-  // step, and a per-node "already blocked this step" stamp -- admissions
-  // only deepen queues within a step, so one failed depth test per node
-  // per step is exact, not an approximation.
+  // executed step, and a per-node "already blocked this step" stamp --
+  // admissions only deepen queues within a step, so one failed depth test
+  // per node per step is exact, not an approximation.
   std::deque<TimedInjection> Deferred;
-  constexpr uint64_t NeverStep = ~uint64_t(0);
   std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? Net.numNodes() : 0,
                                   NeverStep);
   auto NodeQueueDepth = [&](NodeId U) {
     size_t Depth = 0;
-    for (GenIndex G = 0; G != Net.degree(); ++G)
+    for (GenIndex G = 0; G != Degree; ++G)
       Depth += Queues[queueIndex(U, G)].size();
     return Depth;
   };
-
   size_t InjCursor = 0;
-  while ((Pending != 0 || InjCursor != Injections.size() ||
-          !Deferred.empty()) &&
-         Result.Steps != MaxSteps) {
-    uint64_t Step = Result.Steps++;
+
+  // The first step >= From at which anything can happen. A skipped step
+  // would have changed nothing: no link is in flight, no queue may
+  // transmit (single-dimension: no queued packet is on the scheduled
+  // generator), nothing is injected, and a deferred injection fails its
+  // depth test again -- depths only fall when a step transmits, so after
+  // a step that transmitted, From itself is due. NeverStep when nothing
+  // will ever be due again (traffic stalled on an unscheduled generator).
+  auto NextDueStep = [&](uint64_t From, bool Transmitted) -> uint64_t {
+    if (InFlightLinks != 0 || (Transmitted && !Deferred.empty()))
+      return From;
+    uint64_t Next = InjCursor != Injections.size()
+                        ? std::max(From, Injections[InjCursor].Step)
+                        : NeverStep;
+    if (Pending > InFlightLinks) {
+      if (!PerGen)
+        return From;
+      for (uint64_t S = From; S < Next && S - From < CycleLen; ++S)
+        if (QueuedOnGen[DimensionCycle[S % CycleLen]])
+          return S;
+    }
+    return Next;
+  };
+
+  // Start-of-step queue sample: MaxQueueLength, and the observed
+  // occupancy fields. A skipped step's sample equals the one taken at the
+  // next executed step minus that step's injections, so skipping it loses
+  // nothing. The same pass lists the nodes with queued packets, in
+  // ascending id, for phase 1.
+  std::vector<NodeId> ActiveNodes;
+  auto Sample = [&] {
+    uint64_t Longest = 0, Total = 0;
+    size_t NodeEnd = 0; ///< one past the last listed node's queues.
+    ActiveNodes.clear();
+    forEachSetBit(Queued, [&](size_t Q) {
+      uint64_t Len = Queues[Q].size();
+      Longest = std::max(Longest, Len);
+      Total += Len;
+      if (Q >= NodeEnd) {
+        ActiveNodes.push_back(NodeId(Q / Degree));
+        NodeEnd = queueIndex(ActiveNodes.back() + 1, 0);
+      }
+    });
+    Result.MaxQueueLength = std::max(Result.MaxQueueLength, Longest);
+    if constexpr (Collect) {
+      Events.QueuedPackets = Total;
+      Events.MaxQueueDepth = Longest;
+    }
+  };
+
+  uint64_t Step = NextDueStep(0, false);
+  uint64_t Executed = 0; ///< one past the last executed step.
+  bool Capped = false;
+  while (Pending != 0 || InjCursor != Injections.size() || !Deferred.empty()) {
+    if (Step >= MaxSteps) {
+      Capped = true;
+      break;
+    }
     Moved.clear();
+    bool Transmitted = false;
     if constexpr (Collect) {
       Events.clear();
       Events.Step = Step;
@@ -227,7 +306,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
           Events.Deliveries.push_back(Inj.Id);
         return true;
       }
-      Queues[queueIndex(P.At, routeHop(P, 0))].push_back(Inj.Id);
+      Push(queueIndex(P.At, routeHop(P, 0)), Inj.Id);
       ++Pending;
       return true;
     };
@@ -244,52 +323,38 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Deferred.push_back(Inj);
     }
 
-    // Sample queue occupancy before transmissions so the initial burst is
-    // visible in MaxQueueLength.
-    for (const auto &Queue : Queues) {
-      Result.MaxQueueLength =
-          std::max<uint64_t>(Result.MaxQueueLength, Queue.size());
-      if constexpr (Collect) {
-        Events.QueuedPackets += Queue.size();
-        Events.MaxQueueDepth =
-            std::max<uint64_t>(Events.MaxQueueDepth, Queue.size());
-      }
-    }
+    Sample();
 
     // Phase 0: account in-flight multi-flit occupancy and complete the
     // transmissions whose last flit lands this step.
-    for (size_t Q = 0; Q != Busy.size(); ++Q) {
-      InFlight &F = Busy[Q];
-      if (!F.Active || F.DoneStep < Step)
-        continue;
-      // The link is occupied this step by a transmission selected at an
-      // earlier step (its selection step was counted at selection time).
-      ++Result.BusyLinkSteps;
-      if constexpr (Collect)
-        Events.Active.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
-                                 F.Id, Packets[F.Id].Flits, false});
-      if (F.DoneStep != Step)
-        continue;
-      // The link stays occupied through this arrival step (SelectLink
-      // checks DoneStep >= Step), so do not clear Active here; the next
-      // selection simply overwrites the record.
-      Packet &P = Packets[F.Id];
-      GenIndex Link = routeHop(P, P.NextHop);
-      P.At = Net.next(P.At, Link);
-      ++P.NextHop;
-      Moved.push_back(F.Id);
-      ++Result.Transmissions;
-    }
+    Landed.clear();
+    if (InFlightLinks != 0)
+      forEachSetBit(Flying, [&](size_t Q) {
+        const InFlight &F = Busy[Q];
+        // The link is occupied this step by a transmission selected at an
+        // earlier step (its selection step was counted at selection time).
+        ++Result.BusyLinkSteps;
+        if constexpr (Collect)
+          Events.Active.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
+                                   F.Id, Packets[F.Id].Flits, false});
+        if (F.DoneStep != Step)
+          return;
+        // The link stays occupied through this arrival step: it leaves
+        // the in-flight set after phase 1.
+        Packet &P = Packets[F.Id];
+        P.At = Net.next(P.At, routeHop(P, P.NextHop));
+        ++P.NextHop;
+        Moved.push_back(F.Id);
+        ++Result.Transmissions;
+        Landed.push_back(Q);
+      });
 
     // Phase 1: select one packet per permitted, idle link.
     auto SelectLink = [&](NodeId Node, GenIndex Link) {
       size_t Q = queueIndex(Node, Link);
-      if (Busy[Q].Active && Busy[Q].DoneStep >= Step)
-        return false; // mid-message: the link is occupied.
-      auto &Queue = Queues[Q];
-      if (Queue.empty())
-        return false;
-      uint32_t Id = Queue.front();
+      if (TestBit(Flying, Q) || !TestBit(Queued, Q))
+        return false; // mid-message, or nothing to send.
+      uint32_t Id = Queues[Q].front();
       Packet &P = Packets[Id];
       assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
              "queue corruption");
@@ -298,15 +363,17 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       ++Result.BusyLinkSteps;
       if constexpr (Collect)
         Events.Active.push_back({Node, Link, Id, P.Flits, true});
+      PopFront(Q);
+      Transmitted = true;
       if (P.Flits > 1) {
         // Occupy the link for Flits steps; arrival in phase 0 of step
         // Step + Flits - 1, node port free again at Step + Flits.
-        Queue.pop_front();
-        Busy[Q] = {Id, Step + P.Flits - 1, true};
+        Busy[Q] = {Id, Step + P.Flits - 1};
         NodeBusyUntil[Node] = Step + P.Flits;
+        SetBit(Flying, Q);
+        ++InFlightLinks;
         return true;
       }
-      Queue.pop_front();
       P.At = Net.next(Node, Link);
       ++P.NextHop;
       Moved.push_back(Id);
@@ -314,18 +381,26 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       return true;
     };
 
-    switch (Model) {
-    case CommModel::AllPort:
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node)
+    const GenIndex Scheduled =
+        PerGen ? DimensionCycle[Step % CycleLen] : GenIndex(0);
+    if constexpr (Collect) {
+      Events.ScheduledLink = Scheduled;
+      Events.HasScheduledLink = PerGen;
+    }
+    // Node by node over the nodes the sample listed (phase 0 queues
+    // nothing). A node without queued packets would select nothing, so
+    // order and outcome are those of a sweep over every node.
+    for (NodeId Node : ActiveNodes) {
+      switch (Model) {
+      case CommModel::AllPort:
         for (GenIndex G = 0; G != Degree; ++G)
           SelectLink(Node, G);
-      break;
-    case CommModel::SinglePort:
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node) {
+        break;
+      case CommModel::SinglePort:
         // A port mid-way through a multi-flit transmission transmits
         // nothing else until the occupancy ends.
         if (NodeBusyUntil[Node] > Step)
-          continue;
+          break;
         // Round-robin over links so no queue starves.
         for (unsigned Offset = 0; Offset != Degree; ++Offset) {
           GenIndex G = (PortPointer[Node] + Offset) % Degree;
@@ -334,628 +409,54 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
             break;
           }
         }
+        break;
+      case CommModel::SingleDimension:
+        SelectLink(Node, Scheduled);
+        break;
       }
-      break;
-    case CommModel::SingleDimension: {
-      GenIndex G = DimensionCycle[Step % DimensionCycle.size()];
-      if constexpr (Collect) {
-        Events.ScheduledLink = G;
-        Events.HasScheduledLink = true;
-      }
-      for (NodeId Node = 0; Node != Net.numNodes(); ++Node)
-        SelectLink(Node, G);
-      break;
     }
-    }
+
+    for (size_t Q : Landed)
+      ClearBit(Flying, Q);
+    InFlightLinks -= Landed.size();
 
     // Phase 2: re-enqueue or deliver the moved packets. Two-phase keeps a
     // packet from hopping twice in one step.
-    for (uint32_t Id : Moved)
-      enqueueOrDeliver(Id, Result, Collect ? &Events.Deliveries : nullptr);
+    for (uint32_t Id : Moved) {
+      Packet &P = Packets[Id];
+      if (P.NextHop != P.RouteLen) {
+        Push(queueIndex(P.At, routeHop(P, P.NextHop)), Id);
+        continue;
+      }
+      ++Result.Delivered;
+      --Pending;
+      if constexpr (Collect)
+        Events.Deliveries.push_back(Id);
+    }
 
     if constexpr (Collect) {
       Events.Arrivals = Moved;
       for (SimObserver *O : Observers)
         O->onStep(*this, Events);
     }
-  }
-
-  Result.Completed =
-      (Pending == 0 && InjCursor == Injections.size() && Deferred.empty());
-  uint64_t LinkSteps = uint64_t(Net.numNodes()) * Degree * Result.Steps;
-  Result.LinkUtilization =
-      LinkSteps ? double(Result.BusyLinkSteps) / double(LinkSteps) : 0.0;
-  // Engine-work diagnostic, computed analytically so the hot loop carries
-  // no counter: every step scans all queues (occupancy sample) and all
-  // in-flight slots, plus the selection sweep (per link under all-port,
-  // per node otherwise).
-  uint64_t QCount = uint64_t(Net.numNodes()) * Degree;
-  Result.TouchedWork =
-      Result.Steps * (2 * QCount + (Model == CommModel::AllPort
-                                        ? QCount
-                                        : uint64_t(Net.numNodes())));
-  if constexpr (Collect) {
-    for (SimObserver *O : Observers)
-      O->onRunEnd(*this, Result);
-  }
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Event engine: sharded calendar queues
-//===----------------------------------------------------------------------===//
-//
-// Work is scheduled as (step, id) wake-ups in per-shard binary min-heaps:
-//
-//   entity wakes   "this queue (all-port / single-dimension) or this node
-//                  (single-port) may be able to transmit at step t"
-//   link wakes     "the multi-flit transmission on this link arrives (or,
-//                  observed, occupies the link) at step t"
-//
-// The main loop jumps to the globally earliest wake, so steps where
-// nothing can happen cost nothing; the step engine's per-step full scans
-// are replaced by O(work at that step). Wake-ups may be spurious (a queue
-// scheduled before its link went busy); processing re-derives everything
-// from simulator state, so spurious wakes reschedule and cannot change
-// results.
-//
-// Sharding: nodes are split into fixed contiguous ranges (a function of
-// the node count only). Every queue, heap slot, and wake array entry is
-// owned by exactly one shard. A processed step runs as
-//
-//   (main)   scheduled injections, in global call order
-//   phase A  per shard: pop link wakes then entity wakes == t (each heap
-//            pops in ascending id order, reproducing the step engine's
-//            scan order)
-//   phase B  per shard: scan every shard's moved lists in global order,
-//            enqueue/deliver the packets that now sit on *my* nodes
-//
-// with barriers between, so cross-shard hand-off happens only through the
-// moved lists and each destination queue receives its pushes in the exact
-// order the step engine would have produced. Results are therefore
-// byte-identical at every shard and thread count.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Min-heap of (step, id) wake-ups; pops in ascending (step, id) order,
-/// which is exactly the step engine's scan order within one step.
-using WakeHeap =
-    std::priority_queue<std::pair<uint64_t, uint32_t>,
-                        std::vector<std::pair<uint64_t, uint32_t>>,
-                        std::greater<std::pair<uint64_t, uint32_t>>>;
-
-constexpr uint64_t NoStep = ~uint64_t(0);
-
-} // namespace
-
-template <bool Observed>
-SimulationResult NetworkSimulator::runEventImpl(uint64_t MaxSteps) {
-  SimulationResult Result;
-  Result.Delivered = DeliveredAtInject;
-  const unsigned Degree = Net.degree();
-  const NodeId N = Net.numNodes();
-  const size_t QCount = size_t(N) * Degree;
-
-  StepEvents Events;
-  const bool Collect = Observed && !Observers.empty();
-  if constexpr (Observed) {
-    Events.Model = Model;
-    for (SimObserver *O : Observers)
-      O->onRunBegin(*this);
-  }
-
-  // Shard layout: fixed contiguous node ranges, a function of the node
-  // count only -- never of the thread count -- so results are identical at
-  // every SCG_THREADS setting.
-  unsigned ShardCount = EventShards ? EventShards : effectiveThreadCount();
-  ShardCount = std::max(1u, std::min<unsigned>(ShardCount, std::max<NodeId>(N, 1)));
-  const NodeId NodesPerShard = N ? (N + ShardCount - 1) / ShardCount : 1;
-  auto ShardOfNode = [&](NodeId U) { return unsigned(U / NodesPerShard); };
-
-  // Entity granularity: per node under single-port (one selection per node
-  // per step, round-robin over its queues), per queue otherwise.
-  const bool PerNodeEntity = Model == CommModel::SinglePort;
-  const size_t EntityCount = PerNodeEntity ? N : QCount;
-
-  struct Shard {
-    WakeHeap Entity;
-    WakeHeap Link;
-    // Per-step scratch, cleared after every processed step.
-    std::vector<uint32_t> Arr; ///< phase-0 arrivals (multi-flit completions).
-    std::vector<uint32_t> Sel; ///< phase-1 unit-packet moves.
-    std::vector<LinkActivity> Active0, Active1; ///< observed link activity.
-    uint64_t DeliveredDelta = 0;
-    // Cumulative counters, reduced once at the end.
-    uint64_t Transmissions = 0;
-    uint64_t BusyLinkSteps = 0;
-    uint64_t Work = 0;
-    // MaxQueueLength bookkeeping: pushes land in PendingMax and are folded
-    // into CommittedMax only once a later step runs -- mirroring the step
-    // engine, which samples queues at the *start* of each step and so
-    // never sees pushes made during the final step before a MaxSteps cap.
-    uint64_t PendingMax = 0;
-    uint64_t CommittedMax = 0;
-    // Observed-mode occupancy sampling (pre-step, like the step engine).
-    uint64_t QueuedCount = 0;
-    uint64_t SampledQueued = 0;
-    uint64_t CurMaxDepth = 0;
-    uint64_t SampledMaxDepth = 0;
-    std::vector<uint64_t> DepthCount; ///< queues at each nonzero length.
-  };
-  std::vector<Shard> Shards(ShardCount);
-
-  // Wake bookkeeping: the earliest scheduled wake per entity/link, NoStep
-  // when none. Heap entries whose step no longer matches are stale and
-  // skipped on pop (the lazy-deletion idiom).
-  std::vector<uint64_t> EntityWake(EntityCount, NoStep);
-  std::vector<uint64_t> LinkWakeAt(QCount, NoStep);
-  // Selection step of the in-flight transmission per link (NoStep = none):
-  // occupancy is accounted in bulk at arrival (or at the cap), so
-  // BusyLinkSteps never depends on whether occupancy steps were observed.
-  std::vector<uint64_t> FlightSelStep(QCount, NoStep);
-  // Per-node queued-packet totals: needed by single-port selection and by
-  // closed-loop admission (queue-depth throttling).
-  const bool TrackNodeQueued = PerNodeEntity || ClosedLoopMaxQueue != 0;
-  std::vector<uint32_t> NodeQueued(TrackNodeQueued ? N : 0, 0);
-
-  // Single-dimension schedule: positions of each generator in the cycle,
-  // for jumping straight to the next step a queue's link is permitted.
-  const uint64_t CycleLen = DimensionCycle.size();
-  std::vector<std::vector<uint64_t>> CyclePos;
-  if (Model == CommModel::SingleDimension) {
-    CyclePos.resize(Degree);
-    for (uint64_t I = 0; I != CycleLen; ++I)
-      if (DimensionCycle[I] < Degree)
-        CyclePos[DimensionCycle[I]].push_back(I);
-  }
-  auto NextScheduledStep = [&](GenIndex G, uint64_t From) -> uint64_t {
-    const std::vector<uint64_t> &Pos = CyclePos[G];
-    if (Pos.empty())
-      return NoStep; // generator never scheduled: this traffic stalls.
-    uint64_t Base = From - From % CycleLen, Phase = From % CycleLen;
-    auto It = std::lower_bound(Pos.begin(), Pos.end(), Phase);
-    return It != Pos.end() ? Base + *It : Base + CycleLen + Pos.front();
-  };
-
-  auto ScheduleEntity = [&](size_t E, uint64_t T) {
-    if (T >= EntityWake[E])
-      return; // an earlier (or equal) wake is already scheduled.
-    EntityWake[E] = T;
-    NodeId Node = PerNodeEntity ? NodeId(E) : NodeId(E / Degree);
-    Shards[ShardOfNode(Node)].Entity.push({T, uint32_t(E)});
-  };
-  auto ScheduleLink = [&](size_t Q, uint64_t T) {
-    if (T >= LinkWakeAt[Q])
-      return;
-    LinkWakeAt[Q] = T;
-    Shards[ShardOfNode(NodeId(Q / Degree))].Link.push({T, uint32_t(Q)});
-  };
-  /// Schedules the owner entity of queue \p Q to try transmitting at the
-  /// first permitted step >= \p From.
-  auto WakeForQueue = [&](size_t Q, uint64_t From) {
-    switch (Model) {
-    case CommModel::AllPort:
-      ScheduleEntity(Q, From);
-      break;
-    case CommModel::SinglePort:
-      ScheduleEntity(Q / Degree, From);
-      break;
-    case CommModel::SingleDimension: {
-      uint64_t T = NextScheduledStep(GenIndex(Q % Degree), From);
-      if (T != NoStep)
-        ScheduleEntity(Q, T);
-      break;
-    }
-    }
-  };
-
-  // Observed-mode current-max-depth tracking (an exact histogram over
-  // nonzero queue lengths, so Events.MaxQueueDepth matches the step
-  // engine's full scan without one).
-  auto DepthAdd = [&](Shard &S, size_t Len) {
-    if (Len >= S.DepthCount.size())
-      S.DepthCount.resize(Len + 1, 0);
-    if (Len > 1)
-      --S.DepthCount[Len - 1];
-    ++S.DepthCount[Len];
-    S.CurMaxDepth = std::max<uint64_t>(S.CurMaxDepth, Len);
-  };
-  auto DepthRemove = [&](Shard &S, size_t Len) {
-    --S.DepthCount[Len];
-    if (Len > 1)
-      ++S.DepthCount[Len - 1];
-    while (S.CurMaxDepth && S.DepthCount[S.CurMaxDepth] == 0)
-      --S.CurMaxDepth;
-  };
-
-  /// Appends \p Id to queue \p Q and schedules its owner from \p From.
-  auto PushQueue = [&](size_t Q, uint32_t Id, uint64_t From) {
-    Queues[Q].push_back(Id);
-    size_t Len = Queues[Q].size();
-    Shard &S = Shards[ShardOfNode(NodeId(Q / Degree))];
-    S.PendingMax = std::max<uint64_t>(S.PendingMax, Len);
-    ++S.QueuedCount;
-    if (TrackNodeQueued)
-      ++NodeQueued[Q / Degree];
-    if constexpr (Observed) {
-      if (Collect)
-        DepthAdd(S, Len);
-    }
-    WakeForQueue(Q, From);
-  };
-  auto PopFront = [&](size_t Q, Shard &S) {
-    size_t Len = Queues[Q].size();
-    Queues[Q].pop_front();
-    --S.QueuedCount;
-    if (TrackNodeQueued)
-      --NodeQueued[Q / Degree];
-    if constexpr (Observed) {
-      if (Collect)
-        DepthRemove(S, Len);
-    }
-  };
-
-  // Initial wake scan: one pass over the pre-run injected queues. This is
-  // the only full O(nodes * degree) sweep the engine ever does.
-  for (size_t Q = 0; Q != QCount; ++Q) {
-    size_t Len = Queues[Q].size();
-    if (!Len)
-      continue;
-    Shard &S = Shards[ShardOfNode(NodeId(Q / Degree))];
-    S.PendingMax = std::max<uint64_t>(S.PendingMax, Len);
-    S.QueuedCount += Len;
-    if (TrackNodeQueued)
-      NodeQueued[Q / Degree] += Len;
-    if constexpr (Observed) {
-      if (Collect)
-        for (size_t L = 1; L <= Len; ++L)
-          DepthAdd(S, L);
-    }
-    WakeForQueue(Q, 0);
-  }
-
-  /// Selects the front of queue \p Q for transmission at step \p T exactly
-  /// as the step engine's SelectLink selected path. Returns true when the
-  /// selected message is multi-flit (the link is now in flight).
-  auto SelectFrom = [&](size_t Q, uint64_t T, Shard &S) {
-    uint32_t Id = Queues[Q].front();
-    Packet &P = Packets[Id];
-    NodeId Node = NodeId(Q / Degree);
-    GenIndex Link = GenIndex(Q % Degree);
-    assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
-           "queue corruption");
-    ++S.BusyLinkSteps; // the selection step itself.
-    if constexpr (Observed) {
-      if (Collect)
-        S.Active1.push_back({Node, Link, Id, P.Flits, true});
-    }
-    PopFront(Q, S);
-    if (P.Flits > 1) {
-      Busy[Q] = {Id, T + P.Flits - 1, true};
-      FlightSelStep[Q] = T;
-      NodeBusyUntil[Node] = T + P.Flits;
-      // Unobserved, only the arrival matters; observed, the link must wake
-      // every occupancy step so observers see the continuing activity.
-      ScheduleLink(Q, Collect ? T + 1 : T + P.Flits - 1);
-      return true;
-    }
-    P.At = Net.next(Node, Link);
-    ++P.NextHop;
-    S.Sel.push_back(Id);
-    ++S.Transmissions;
-    return false;
-  };
-
-  /// Phase A for one shard: link wakes (the step engine's phase 0) then
-  /// entity wakes (phase 1), each popped in ascending id order.
-  auto PhaseA = [&](Shard &S, uint64_t T) {
-    if constexpr (Observed) {
-      if (Collect) {
-        S.SampledQueued = S.QueuedCount;
-        S.SampledMaxDepth = S.CurMaxDepth;
-      }
-    }
-    while (!S.Link.empty() && S.Link.top().first == T) {
-      size_t Q = S.Link.top().second;
-      S.Link.pop();
-      if (LinkWakeAt[Q] != T)
-        continue; // stale entry superseded by an earlier wake.
-      LinkWakeAt[Q] = NoStep;
-      ++S.Work;
-      InFlight &F = Busy[Q];
-      if (!F.Active || F.DoneStep < T)
-        continue;
-      if constexpr (Observed) {
-        if (Collect)
-          S.Active0.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
-                               F.Id, Packets[F.Id].Flits, false});
-      }
-      if (F.DoneStep != T) {
-        ScheduleLink(Q, T + 1); // observed occupancy chain, no accounting.
-        continue;
-      }
-      // Arrival: the last flit lands. Occupancy steps after selection are
-      // accounted here in one add (the step engine added 1 per step).
-      Packet &P = Packets[F.Id];
-      GenIndex Link = routeHop(P, P.NextHop);
-      P.At = Net.next(P.At, Link);
-      ++P.NextHop;
-      S.Arr.push_back(F.Id);
-      ++S.Transmissions;
-      S.BusyLinkSteps += T - FlightSelStep[Q];
-      FlightSelStep[Q] = NoStep;
-      // The link stays occupied through the arrival step; queued traffic
-      // may transmit again from T + 1 (node port likewise frees at T + 1).
-      if (!Queues[Q].empty())
-        WakeForQueue(Q, T + 1);
-    }
-
-    while (!S.Entity.empty() && S.Entity.top().first == T) {
-      size_t E = S.Entity.top().second;
-      S.Entity.pop();
-      if (EntityWake[E] != T)
-        continue;
-      EntityWake[E] = NoStep;
-      ++S.Work;
-      if (!PerNodeEntity) {
-        size_t Q = E;
-        if (Busy[Q].Active && Busy[Q].DoneStep >= T) {
-          // Mid-message: first possible transmission is DoneStep + 1.
-          if (!Queues[Q].empty())
-            WakeForQueue(Q, Busy[Q].DoneStep + 1);
-          continue;
-        }
-        if (Queues[Q].empty())
-          continue; // spurious (queue drained since scheduling).
-        bool Multi = SelectFrom(Q, T, S);
-        if (!Queues[Q].empty())
-          WakeForQueue(Q, Multi ? Busy[Q].DoneStep + 1 : T + 1);
-        continue;
-      }
-      // Single-port: one selection per node per step, round-robin so no
-      // queue starves -- the step engine's loop verbatim.
-      NodeId Node = NodeId(E);
-      if (NodeBusyUntil[Node] > T) {
-        if (NodeQueued[Node])
-          ScheduleEntity(Node, NodeBusyUntil[Node]);
-        continue;
-      }
-      for (unsigned Offset = 0; Offset != Degree; ++Offset) {
-        GenIndex G = (PortPointer[Node] + Offset) % Degree;
-        size_t Q = queueIndex(Node, G);
-        if (Busy[Q].Active && Busy[Q].DoneStep >= T)
-          continue;
-        if (Queues[Q].empty())
-          continue;
-        bool Multi = SelectFrom(Q, T, S);
-        PortPointer[Node] = (G + 1) % Degree;
-        if (NodeQueued[Node])
-          ScheduleEntity(Node, Multi ? NodeBusyUntil[Node] : T + 1);
-        break;
-      }
-    }
-  };
-
-  /// Phase B for one shard: walk every shard's moved lists in the step
-  /// engine's global order (all arrivals by queue id, then all selections
-  /// by node id) and enqueue/deliver the packets now sitting on my nodes.
-  auto PhaseB = [&](Shard &Me, unsigned MyIdx, uint64_t T) {
-    auto Handle = [&](uint32_t Id) {
-      Packet &P = Packets[Id];
-      if (ShardOfNode(P.At) != MyIdx)
-        return;
-      if (P.NextHop == P.RouteLen) {
-        ++Me.DeliveredDelta;
-        return;
-      }
-      PushQueue(queueIndex(P.At, routeHop(P, P.NextHop)), Id, T + 1);
-    };
-    for (const Shard &Src : Shards)
-      for (uint32_t Id : Src.Arr)
-        Handle(Id);
-    for (const Shard &Src : Shards)
-      for (uint32_t Id : Src.Sel)
-        Handle(Id);
-  };
-
-  ThreadPool &Pool = ThreadPool::global();
-  const bool Parallel = ShardCount > 1;
-  size_t InjCursor = 0;
-  uint64_t LastProcessed = NoStep;
-  uint64_t MainWork = 0;
-  bool Capped = false;
-
-  // Closed-loop admission state, mirroring the step engine exactly: the
-  // step engine retries a blocked injection at *every* step, but queue
-  // depths only change at steps where the event engine has scheduled work
-  // -- so retrying at each processed step admits at the identical step.
-  // The one divergence risk is a deferred injection with no other wake
-  // pending (queues drained, or depths frozen until a distant wake):
-  // NextWake therefore offers LastProcessed + 1 as a candidate whenever
-  // Deferred is nonempty, grinding step-by-step like the step engine
-  // would until admission succeeds or the cap lands.
-  std::deque<TimedInjection> Deferred;
-  constexpr uint64_t NeverStep = ~uint64_t(0);
-  std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? N : 0, NeverStep);
-
-  auto NextWake = [&]() {
-    uint64_t T =
-        InjCursor != Injections.size() ? Injections[InjCursor].Step : NoStep;
-    if (!Deferred.empty())
-      T = std::min(T, LastProcessed == NoStep ? 0 : LastProcessed + 1);
-    for (const Shard &S : Shards) {
-      if (!S.Entity.empty())
-        T = std::min(T, S.Entity.top().first);
-      if (!S.Link.empty())
-        T = std::min(T, S.Link.top().first);
-    }
-    return T;
-  };
-
-  while (Pending != 0 || InjCursor != Injections.size() ||
-         !Deferred.empty()) {
-    uint64_t T = NextWake();
-    if (T >= MaxSteps) {
-      // Cap reached (or traffic is permanently stalled, e.g. a generator
-      // missing from the dimension cycle): the step engine would grind
-      // empty steps to the cap.
-      Capped = true;
-      break;
-    }
-
-    // Committing here makes pushes from earlier steps visible, matching
-    // the step engine's start-of-step queue sample: any push is sampled
-    // iff at least one later step runs.
-    for (Shard &S : Shards) {
-      S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-      S.PendingMax = 0;
-    }
-    if constexpr (Observed) {
-      if (Collect) {
-        Events.clear();
-        Events.Step = T;
-      }
-    }
-
-    // Scheduled injections, applied on the main thread in global call
-    // order (each push still lands in its owner shard's bookkeeping).
-    // Closed-loop admission is the step engine's verbatim: deferred
-    // injections retry first in FIFO order, then newly scheduled ones; a
-    // per-node per-step blocked stamp keeps retries O(1) (admissions only
-    // deepen queues within a step, so a failed depth test stays failed).
-    auto TryAdmit = [&](const TimedInjection &Inj) {
-      const Packet &P = Packets[Inj.Id];
-      ++MainWork;
-      if (ClosedLoopMaxQueue && P.RouteLen != 0) {
-        if (BlockedAt[P.At] == T || NodeQueued[P.At] >= ClosedLoopMaxQueue) {
-          BlockedAt[P.At] = T;
-          return false;
-        }
-      }
-      if (T != Inj.Step) {
-        ++Result.DeferredInjections;
-        Result.DeferredSteps += T - Inj.Step;
-      }
-      if (P.RouteLen == 0) {
-        ++Result.Delivered;
-        if constexpr (Observed) {
-          if (Collect)
-            Events.Deliveries.push_back(Inj.Id);
-        }
-        return true;
-      }
-      PushQueue(queueIndex(P.At, routeHop(P, 0)), Inj.Id, T);
-      ++Pending;
-      return true;
-    };
-    for (size_t I = 0, E = Deferred.size(); I != E; ++I) {
-      TimedInjection Inj = Deferred.front();
-      Deferred.pop_front();
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
-    }
-    while (InjCursor != Injections.size() &&
-           Injections[InjCursor].Step <= T) {
-      const TimedInjection &Inj = Injections[InjCursor++];
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
-    }
-    // Injections are visible to this step's sample in the step engine.
-    for (Shard &S : Shards) {
-      S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-      S.PendingMax = 0;
-    }
-
-    if (Parallel) {
-      Pool.parallelFor(0, ShardCount,
-                       [&](uint64_t I) { PhaseA(Shards[I], T); },
-                       /*ChunkSize=*/1);
-      Pool.parallelFor(0, ShardCount,
-                       [&](uint64_t I) { PhaseB(Shards[I], unsigned(I), T); },
-                       /*ChunkSize=*/1);
-    } else {
-      PhaseA(Shards[0], T);
-      PhaseB(Shards[0], 0, T);
-    }
-
-    uint64_t DeliveredNow = 0;
-    for (Shard &S : Shards) {
-      DeliveredNow += S.DeliveredDelta;
-      S.DeliveredDelta = 0;
-    }
-    Pending -= DeliveredNow;
-    Result.Delivered += DeliveredNow;
-
-    if constexpr (Observed) {
-      if (Collect) {
-        if (Model == CommModel::SingleDimension) {
-          Events.ScheduledLink = DimensionCycle[T % CycleLen];
-          Events.HasScheduledLink = true;
-        }
-        for (const Shard &S : Shards) {
-          Events.QueuedPackets += S.SampledQueued;
-          Events.MaxQueueDepth =
-              std::max(Events.MaxQueueDepth, S.SampledMaxDepth);
-          Events.Active.insert(Events.Active.end(), S.Active0.begin(),
-                               S.Active0.end());
-        }
-        for (const Shard &S : Shards)
-          Events.Active.insert(Events.Active.end(), S.Active1.begin(),
-                               S.Active1.end());
-        for (const Shard &S : Shards)
-          Events.Arrivals.insert(Events.Arrivals.end(), S.Arr.begin(),
-                                 S.Arr.end());
-        for (const Shard &S : Shards)
-          Events.Arrivals.insert(Events.Arrivals.end(), S.Sel.begin(),
-                                 S.Sel.end());
-        for (uint32_t Id : Events.Arrivals)
-          if (Packets[Id].NextHop == Packets[Id].RouteLen)
-            Events.Deliveries.push_back(Id);
-        for (SimObserver *O : Observers)
-          O->onStep(*this, Events);
-      }
-    }
-    for (Shard &S : Shards) {
-      S.Arr.clear();
-      S.Sel.clear();
-      S.Active0.clear();
-      S.Active1.clear();
-    }
-    LastProcessed = T;
+    Executed = Step + 1;
+    Step = NextDueStep(Step + 1, Transmitted);
   }
 
   if (Capped) {
+    // Steps in [Executed, MaxSteps) were skipped, not run; any of them
+    // would have sampled the queues as the last executed step left them.
+    if (Executed < MaxSteps)
+      Sample();
     Result.Steps = MaxSteps;
-    Result.Completed = false;
-    // The step engine ran the steps in (LastProcessed, MaxSteps) empty; if
-    // any exist, their queue samples saw the last step's pushes.
-    if (MaxSteps > (LastProcessed == NoStep ? 0 : LastProcessed + 1))
-      for (Shard &S : Shards) {
-        S.CommittedMax = std::max(S.CommittedMax, S.PendingMax);
-        S.PendingMax = 0;
-      }
-    // In-flight messages occupy their links through every executed step.
-    for (size_t Q = 0; Q != QCount; ++Q)
-      if (FlightSelStep[Q] != NoStep)
-        Shards[ShardOfNode(NodeId(Q / Degree))].BusyLinkSteps +=
-            (MaxSteps - 1) - FlightSelStep[Q];
   } else {
-    Result.Steps = LastProcessed == NoStep ? 0 : LastProcessed + 1;
-    Result.Completed = true;
+    Result.Steps = Executed;
   }
-
-  for (const Shard &S : Shards) {
-    Result.Transmissions += S.Transmissions;
-    Result.BusyLinkSteps += S.BusyLinkSteps;
-    Result.MaxQueueLength = std::max(Result.MaxQueueLength, S.CommittedMax);
-    Result.TouchedWork += S.Work;
-  }
-  Result.TouchedWork += MainWork;
-  uint64_t LinkSteps = uint64_t(N) * Degree * Result.Steps;
+  Result.Completed = !Capped;
+  double LinkSteps = double(Net.numNodes()) * Degree * double(Result.Steps);
   Result.LinkUtilization =
-      LinkSteps ? double(Result.BusyLinkSteps) / double(LinkSteps) : 0.0;
-  if constexpr (Observed) {
+      LinkSteps != 0.0 ? double(Result.BusyLinkSteps) / LinkSteps : 0.0;
+  if constexpr (Collect) {
     for (SimObserver *O : Observers)
       O->onRunEnd(*this, Result);
   }

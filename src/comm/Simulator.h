@@ -1,4 +1,4 @@
-//===- comm/Simulator.h - Packet-level simulator (step + event) *- C++ -*-===//
+//===- comm/Simulator.h - Packet-level simulator ---------------*- C++ -*-===//
 //
 // Part of the super-cayley-graphs project, under the MIT license.
 //
@@ -18,25 +18,16 @@
 /// queues, two-phase step execution (select transmissions, then apply), and
 /// completion/utilization statistics.
 ///
-/// Two interchangeable engines execute the same semantics:
-///
-///   SimEngine::Step   the original globally synchronous loop: every step
-///                     scans all queues and links. Cost per step is
-///                     O(nodes * degree) even when nothing is in flight.
-///   SimEngine::Event  a calendar-queue core that only touches nodes/links
-///                     with pending work and fast-forwards over empty
-///                     steps. Results (Steps, Delivered, Transmissions,
-///                     BusyLinkSteps, MaxQueueLength, LinkUtilization) are
-///                     byte-identical to the step engine -- pinned by
-///                     tests/EventCoreDifferentialTest.cpp -- but cost is
-///                     proportional to actual activity, which is what makes
-///                     steady-state load sweeps (comm/Workload.h) feasible.
-///
-/// The event engine can additionally shard per-node state across the
-/// global ThreadPool (setEventShards): shard boundaries are a fixed
-/// function of the node count, every queue/heap is owned by exactly one
-/// shard, and each step runs as two deterministic phases with barriers, so
-/// parallel runs are byte-identical to serial ones at every thread count.
+/// The engine is one globally synchronous step loop that touches only
+/// active work: it keeps a bitmap of non-empty link queues and one of
+/// links carrying a multi-flit message, scans both in ascending id (the
+/// order of a full sweep, so results do not depend on the sparsity), and
+/// jumps over every step at which nothing is due -- no link in flight, no
+/// queue allowed to transmit, no injection. A step costs a pass over the
+/// bitmaps plus O(active links), and an idle stretch costs nothing, which
+/// is what makes both saturated and sparse steady-state load sweeps
+/// (comm/Workload.h) affordable.
+/// Results are pinned by tests/EventCoreDifferentialTest.cpp.
 ///
 /// Traffic can be injected up front (injectPacket) or scheduled for a
 /// future step (scheduleInjection), which is how the open-loop workload
@@ -62,12 +53,6 @@ enum class CommModel { AllPort, SinglePort, SingleDimension };
 /// Returns a display name ("all-port", ...).
 std::string commModelName(CommModel Model);
 
-/// The two execution engines (identical results, different cost model).
-enum class SimEngine { Step, Event };
-
-/// Returns a display name ("step", "event").
-std::string simEngineName(SimEngine Engine);
-
 /// Outcome of a simulation run.
 struct SimulationResult {
   bool Completed = false; ///< all packets delivered within the step cap.
@@ -83,18 +68,10 @@ struct SimulationResult {
   uint64_t BusyLinkSteps = 0;
   uint64_t MaxQueueLength = 0;
   double LinkUtilization = 0.0; ///< BusyLinkSteps / (links * steps).
-  /// Engine-work diagnostic: queue/link slots the engine examined. This is
-  /// the one field that is *engine-dependent by design* (the step engine
-  /// scans everything every step, the event engine only touches scheduled
-  /// work), so it is excluded from engine-identity comparisons. The
-  /// sparse-traffic speedup of the event core is this ratio.
-  uint64_t TouchedWork = 0;
   /// Closed-loop admission control (setClosedLoop): scheduled injections
   /// that were admitted later than their scheduled step, and the total
-  /// admission delay in steps summed over them. Both zero under open loop,
-  /// and byte-identical across engines/shards/threads like every other
-  /// result field (injections still deferred when the run ends are counted
-  /// in neither).
+  /// admission delay in steps summed over them. Both zero under open loop
+  /// (injections still deferred when the run ends are counted in neither).
   uint64_t DeferredInjections = 0;
   uint64_t DeferredSteps = 0;
 };
@@ -112,21 +89,6 @@ public:
 
   const ExplicitScg &net() const { return Net; }
   CommModel model() const { return Model; }
-
-  /// Selects the execution engine (default SimEngine::Step, the historical
-  /// behavior). Results are byte-identical either way; see the file
-  /// comment for the cost trade-off.
-  void setEngine(SimEngine E) { Engine = E; }
-  SimEngine engine() const { return Engine; }
-
-  /// Event engine only: shards per-node state into \p Shards fixed,
-  /// contiguous node ranges executed in parallel on the global ThreadPool
-  /// with two barriers per processed step. 1 (the default) runs serially;
-  /// 0 resolves to the effective thread count. Results are byte-identical
-  /// at every shard and thread count (fixed shard boundaries, per-shard
-  /// calendar queues, and phase-2 pushes applied in global step order by
-  /// the owning shard).
-  void setEventShards(unsigned Shards) { EventShards = Shards; }
 
   /// Injects a packet at \p Src that will follow \p Route hop by hop.
   /// \p FlitCount > 1 models a store-and-forward message: each link
@@ -168,10 +130,7 @@ public:
   /// deferred and retried (FIFO among deferred injections, which are
   /// always retried before that step's newly scheduled ones). Zero-hop
   /// packets occupy no queue and are never throttled. 0 (the default)
-  /// restores open-loop behavior. Results remain byte-identical across
-  /// engines, shard counts, and thread counts: admission decisions are
-  /// made on the main thread in a deterministic order, and queue depths
-  /// only change at steps both engines process.
+  /// restores open-loop behavior.
   void setClosedLoop(uint64_t MaxNodeQueue) {
     ClosedLoopMaxQueue = MaxNodeQueue;
   }
@@ -181,17 +140,11 @@ public:
   void setDimensionCycle(std::vector<GenIndex> Cycle);
 
   /// Attaches a step observer (non-owning; must outlive run()). Observers
-  /// fire in attachment order at the end of every step. Under the event
-  /// engine, steps with no scheduled work are fast-forwarded and fire no
-  /// onStep (there is nothing to report: no link is busy, no packet
-  /// moves, queue contents are unchanged).
+  /// fire in attachment order at the end of every executed step. Steps at
+  /// which nothing is due are jumped over and fire no onStep (there is
+  /// nothing to report: no link is busy, no packet moves, queue contents
+  /// are unchanged).
   void addObserver(SimObserver *Observer);
-
-  /// Benchmark knob: forces run() through the instrumented loop even with
-  /// no observer attached, so the perf-smoke lane can measure the hook
-  /// overhead of the disabled observability layer (asserted <= 2% by
-  /// bench_pipelining --smoke). Results are unaffected.
-  void forceInstrumentation(bool On) { AlwaysInstrument = On; }
 
   /// Runs until every packet (including scheduled injections) is delivered
   /// or \p MaxSteps elapse.
@@ -210,11 +163,11 @@ private:
     uint32_t RouteLen;   ///< number of hops.
   };
 
-  /// In-flight multi-flit transmission on one link.
+  /// In-flight multi-flit transmission on one link: message Id arrives in
+  /// phase 0 of DoneStep.
   struct InFlight {
     uint32_t Id = 0;
     uint64_t DoneStep = 0;
-    bool Active = false;
   };
 
   /// A scheduled future injection: Packets[Id] enters its first queue at
@@ -229,22 +182,12 @@ private:
     return size_t(Node) * Net.degree() + Link;
   }
 
-  /// Enqueues packet \p Id at its current node for its next hop; delivers
-  /// it instead when the route is exhausted (recording the id in
-  /// \p DeliveredOut when the caller is collecting events).
-  void enqueueOrDeliver(uint32_t Id, SimulationResult &Result,
-                        std::vector<uint32_t> *DeliveredOut);
-
-  /// The step-engine loop. Instantiated twice: Collect = false is the
-  /// pristine hot loop (no event collection, no hook checks, selected
-  /// whenever no observer is attached); Collect = true adds the observer
-  /// machinery. run() dispatches once on entry, so zero-overhead
-  /// observability is structural.
+  /// The step loop. Instantiated twice: Collect = false is the pristine
+  /// hot loop (no event collection, no hook checks, selected whenever no
+  /// observer is attached); Collect = true adds the observer machinery.
+  /// run() dispatches once on entry, so zero-overhead observability is
+  /// structural.
   template <bool Collect> SimulationResult runImpl(uint64_t MaxSteps);
-
-  /// The event-engine loop (calendar queues, sharded). Same Observed
-  /// dispatch contract as runImpl.
-  template <bool Observed> SimulationResult runEventImpl(uint64_t MaxSteps);
 
   /// Appends \p Route to RoutePool and returns (begin, length).
   std::pair<uint32_t, uint32_t> appendRoute(std::span<const GenIndex> Route);
@@ -256,8 +199,6 @@ private:
 
   const ExplicitScg &Net;
   CommModel Model;
-  SimEngine Engine = SimEngine::Step;
-  unsigned EventShards = 1;
   uint64_t ClosedLoopMaxQueue = 0; ///< 0 = open loop (no admission control).
   std::vector<GenIndex> RoutePool; ///< every route, flat; packets index in.
   /// Shared routes by handle: (begin, length) into RoutePool.
@@ -274,10 +215,9 @@ private:
   /// again (selection step + FlitCount); 0 = never busy. Maintained for
   /// every model, consulted only under CommModel::SinglePort.
   std::vector<uint64_t> NodeBusyUntil;
-  uint64_t Pending = 0;
+  uint64_t Pending = 0; ///< injected, undelivered: queued or in flight.
   uint64_t DeliveredAtInject = 0; ///< zero-hop packets, delivered on inject.
   std::vector<SimObserver *> Observers;
-  bool AlwaysInstrument = false;
 };
 
 } // namespace scg

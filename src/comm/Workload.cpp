@@ -7,7 +7,6 @@
 #include "comm/Workload.h"
 
 #include "comm/SimObserver.h"
-#include "emulation/ScgRouter.h"
 #include "query/QueryEngine.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
@@ -174,8 +173,9 @@ public:
   std::vector<uint64_t> DeliverStep;
 };
 
-/// Averages Events.QueuedPackets over the steps the engine reports (the
-/// event core fast-forwards empty steps, so this is "over active steps").
+/// Averages Events.QueuedPackets over the steps the simulator reports (it
+/// jumps over steps at which nothing is due, so this is "over active
+/// steps").
 class OccupancyRecorder final : public SimObserver {
 public:
   void onStep(const NetworkSimulator &, const StepEvents &Events) override {
@@ -198,8 +198,6 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   std::vector<TrafficEvent> Trace = Gen.generate(Steps);
 
   NetworkSimulator Sim(Net, Model);
-  Sim.setEngine(Options.Engine);
-  Sim.setEventShards(Options.Shards);
   if (Options.ClosedLoopMaxQueue)
     Sim.setClosedLoop(Options.ClosedLoopMaxQueue);
 
@@ -207,10 +205,9 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   // permutation routing), and by Cayley symmetry a route depends only on
   // the relative label Rel = label(src)^-1 o label(dst) -- left
   // translation is an automorphism -- so the N^2 possible pairs collapse
-  // to at most numNodes distinct labels. Both paths below dedupe on that
-  // label (node ids ARE Lehmer ranks, so a flat slot vector indexes the
-  // dedup); they differ only in how the distinct routes are computed and
-  // stored, never in the trace they schedule.
+  // to at most numNodes distinct labels. The setup dedupes on that label
+  // (node ids ARE Lehmer ranks, so a flat slot vector indexes the dedup)
+  // and routes each distinct label once.
   const SuperCayleyGraph &Host = Net.network();
   std::vector<uint64_t> InjectStep;
   std::vector<unsigned> Hops;
@@ -252,78 +249,35 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   }
   Result.DistinctLabels = Rels.size();
 
-  if (Options.BatchedSetup) {
-    // Batched: one QueryEngine batch over the global ThreadPool computes
-    // every distinct route into a flat arena (chunk boundaries are a
-    // function of the batch length only, so the arena is byte-identical
-    // at every thread count). The engine's cache is disabled: the driver
-    // already deduped, so caching could only add shard-lock traffic.
-    QueryEngineOptions QOpts;
-    QOpts.CacheCapacity = 0;
-    QueryEngine Engine(Host, QOpts);
-    RouteArena Arena = Engine.routeBatchRelative(Rels);
-#ifndef NDEBUG
-    // The batched routes must equal the legacy scalar ones hop for hop
-    // (both expand starWordForPermutation(Rel) through the Theorem 1-3
-    // dimension templates; this pins that neither side drifts).
-    for (size_t I = 0; I != Rels.size(); ++I) {
-      std::vector<GenIndex> Legacy =
-          routeViaStarEmulation(Host,
-                                Permutation::identity(Host.numSymbols()),
-                                Rels[I])
-              .hops();
-      std::span<const GenIndex> Batched = Arena.route(I);
-      assert(std::equal(Batched.begin(), Batched.end(), Legacy.begin(),
-                        Legacy.end()) &&
-             "batched route differs from legacy scalar route");
-    }
-#endif
-    // Register each distinct route once; every injection shares its
-    // label's pool segment instead of copying the hop vector.
-    std::vector<uint32_t> Handles;
-    Handles.reserve(Rels.size());
-    for (size_t I = 0; I != Rels.size(); ++I)
-      Handles.push_back(Sim.addSharedRoute(Arena.route(I)));
-    const std::vector<GenIndex> ZeroHop;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      const TrafficEvent &E = Trace[I];
-      uint32_t Slot = EventSlot[I];
-      uint32_t Id = Slot == NoSlot
-                        ? Sim.scheduleInjection(E.Step, E.Src, ZeroHop,
-                                                Spec.FlitCount)
-                        : Sim.scheduleInjectionShared(E.Step, E.Src,
-                                                      Handles[Slot],
-                                                      Spec.FlitCount);
-      assert(Id == InjectStep.size() && "packet ids not contiguous");
-      (void)Id;
-      InjectStep.push_back(E.Step);
-      Hops.push_back(Slot == NoSlot ? 0 : Arena.length(Slot));
-    }
-  } else {
-    // Legacy serial path: one scalar routeViaStarEmulation call per
-    // distinct label (historically keyed by (src, dst) -- the label
-    // re-key dedupes N^2 -> N without changing a single route).
-    std::vector<std::vector<GenIndex>> Routes;
-    Routes.reserve(Rels.size());
-    for (const Permutation &Rel : Rels)
-      Routes.push_back(
-          routeViaStarEmulation(Host,
-                                Permutation::identity(Host.numSymbols()),
-                                Rel)
-              .hops());
-    const std::vector<GenIndex> ZeroHop;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      const TrafficEvent &E = Trace[I];
-      uint32_t Slot = EventSlot[I];
-      const std::vector<GenIndex> &Route =
-          Slot == NoSlot ? ZeroHop : Routes[Slot];
-      uint32_t Id =
-          Sim.scheduleInjection(E.Step, E.Src, Route, Spec.FlitCount);
-      assert(Id == InjectStep.size() && "packet ids not contiguous");
-      (void)Id;
-      InjectStep.push_back(E.Step);
-      Hops.push_back(unsigned(Route.size()));
-    }
+  // One QueryEngine batch over the global ThreadPool computes every
+  // distinct route into a flat arena (chunk boundaries are a function of
+  // the batch length only, so the arena is byte-identical at every thread
+  // count). The engine's cache is disabled: the driver already deduped, so
+  // caching could only add shard-lock traffic.
+  QueryEngineOptions QOpts;
+  QOpts.CacheCapacity = 0;
+  QueryEngine Engine(Host, QOpts);
+  RouteArena Arena = Engine.routeBatchRelative(Rels);
+  // Register each distinct route once; every injection shares its label's
+  // pool segment instead of copying the hop vector.
+  std::vector<uint32_t> Handles;
+  Handles.reserve(Rels.size());
+  for (size_t I = 0; I != Rels.size(); ++I)
+    Handles.push_back(Sim.addSharedRoute(Arena.route(I)));
+  const std::vector<GenIndex> ZeroHop;
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    const TrafficEvent &E = Trace[I];
+    uint32_t Slot = EventSlot[I];
+    uint32_t Id = Slot == NoSlot
+                      ? Sim.scheduleInjection(E.Step, E.Src, ZeroHop,
+                                              Spec.FlitCount)
+                      : Sim.scheduleInjectionShared(E.Step, E.Src,
+                                                    Handles[Slot],
+                                                    Spec.FlitCount);
+    assert(Id == InjectStep.size() && "packet ids not contiguous");
+    (void)Id;
+    InjectStep.push_back(E.Step);
+    Hops.push_back(Slot == NoSlot ? 0 : Arena.length(Slot));
   }
   Result.SetupSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -385,7 +339,6 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
     Reg->counter("traffic.setup.route_hops")
         .add(std::accumulate(Hops.begin(), Hops.end(), uint64_t(0)));
     Reg->gauge("traffic.setup.dedup_factor").set(Result.DedupFactor);
-    Reg->gauge("traffic.setup.batched").set(Options.BatchedSetup ? 1.0 : 0.0);
     Reg->gauge("traffic.closedloop.max_queue")
         .set(double(Options.ClosedLoopMaxQueue));
     Reg->counter("traffic.closedloop.deferred_injections")
@@ -410,7 +363,6 @@ std::vector<std::string> scg::trafficMetricNames() {
           "traffic.setup.distinct_labels",
           "traffic.setup.route_hops",
           "traffic.setup.dedup_factor",
-          "traffic.setup.batched",
           "traffic.closedloop.max_queue",
           "traffic.closedloop.deferred_injections",
           "traffic.closedloop.deferred_steps"};

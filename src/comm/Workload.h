@@ -91,18 +91,8 @@ private:
 
 /// Options of the traffic driver.
 struct TrafficLoadOptions {
-  SimEngine Engine = SimEngine::Event; ///< load sweeps want the event core.
-  unsigned Shards = 1;                 ///< setEventShards value.
   MetricsRegistry *Registry = nullptr; ///< optional traffic.* metrics sink.
   std::vector<SimObserver *> Observers; ///< extra observers to attach.
-  /// Batched route setup (the default): dedupe all (src, dst) pairs to
-  /// their relative labels (Cayley symmetry: at most numNodes distinct),
-  /// compute one route per label via QueryEngine::routeBatchRelative over
-  /// the global ThreadPool, and let every injection share its label's
-  /// route through the simulator's flat route arena. False selects the
-  /// legacy serial per-pair loop; traces and results are byte-identical
-  /// either way (the batched path only changes setup time and memory).
-  bool BatchedSetup = true;
   /// Nonzero makes the source closed-loop: an injection whose source node
   /// already has this many packets queued is deferred until the depth
   /// drops (see NetworkSimulator::setClosedLoop). Zero is open-loop.
@@ -136,8 +126,12 @@ struct TrafficLoadResult {
 
 /// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps
 /// (routes are the lifted optimal star routes, as in permutation routing)
-/// and reports what was delivered. Deterministic for fixed inputs,
-/// including across engines, shard counts, and thread counts.
+/// and reports what was delivered. Route setup dedupes the trace to its
+/// relative labels (Cayley symmetry: at most numNodes distinct), computes
+/// one route per label via QueryEngine::routeBatchRelative over the global
+/// ThreadPool, and lets every injection share its label's route through
+/// the simulator's flat route pool. Deterministic for fixed inputs,
+/// including across thread counts.
 TrafficLoadResult simulateTrafficLoad(const ExplicitScg &Net, CommModel Model,
                                       const WorkloadSpec &Spec,
                                       uint64_t Steps,

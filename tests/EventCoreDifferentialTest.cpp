@@ -1,27 +1,27 @@
-//===- tests/EventCoreDifferentialTest.cpp - Step vs event engine --------===//
+//===- tests/EventCoreDifferentialTest.cpp - Simulator goldens -----------===//
 //
-// Differential harness pinning SimEngine::Event (serial and sharded) to
-// the step engine byte for byte: identical SimulationResult fields,
-// identical per-packet delivery steps, and identical aggregate event
-// streams, for every network family at k = 4 across all three
-// communication models, under permutation-routing traffic, mixed random
-// multi-flit traffic, timed workload injections, MaxSteps caps, and
-// stalled single-dimension schedules. A ModelInvariantChecker rides along
-// on every event-engine run (any violation is a test failure), and the
-// sharded runs assert byte-identity at every shard count -- which, under
-// SCG_TSAN, also race-checks the two-phase parallel step.
+// Pins the simulator to the outputs its step and event engines agreed on
+// byte for byte before they were merged into one active-set loop: every
+// SimulationResult field, the onStep count, the observer stream counts,
+// and every packet's delivery step (tests/golden/simulator.txt), for every
+// network family at k = 4 across all three communication models, under
+// permutation-routing traffic, mixed random multi-flit traffic, timed
+// workload injections, MaxSteps caps, and stalled single-dimension
+// schedules. A ModelInvariantChecker rides along on every run (any
+// violation is a test failure). Plus the idle-step jump: injections 10^12
+// steps apart and a stalled run capped at ~0 both finish at once.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimGolden.h"
+
 #include "comm/PermutationRouting.h"
-#include "comm/SimObserver.h"
-#include "comm/Workload.h"
 #include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
 
 #include "support/Format.h"
 
-#include <gtest/gtest.h>
+#include <chrono>
 
 using namespace scg;
 
@@ -66,87 +66,23 @@ void injectMixed(NetworkSimulator &Sim, const ExplicitScg &Net,
     Sim.injectPacket(Rng.nextBelow(Net.numNodes()), {});
 }
 
-/// The engine-identity contract: every semantic field (TouchedWork is the
-/// one engine-dependent diagnostic and is deliberately excluded).
-void expectSameResult(const SimulationResult &Step,
-                      const SimulationResult &Event, const std::string &What) {
-  EXPECT_EQ(Step.Completed, Event.Completed) << What;
-  EXPECT_EQ(Step.Steps, Event.Steps) << What;
-  EXPECT_EQ(Step.Delivered, Event.Delivered) << What;
-  EXPECT_EQ(Step.Transmissions, Event.Transmissions) << What;
-  EXPECT_EQ(Step.BusyLinkSteps, Event.BusyLinkSteps) << What;
-  EXPECT_EQ(Step.MaxQueueLength, Event.MaxQueueLength) << What;
-  EXPECT_EQ(Step.LinkUtilization, Event.LinkUtilization) << What;
-}
-
-/// Records per-packet delivery steps and aggregate stream counts. The
-/// event engine fires onStep only for steps with scheduled work, so step
-/// counts differ by design; everything that describes actual traffic
-/// (transmission starts, occupancy records, arrivals, deliveries, and the
-/// step each packet was delivered) must be identical.
-struct StreamRecorder final : SimObserver {
-  std::vector<std::pair<uint32_t, uint64_t>> DeliverySteps;
-  uint64_t Started = 0, Occupancy = 0, Arrivals = 0;
-  void onStep(const NetworkSimulator &, const StepEvents &E) override {
-    for (const LinkActivity &A : E.Active)
-      A.Started ? ++Started : ++Occupancy;
-    Arrivals += E.Arrivals.size();
-    for (uint32_t Id : E.Deliveries)
-      DeliverySteps.push_back({Id, E.Step});
-  }
-};
-
-struct RunOutcome {
-  SimulationResult Result;
-  StreamRecorder Stream;
-  bool InvariantsClean = true;
-  std::string InvariantReport;
-};
-
-/// Runs \p Fill-ed traffic on (Net, Model) with the given engine/shards,
-/// collecting the result, the observer stream, and (event engine) the
-/// model-invariant verdict.
+/// Runs \p Fill-ed traffic on (Net, Model) with a GoldenStream and a
+/// ModelInvariantChecker attached, checks the checker is clean and the
+/// run matches the golden \p Name, and returns the result.
 template <typename FillFn>
-RunOutcome runOne(const ExplicitScg &Net, CommModel Model, SimEngine Engine,
-                  unsigned Shards, uint64_t MaxSteps, FillFn Fill) {
+SimulationResult expectRunGolden(const std::string &Name,
+                                 const ExplicitScg &Net, CommModel Model,
+                                 uint64_t MaxSteps, FillFn Fill) {
   NetworkSimulator Sim(Net, Model);
-  Sim.setEngine(Engine);
-  Sim.setEventShards(Shards);
   Fill(Sim);
-  RunOutcome Out;
+  GoldenStream Stream;
   ModelInvariantChecker Checker;
-  Sim.addObserver(&Out.Stream);
+  Sim.addObserver(&Stream);
   Sim.addObserver(&Checker);
-  Out.Result = Sim.run(MaxSteps);
-  Out.InvariantsClean = Checker.clean();
-  Out.InvariantReport = Checker.report();
-  return Out;
-}
-
-template <typename FillFn>
-void expectEnginesAgree(const ExplicitScg &Net, CommModel Model,
-                        uint64_t MaxSteps, const std::string &What,
-                        FillFn Fill, unsigned EventShardsToCheck = 4) {
-  RunOutcome Step =
-      runOne(Net, Model, SimEngine::Step, 1, MaxSteps, Fill);
-  RunOutcome Event =
-      runOne(Net, Model, SimEngine::Event, 1, MaxSteps, Fill);
-  expectSameResult(Step.Result, Event.Result, What + " [event serial]");
-  EXPECT_EQ(Step.Stream.DeliverySteps, Event.Stream.DeliverySteps) << What;
-  EXPECT_EQ(Step.Stream.Started, Event.Stream.Started) << What;
-  EXPECT_EQ(Step.Stream.Occupancy, Event.Stream.Occupancy) << What;
-  EXPECT_EQ(Step.Stream.Arrivals, Event.Stream.Arrivals) << What;
-  // The invariant checker is part of the contract: scheduling bugs in the
-  // event core must fail loudly, not land in a log line.
-  EXPECT_TRUE(Step.InvariantsClean) << What << "\n" << Step.InvariantReport;
-  EXPECT_TRUE(Event.InvariantsClean) << What << "\n" << Event.InvariantReport;
-
-  RunOutcome Sharded = runOne(Net, Model, SimEngine::Event,
-                              EventShardsToCheck, MaxSteps, Fill);
-  expectSameResult(Step.Result, Sharded.Result, What + " [event sharded]");
-  EXPECT_EQ(Step.Stream.DeliverySteps, Sharded.Stream.DeliverySteps) << What;
-  EXPECT_TRUE(Sharded.InvariantsClean)
-      << What << "\n" << Sharded.InvariantReport;
+  SimulationResult R = Sim.run(MaxSteps);
+  EXPECT_TRUE(Checker.clean()) << Name << "\n" << Checker.report();
+  expectGolden(Name, golden::render(R, Stream));
+  return R;
 }
 
 } // namespace
@@ -158,12 +94,12 @@ void expectEnginesAgree(const ExplicitScg &Net, CommModel Model,
 TEST(EventCoreDifferential, MixedTrafficEveryFamilyAndModel) {
   for (const SuperCayleyGraph &Family : familiesAtK4()) {
     ExplicitScg Net(Family);
-    for (CommModel Model : AllModels) {
-      std::string What = Family.name() + " / " + commModelName(Model);
-      expectEnginesAgree(Net, Model, 4000, What, [&](NetworkSimulator &Sim) {
-        injectMixed(Sim, Net, 40, 0xD1FF + Net.degree(), /*ZeroHop=*/3);
-      });
-    }
+    for (CommModel Model : AllModels)
+      expectRunGolden("mixed/" + Family.name() + "/" + commModelName(Model),
+                      Net, Model, 4000, [&](NetworkSimulator &Sim) {
+                        injectMixed(Sim, Net, 40, 0xD1FF + Net.degree(),
+                                    /*ZeroHop=*/3);
+                      });
   }
 }
 
@@ -183,15 +119,13 @@ TEST(EventCoreDifferential, PermutationRoutingEveryFamilyAndModel) {
       Routes.push_back(
           routeViaStarEmulation(Family, Net.label(U), Net.label(Pattern[U]))
               .hops());
-    for (CommModel Model : AllModels) {
-      std::string What =
-          Family.name() + " / " + commModelName(Model) + " / permutation";
-      expectEnginesAgree(Net, Model, 100000, What,
-                         [&](NetworkSimulator &Sim) {
-                           for (NodeId U = 0; U != Net.numNodes(); ++U)
-                             Sim.injectPacket(U, Routes[U]);
-                         });
-    }
+    for (CommModel Model : AllModels)
+      expectRunGolden("permutation/" + Family.name() + "/" +
+                          commModelName(Model),
+                      Net, Model, 100000, [&](NetworkSimulator &Sim) {
+                        for (NodeId U = 0; U != Net.numNodes(); ++U)
+                          Sim.injectPacket(U, Routes[U]);
+                      });
   }
 }
 
@@ -211,56 +145,51 @@ TEST(EventCoreDifferential, WorkloadTraceEveryModel) {
     WorkloadGenerator Gen(Net, Spec);
     std::vector<TrafficEvent> Trace = Gen.generate(200);
     ASSERT_FALSE(Trace.empty());
-    for (CommModel Model : AllModels) {
-      std::string What =
-          workloadKindName(Kind) + " / " + commModelName(Model);
-      expectEnginesAgree(Net, Model, 5000, What, [&](NetworkSimulator &Sim) {
-        for (const TrafficEvent &E : Trace) {
-          std::vector<GenIndex> Route;
-          if (E.Src != E.Dst)
-            Route = routeViaStarEmulation(Net.network(), Net.label(E.Src),
-                                          Net.label(E.Dst))
-                        .hops();
-          Sim.scheduleInjection(E.Step, E.Src, Route,
-                                E.Src % 5 == 0 ? 2 : 1);
-        }
-      });
-    }
+    for (CommModel Model : AllModels)
+      expectRunGolden("workload/" + workloadKindName(Kind) + "/" +
+                          commModelName(Model),
+                      Net, Model, 5000, [&](NetworkSimulator &Sim) {
+                        for (const TrafficEvent &E : Trace) {
+                          std::vector<GenIndex> Route;
+                          if (E.Src != E.Dst)
+                            Route = routeViaStarEmulation(Net.network(),
+                                                          Net.label(E.Src),
+                                                          Net.label(E.Dst))
+                                        .hops();
+                          Sim.scheduleInjection(E.Step, E.Src, Route,
+                                                E.Src % 5 == 0 ? 2 : 1);
+                        }
+                      });
   }
 }
 
 //===----------------------------------------------------------------------===//
-// MaxSteps caps: results must agree at every truncation point
+// MaxSteps caps: results must hold at every truncation point
 //===----------------------------------------------------------------------===//
 
 TEST(EventCoreDifferential, CappedRunsAgreeAtEveryHorizon) {
   ExplicitScg Net(SuperCayleyGraph::bubbleSort(4));
   for (CommModel Model : AllModels)
-    for (uint64_t MaxSteps : {0u, 1u, 2u, 3u, 5u, 9u, 17u, 40u}) {
-      std::string What = commModelName(Model) + " / cap " +
-                         std::to_string(MaxSteps);
-      expectEnginesAgree(Net, Model, MaxSteps, What,
-                         [&](NetworkSimulator &Sim) {
-                           injectMixed(Sim, Net, 30, 99, /*ZeroHop=*/2);
-                         });
-    }
+    for (uint64_t MaxSteps : {0u, 1u, 2u, 3u, 5u, 9u, 17u, 40u})
+      expectRunGolden("capped/" + commModelName(Model) + "/" +
+                          std::to_string(MaxSteps),
+                      Net, Model, MaxSteps, [&](NetworkSimulator &Sim) {
+                        injectMixed(Sim, Net, 30, 99, /*ZeroHop=*/2);
+                      });
 }
 
 TEST(EventCoreDifferential, CapLandsMidMultiFlitMessage) {
   // An 8-flit message on an otherwise idle network: every cap inside the
-  // occupancy window must yield identical BusyLinkSteps accounting (the
-  // step engine counts occupancy per step, the event engine in bulk).
+  // occupancy window must yield the frozen BusyLinkSteps accounting.
   ExplicitScg Net(SuperCayleyGraph::star(4));
   for (CommModel Model : AllModels)
-    for (uint64_t MaxSteps = 0; MaxSteps != 12; ++MaxSteps) {
-      std::string What = commModelName(Model) + " / flit-cap " +
-                         std::to_string(MaxSteps);
-      expectEnginesAgree(Net, Model, MaxSteps, What,
-                         [&](NetworkSimulator &Sim) {
-                           Sim.injectPacket(0, {0, 1}, /*FlitCount=*/8);
-                           Sim.injectPacket(1, {1}, /*FlitCount=*/1);
-                         });
-    }
+    for (uint64_t MaxSteps = 0; MaxSteps != 12; ++MaxSteps)
+      expectRunGolden("flit-cap/" + commModelName(Model) + "/" +
+                          std::to_string(MaxSteps),
+                      Net, Model, MaxSteps, [&](NetworkSimulator &Sim) {
+                        Sim.injectPacket(0, {0, 1}, /*FlitCount=*/8);
+                        Sim.injectPacket(1, {1}, /*FlitCount=*/1);
+                      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -269,82 +198,91 @@ TEST(EventCoreDifferential, CapLandsMidMultiFlitMessage) {
 
 TEST(EventCoreDifferential, StalledDimensionCycleGrindsToCap) {
   // Routes over generator 2, but the cycle only ever schedules 0 and 1:
-  // the step engine grinds empty steps to MaxSteps; the event engine must
-  // report the same capped, incomplete result without executing them.
+  // the run reports a capped, incomplete result at exactly MaxSteps.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  auto Fill = [&](NetworkSimulator &Sim) {
-    Sim.setDimensionCycle({0, 1});
-    Sim.injectPacket(0, {0, 2, 1});
-    Sim.injectPacket(2, {2});
-  };
-  RunOutcome Step = runOne(Net, CommModel::SingleDimension, SimEngine::Step,
-                           1, 5000, Fill);
-  RunOutcome Event = runOne(Net, CommModel::SingleDimension, SimEngine::Event,
-                            1, 5000, Fill);
-  EXPECT_FALSE(Step.Result.Completed);
-  EXPECT_EQ(Step.Result.Steps, 5000u);
-  expectSameResult(Step.Result, Event.Result, "stalled dimension cycle");
-  EXPECT_EQ(Step.Stream.DeliverySteps, Event.Stream.DeliverySteps);
-  // The event engine does far less work on the stalled tail -- that is the
-  // point of the engine; TouchedWork is the one intentional difference.
-  EXPECT_LT(Event.Result.TouchedWork, Step.Result.TouchedWork);
+  SimulationResult R = expectRunGolden(
+      "stalled/5000", Net, CommModel::SingleDimension, 5000,
+      [&](NetworkSimulator &Sim) {
+        Sim.setDimensionCycle({0, 1});
+        Sim.injectPacket(0, {0, 2, 1});
+        Sim.injectPacket(2, {2});
+      });
+  EXPECT_FALSE(R.Completed);
+  EXPECT_EQ(R.Steps, 5000u);
+}
+
+TEST(EventCoreDifferential, StalledDimensionCycleEndsAtCapPromptly) {
+  // Nothing is ever due again once the first packet parks on generator 2,
+  // so even an unbounded cap returns at once instead of running empty
+  // steps until 2^64 - 1.
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  NetworkSimulator Sim(Net, CommModel::SingleDimension);
+  Sim.setDimensionCycle({0, 1});
+  Sim.injectPacket(0, {0, 2, 1});
+  GoldenStream Stream;
+  Sim.addObserver(&Stream);
+  auto Start = std::chrono::steady_clock::now();
+  SimulationResult R = Sim.run(~uint64_t(0));
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_FALSE(R.Completed);
+  EXPECT_EQ(R.Steps, ~uint64_t(0));
+  EXPECT_EQ(R.Transmissions, 1u);
+  EXPECT_EQ(R.Delivered, 0u);
+  EXPECT_EQ(Stream.OnSteps, 1u); // the one step that moved the packet.
+  EXPECT_LT(Seconds, 1.0);
 }
 
 //===----------------------------------------------------------------------===//
-// Shard-count sweep: byte-identity at every shard count
+// Idle-step jump
 //===----------------------------------------------------------------------===//
 
-TEST(EventCoreDifferential, ShardCountSweepIsByteIdentical) {
-  ExplicitScg Net(SuperCayleyGraph::transpositionNetwork(4));
+TEST(EventCoreDifferential, FarApartInjectionsSkipIdleSteps) {
+  // Two one-hop packets 10^12 steps apart. Generator 1 is the one the
+  // default single-dimension cycle (0, 1, 2) schedules at step 10^12
+  // (10^12 = 1 mod 3), so every model delivers the second packet at its
+  // injection step and the run ends after step 10^12.
+  constexpr uint64_t Far = 1000000000000ull;
+  ExplicitScg Net(SuperCayleyGraph::star(4));
   for (CommModel Model : AllModels) {
-    auto Fill = [&](NetworkSimulator &Sim) {
-      injectMixed(Sim, Net, 60, 0xABCD, /*ZeroHop=*/1);
-    };
-    RunOutcome Serial =
-        runOne(Net, Model, SimEngine::Event, 1, 6000, Fill);
-    for (unsigned Shards : {2u, 3u, 4u, 7u, 16u, 0u /* = thread count */}) {
-      RunOutcome Sharded =
-          runOne(Net, Model, SimEngine::Event, Shards, 6000, Fill);
-      expectSameResult(Serial.Result, Sharded.Result,
-                       commModelName(Model) + " / shards " +
-                           std::to_string(Shards));
-      EXPECT_EQ(Serial.Stream.DeliverySteps, Sharded.Stream.DeliverySteps);
-      EXPECT_EQ(Serial.Stream.Started, Sharded.Stream.Started);
-      EXPECT_EQ(Serial.Stream.Occupancy, Sharded.Stream.Occupancy);
-      EXPECT_TRUE(Sharded.InvariantsClean) << Sharded.InvariantReport;
-    }
+    NetworkSimulator Sim(Net, Model);
+    Sim.scheduleInjection(0, 0, {0});
+    Sim.scheduleInjection(Far, 5, {1});
+    GoldenStream Stream;
+    ModelInvariantChecker Checker;
+    Sim.addObserver(&Stream);
+    Sim.addObserver(&Checker);
+    auto Start = std::chrono::steady_clock::now();
+    SimulationResult R = Sim.run(~uint64_t(0));
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+    std::string What = commModelName(Model);
+    EXPECT_TRUE(R.Completed) << What;
+    EXPECT_EQ(R.Steps, Far + 1) << What;
+    EXPECT_EQ(R.Delivered, 2u) << What;
+    EXPECT_EQ(R.Transmissions, 2u) << What;
+    EXPECT_EQ(R.BusyLinkSteps, 2u) << What;
+    EXPECT_EQ(Stream.OnSteps, 2u) << What;
+    EXPECT_TRUE(Checker.clean()) << What << "\n" << Checker.report();
+    EXPECT_LT(Seconds, 1.0) << What;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Engine identity through the open-loop driver
+// The open-loop driver
 //===----------------------------------------------------------------------===//
 
-TEST(EventCoreDifferential, TrafficLoadDriverAgreesAcrossEngines) {
+TEST(EventCoreDifferential, TrafficLoadDriverMatchesGoldens) {
   ExplicitScg Net(SuperCayleyGraph::star(4));
   WorkloadSpec Spec;
   Spec.Kind = WorkloadKind::UniformRandom;
   Spec.InjectionRate = 0.08;
   Spec.Seed = 5;
   for (CommModel Model : AllModels) {
-    TrafficLoadOptions StepOpts;
-    StepOpts.Engine = SimEngine::Step;
-    TrafficLoadOptions EventOpts;
-    EventOpts.Engine = SimEngine::Event;
-    TrafficLoadOptions ShardedOpts;
-    ShardedOpts.Engine = SimEngine::Event;
-    ShardedOpts.Shards = 4;
-    TrafficLoadResult A = simulateTrafficLoad(Net, Model, Spec, 400, StepOpts);
-    TrafficLoadResult B =
-        simulateTrafficLoad(Net, Model, Spec, 400, EventOpts);
-    TrafficLoadResult C =
-        simulateTrafficLoad(Net, Model, Spec, 400, ShardedOpts);
-    std::string What = "traffic load / " + commModelName(Model);
-    expectSameResult(A.Sim, B.Sim, What);
-    expectSameResult(A.Sim, C.Sim, What + " sharded");
-    EXPECT_EQ(A.Offered, B.Offered) << What;
-    EXPECT_EQ(A.MeanLatency, B.MeanLatency) << What;
-    EXPECT_EQ(A.P99Latency, B.P99Latency) << What;
-    EXPECT_EQ(B.MeanLatency, C.MeanLatency) << What;
+    std::string Line;
+    golden::runTraffic(Net, Model, Spec, 400, {}, Line);
+    expectGolden("driver/" + commModelName(Model), Line);
   }
 }

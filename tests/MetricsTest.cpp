@@ -130,7 +130,7 @@ TEST(MetricsRegistryTest, TrafficMetricNamesRoundTripThroughJson) {
   for (const char *Required :
        {"traffic.setup.events", "traffic.setup.distinct_labels",
         "traffic.setup.route_hops", "traffic.setup.dedup_factor",
-        "traffic.setup.batched", "traffic.closedloop.max_queue",
+        "traffic.closedloop.max_queue",
         "traffic.closedloop.deferred_injections",
         "traffic.closedloop.deferred_steps"})
     EXPECT_NE(std::find(Names.begin(), Names.end(), Required), Names.end())

@@ -5,10 +5,11 @@
 // results with and without observers attached, the on-inject Delivered
 // accounting for zero-hop packets, and the ModelInvariantChecker run clean
 // across all three communication models on every network family at k = 4.
+// Every simulator run also matches its frozen golden (tests/SimGolden.h).
 //
 //===----------------------------------------------------------------------===//
 
-#include "comm/SimObserver.h"
+#include "SimGolden.h"
 
 #include "support/Format.h"
 
@@ -166,9 +167,12 @@ TEST(SimObserver, EventStreamMatchesResult) {
   NetworkSimulator Sim(Net, CommModel::AllPort);
   injectMixed(Sim, Net, 200, 42, /*ZeroHop=*/3);
   RecordingObserver Rec;
+  GoldenStream Stream;
   Sim.addObserver(&Rec);
+  Sim.addObserver(&Stream);
   SimulationResult R = Sim.run(100000);
   ASSERT_TRUE(R.Completed);
+  expectGolden("observer/stream", golden::render(R, Stream));
   EXPECT_EQ(Rec.Begins, 1u);
   EXPECT_EQ(Rec.Ends, 1u);
   EXPECT_EQ(Rec.Steps, R.Steps);
@@ -192,18 +196,16 @@ TEST(SimObserver, ResultsIdenticalWithAndWithoutObservers) {
     MetricsRegistry Reg;
     MetricsObserver Metrics(Reg);
     ModelInvariantChecker Checker;
+    GoldenStream Stream;
     Observed.addObserver(&Metrics);
     Observed.addObserver(&Checker);
+    Observed.addObserver(&Stream);
     SimulationResult Instrumented = Observed.run(100000);
-
-    NetworkSimulator Forced(Net, Model);
-    injectMixed(Forced, Net, 150, 7, /*ZeroHop=*/2);
-    Forced.forceInstrumentation(true);
-    SimulationResult ForcedRun = Forced.run(100000);
 
     ASSERT_TRUE(Bare.Completed) << commModelName(Model);
     EXPECT_TRUE(sameResult(Bare, Instrumented)) << commModelName(Model);
-    EXPECT_TRUE(sameResult(Bare, ForcedRun)) << commModelName(Model);
+    expectGolden("observer/identical/" + commModelName(Model),
+                 golden::render(Bare, Stream));
     EXPECT_TRUE(Checker.clean()) << commModelName(Model) << "\n"
                                  << Checker.report();
     // The metrics recomputed the same totals from the event stream.
@@ -250,9 +252,13 @@ TEST(ModelInvariantChecker, CleanOnEveryFamilyAndModelAtK4) {
       NetworkSimulator Sim(Net, Model);
       injectMixed(Sim, Net, 120, 0xBEEF);
       ModelInvariantChecker Checker;
+      GoldenStream Stream;
       Sim.addObserver(&Checker);
+      Sim.addObserver(&Stream);
       SimulationResult R = Sim.run(1000000);
       ASSERT_TRUE(R.Completed) << Scg.name() << " " << commModelName(Model);
+      expectGolden("checker/" + Scg.name() + "/" + commModelName(Model),
+                   golden::render(R, Stream));
       EXPECT_TRUE(Checker.clean())
           << Scg.name() << " " << commModelName(Model) << "\n"
           << Checker.report();
@@ -338,9 +344,13 @@ TEST(ModelInvariantChecker, CleanOnMultiFlitSinglePortTraffic) {
       Sim.injectPacket(Src, Route, 2 + P % 4);
     }
     ModelInvariantChecker Checker;
+    GoldenStream Stream;
     Sim.addObserver(&Checker);
+    Sim.addObserver(&Stream);
     SimulationResult R = Sim.run(1000000);
     ASSERT_TRUE(R.Completed) << Scg.name();
+    expectGolden("checker/multi-flit/" + Scg.name(),
+                 golden::render(R, Stream));
     EXPECT_TRUE(Checker.clean()) << Scg.name() << "\n" << Checker.report();
   }
 }

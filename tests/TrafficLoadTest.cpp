@@ -15,10 +15,11 @@
 // depth): at near-zero load it degenerates to the open-loop result
 // exactly, and at overload it bounds queue occupancy by deferring
 // injections. Plus MetricsRegistry plumbing for the traffic.* metrics.
+// Every driver call also matches its frozen golden (tests/SimGolden.h).
 //
 //===----------------------------------------------------------------------===//
 
-#include "comm/Workload.h"
+#include "SimGolden.h"
 
 #include "support/Metrics.h"
 
@@ -36,6 +37,18 @@ WorkloadSpec uniformAt(double Rate, uint64_t Seed = 12) {
   return Spec;
 }
 
+/// simulateTrafficLoad, checked against the golden "traffic/<Name>".
+TrafficLoadResult checkedLoad(const std::string &Name, const ExplicitScg &Net,
+                              CommModel Model, const WorkloadSpec &Spec,
+                              uint64_t Steps,
+                              const TrafficLoadOptions &Options = {}) {
+  std::string Line;
+  TrafficLoadResult R =
+      golden::runTraffic(Net, Model, Spec, Steps, Options, Line);
+  expectGolden("traffic/" + Name, Line);
+  return R;
+}
+
 } // namespace
 
 TEST(TrafficLoad, NearZeroRateLatencyEqualsGreedyHopCount) {
@@ -43,8 +56,8 @@ TEST(TrafficLoad, NearZeroRateLatencyEqualsGreedyHopCount) {
   // ~0.002 packets/node/step: queues are essentially always empty, so
   // every packet walks its route uncontended and latency == hop count,
   // packet by packet (means equal exactly, not approximately).
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::AllPort,
-                                            uniformAt(0.002), 4000);
+  TrafficLoadResult R = checkedLoad("near-zero/all-port", Net,
+                                    CommModel::AllPort, uniformAt(0.002), 4000);
   ASSERT_GT(R.Offered, 50u);
   EXPECT_GT(R.Sim.Delivered, 0u);
   EXPECT_DOUBLE_EQ(R.MeanLatency, R.MeanHops);
@@ -55,8 +68,9 @@ TEST(TrafficLoad, SinglePortNearZeroRateStillUncontended) {
   // Single-port serializes a node's ports, but at near-zero load a node
   // almost never holds two packets at once, so latency still equals hops.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.0004), 12000);
+  TrafficLoadResult R =
+      checkedLoad("near-zero/single-port", Net, CommModel::SinglePort,
+                  uniformAt(0.0004), 12000);
   ASSERT_GT(R.Offered, 50u);
   EXPECT_DOUBLE_EQ(R.MeanLatency, R.MeanHops);
 }
@@ -66,12 +80,15 @@ TEST(TrafficLoad, ThroughputPlateausPastSaturation) {
   // Offered load far past saturation must not deliver less than moderate
   // overload: delivered throughput plateaus at capacity (a collapsing
   // simulator would show the 2x curve dropping).
-  TrafficLoadResult Low = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                              uniformAt(0.05), 1500);
-  TrafficLoadResult High = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                               uniformAt(0.40), 1500);
-  TrafficLoadResult Extreme = simulateTrafficLoad(
-      Net, CommModel::SinglePort, uniformAt(0.80), 1500);
+  TrafficLoadResult Low = checkedLoad("plateau/low", Net,
+                                      CommModel::SinglePort, uniformAt(0.05),
+                                      1500);
+  TrafficLoadResult High = checkedLoad("plateau/high", Net,
+                                       CommModel::SinglePort, uniformAt(0.40),
+                                       1500);
+  TrafficLoadResult Extreme = checkedLoad("plateau/extreme", Net,
+                                          CommModel::SinglePort,
+                                          uniformAt(0.80), 1500);
 
   // Past saturation the network accepts less than offered...
   EXPECT_LT(High.DeliveredRate, High.OfferedRate * 0.95);
@@ -92,12 +109,14 @@ TEST(TrafficLoad, ClosedLoopAtNearZeroLoadIsOpenLoop) {
   // the closed-loop driver must reproduce the open-loop result exactly,
   // field for field, with zero deferrals.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  TrafficLoadResult Open = simulateTrafficLoad(Net, CommModel::AllPort,
-                                               uniformAt(0.002), 4000);
+  TrafficLoadResult Open =
+      checkedLoad("closed-near-zero/open", Net, CommModel::AllPort,
+                  uniformAt(0.002), 4000);
   TrafficLoadOptions Closed;
   Closed.ClosedLoopMaxQueue = 2;
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::AllPort,
-                                            uniformAt(0.002), 4000, Closed);
+  TrafficLoadResult R =
+      checkedLoad("closed-near-zero/closed", Net, CommModel::AllPort,
+                  uniformAt(0.002), 4000, Closed);
   EXPECT_EQ(R.Sim.DeferredInjections, 0u);
   EXPECT_EQ(R.Sim.DeferredSteps, 0u);
   EXPECT_EQ(R.Sim.Delivered, Open.Sim.Delivered);
@@ -113,12 +132,14 @@ TEST(TrafficLoad, ClosedLoopBoundsQueueOccupancyAtOverload) {
   // the closed-loop source must defer injections instead, keeping mean
   // occupancy well below open loop while actually exercising deferral.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  TrafficLoadResult Open = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                               uniformAt(0.8), 1000);
+  TrafficLoadResult Open =
+      checkedLoad("closed-overload/open", Net, CommModel::SinglePort,
+                  uniformAt(0.8), 1000);
   TrafficLoadOptions Closed;
   Closed.ClosedLoopMaxQueue = 3;
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.8), 1000, Closed);
+  TrafficLoadResult R =
+      checkedLoad("closed-overload/closed", Net, CommModel::SinglePort,
+                  uniformAt(0.8), 1000, Closed);
   EXPECT_GT(R.Sim.DeferredInjections, 0u);
   EXPECT_GT(R.Sim.DeferredSteps, R.Sim.DeferredInjections);
   EXPECT_LE(R.Sim.MaxQueueLength, Open.Sim.MaxQueueLength);
@@ -133,8 +154,8 @@ TEST(TrafficLoad, DedupStatisticsAreConsistent) {
   // Cayley symmetry: at most numNodes distinct relative labels however
   // long the trace runs, and the dedup factor is their ratio.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::AllPort,
-                                            uniformAt(0.4), 1500);
+  TrafficLoadResult R =
+      checkedLoad("dedup", Net, CommModel::AllPort, uniformAt(0.4), 1500);
   ASSERT_GT(R.Offered, uint64_t(Net.numNodes()));
   EXPECT_GT(R.DistinctLabels, 0u);
   EXPECT_LE(R.DistinctLabels, uint64_t(Net.numNodes()));
@@ -150,8 +171,8 @@ TEST(TrafficLoad, MetricsRegistryReceivesTrafficSeries) {
   MetricsRegistry Reg;
   TrafficLoadOptions Options;
   Options.Registry = &Reg;
-  TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::AllPort,
-                                            uniformAt(0.05), 500, Options);
+  TrafficLoadResult R = checkedLoad("metrics", Net, CommModel::AllPort,
+                                    uniformAt(0.05), 500, Options);
   ASSERT_NE(Reg.find("traffic.offered"), nullptr);
   EXPECT_EQ(Reg.find("traffic.offered")->value(), double(R.Offered));
   EXPECT_EQ(Reg.find("traffic.delivered")->value(),
@@ -167,7 +188,6 @@ TEST(TrafficLoad, MetricsRegistryReceivesTrafficSeries) {
             double(R.DistinctLabels));
   EXPECT_EQ(Reg.find("traffic.setup.events")->value(), double(R.Offered));
   EXPECT_EQ(Reg.find("traffic.setup.dedup_factor")->value(), R.DedupFactor);
-  EXPECT_EQ(Reg.find("traffic.setup.batched")->value(), 1.0);
   // Open-loop run: the closed-loop series exist and sit at zero.
   ASSERT_NE(Reg.find("traffic.closedloop.deferred_injections"), nullptr);
   EXPECT_EQ(Reg.find("traffic.closedloop.deferred_injections")->value(), 0.0);

@@ -1,21 +1,22 @@
-//===- tests/TrafficSetupDifferentialTest.cpp - Batched == legacy --------===//
+//===- tests/TrafficSetupDifferentialTest.cpp - Route setup goldens ------===//
 //
-// The batched, label-deduped, arena-backed route setup is a pure
-// optimization: simulateTrafficLoad with BatchedSetup must produce the
-// SAME TrafficLoadResult -- every field except the wall-clock
-// SetupSeconds -- as the legacy serial per-pair loop, across families,
-// communication models, engines, and thread counts. The closed-loop
-// source rides the same harness: step and event engines must agree on
-// every deferral, and results must be byte-identical at 1, 2, and 8
-// threads (the parallel batch chunking is a function of the batch length
-// only, never the thread count).
+// The traffic driver's route setup dedupes the trace to relative labels
+// and batch-routes them through QueryEngine::routeBatchRelative. For every
+// distinct label of each trace below, the batched route must equal the
+// scalar routeViaStarEmulation route hop for hop, and the driver result
+// must match the golden frozen when the batched and the scalar per-label
+// setups (and the step and event engines) still agreed on it. The
+// closed-loop source rides the same harness, and every result must be
+// byte-identical at 1, 2, and 8 threads (the parallel batch chunking is a
+// function of the batch length only, never the thread count).
 //
 //===----------------------------------------------------------------------===//
 
-#include "comm/Workload.h"
-#include "support/ThreadPool.h"
+#include "SimGolden.h"
 
-#include <gtest/gtest.h>
+#include "emulation/ScgRouter.h"
+#include "query/QueryEngine.h"
+#include "support/ThreadPool.h"
 
 using namespace scg;
 
@@ -27,31 +28,6 @@ WorkloadSpec uniformAt(double Rate, uint64_t Seed = 31) {
   Spec.InjectionRate = Rate;
   Spec.Seed = Seed;
   return Spec;
-}
-
-/// Every deterministic field of the driver result (SetupSeconds is wall
-/// clock and explicitly outside the contract).
-void expectSameLoad(const TrafficLoadResult &A, const TrafficLoadResult &B,
-                    const char *What) {
-  EXPECT_EQ(A.Sim.Steps, B.Sim.Steps) << What;
-  EXPECT_EQ(A.Sim.Delivered, B.Sim.Delivered) << What;
-  EXPECT_EQ(A.Sim.Transmissions, B.Sim.Transmissions) << What;
-  EXPECT_EQ(A.Sim.BusyLinkSteps, B.Sim.BusyLinkSteps) << What;
-  EXPECT_EQ(A.Sim.MaxQueueLength, B.Sim.MaxQueueLength) << What;
-  EXPECT_EQ(A.Sim.Completed, B.Sim.Completed) << What;
-  EXPECT_EQ(A.Sim.DeferredInjections, B.Sim.DeferredInjections) << What;
-  EXPECT_EQ(A.Sim.DeferredSteps, B.Sim.DeferredSteps) << What;
-  EXPECT_EQ(A.Sim.LinkUtilization, B.Sim.LinkUtilization) << What;
-  EXPECT_EQ(A.Offered, B.Offered) << What;
-  EXPECT_EQ(A.OfferedRate, B.OfferedRate) << What;
-  EXPECT_EQ(A.DeliveredRate, B.DeliveredRate) << What;
-  EXPECT_EQ(A.MeanHops, B.MeanHops) << What;
-  EXPECT_EQ(A.MeanLatency, B.MeanLatency) << What;
-  EXPECT_EQ(A.P50Latency, B.P50Latency) << What;
-  EXPECT_EQ(A.P99Latency, B.P99Latency) << What;
-  EXPECT_EQ(A.MeanQueued, B.MeanQueued) << What;
-  EXPECT_EQ(A.DistinctLabels, B.DistinctLabels) << What;
-  EXPECT_EQ(A.DedupFactor, B.DedupFactor) << What;
 }
 
 struct NetCase {
@@ -68,113 +44,102 @@ std::vector<NetCase> diffCases() {
           {SuperCayleyGraph::star(6), 0.20, 40}};
 }
 
+/// The distinct relative labels label(src)^-1 o label(dst) of a trace's
+/// routed events, in first-seen order.
+std::vector<Permutation> distinctLabels(const ExplicitScg &Net,
+                                        const std::vector<TrafficEvent> &T) {
+  std::vector<uint8_t> Seen(Net.numNodes(), 0);
+  std::vector<Permutation> Rels;
+  for (const TrafficEvent &E : T) {
+    if (E.Src == E.Dst)
+      continue;
+    Permutation Rel = Net.label(E.Src).inverse().compose(Net.label(E.Dst));
+    uint8_t &S = Seen[Net.rankOf(Rel)];
+    if (!S) {
+      S = 1;
+      Rels.push_back(std::move(Rel));
+    }
+  }
+  return Rels;
+}
+
 } // namespace
 
 TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
   for (const NetCase &C : diffCases()) {
     ExplicitScg Net(C.Family);
+    const SuperCayleyGraph &Host = Net.network();
+    // Batched == scalar, hop for hop, on every distinct label.
+    std::vector<Permutation> Rels = distinctLabels(
+        Net, WorkloadGenerator(Net, uniformAt(C.Rate)).generate(C.Steps));
+    QueryEngineOptions QOpts;
+    QOpts.CacheCapacity = 0;
+    RouteArena Arena = QueryEngine(Host, QOpts).routeBatchRelative(Rels);
+    ASSERT_EQ(Arena.size(), Rels.size()) << C.Family.name();
+    for (size_t I = 0; I != Rels.size(); ++I) {
+      std::vector<GenIndex> Scalar =
+          routeViaStarEmulation(Host, Permutation::identity(Host.numSymbols()),
+                                Rels[I])
+              .hops();
+      std::span<const GenIndex> Batched = Arena.route(I);
+      EXPECT_TRUE(std::equal(Batched.begin(), Batched.end(), Scalar.begin(),
+                             Scalar.end()))
+          << C.Family.name() << " label " << I;
+    }
+
     for (CommModel Model :
          {CommModel::AllPort, CommModel::SinglePort,
           CommModel::SingleDimension}) {
-      TrafficLoadOptions Batched;
-      TrafficLoadOptions Legacy;
-      Legacy.BatchedSetup = false;
-      TrafficLoadResult A = simulateTrafficLoad(Net, Model, uniformAt(C.Rate),
-                                                C.Steps, Batched);
-      TrafficLoadResult B = simulateTrafficLoad(Net, Model, uniformAt(C.Rate),
-                                                C.Steps, Legacy);
-      std::string What = C.Family.name() + "/" + commModelName(Model);
-      expectSameLoad(A, B, What.c_str());
-      // The dedup bookkeeping is shared by both paths and must be sane:
-      // at most one distinct label per node (Cayley symmetry), at most
-      // one per offered message.
+      std::string Line;
+      TrafficLoadResult A = golden::runTraffic(
+          Net, Model, uniformAt(C.Rate), C.Steps, {}, Line);
+      expectGolden("setup/" + C.Family.name() + "/" + commModelName(Model),
+                   Line);
+      // The dedup bookkeeping must be sane: at most one distinct label
+      // per node (Cayley symmetry), at most one per offered message.
+      EXPECT_EQ(A.DistinctLabels, Rels.size());
       EXPECT_LE(A.DistinctLabels, uint64_t(Net.numNodes()));
       EXPECT_LE(A.DistinctLabels, A.Offered);
-      if (A.DistinctLabels)
+      if (A.DistinctLabels) {
         EXPECT_DOUBLE_EQ(A.DedupFactor,
                          double(A.Offered) / double(A.DistinctLabels));
+      }
     }
   }
-}
-
-TEST(TrafficSetupDifferential, BatchedMatchesLegacyOnStepEngine) {
-  // The batched arena feeds scheduleInjectionShared; the step engine walks
-  // the same flat route pool through a different loop. Pin the pair that
-  // the model sweep above does not cover: batched-vs-legacy under the
-  // step engine.
-  ExplicitScg Net(SuperCayleyGraph::star(5));
-  TrafficLoadOptions Batched;
-  Batched.Engine = SimEngine::Step;
-  TrafficLoadOptions Legacy;
-  Legacy.Engine = SimEngine::Step;
-  Legacy.BatchedSetup = false;
-  TrafficLoadResult A = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.3), 150, Batched);
-  TrafficLoadResult B = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                            uniformAt(0.3), 150, Legacy);
-  expectSameLoad(A, B, "step engine");
 }
 
 TEST(TrafficSetupDifferential, BatchedSetupThreadCountInvariant) {
   // routeBatchRelative chunks by batch length only; the composed driver
   // result must be byte-identical at every thread count.
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  TrafficLoadOptions Opts;
-  Opts.Shards = 4;
-  setGlobalThreadCount(1);
-  TrafficLoadResult Base = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                               uniformAt(0.25), 120, Opts);
-  for (unsigned Threads : {2u, 8u}) {
+  for (unsigned Threads : {1u, 2u, 8u}) {
     setGlobalThreadCount(Threads);
-    TrafficLoadResult R = simulateTrafficLoad(Net, CommModel::SinglePort,
-                                              uniformAt(0.25), 120, Opts);
-    expectSameLoad(Base, R,
-                   (std::to_string(Threads) + " threads").c_str());
+    std::string Line;
+    golden::runTraffic(Net, CommModel::SinglePort, uniformAt(0.25), 120, {},
+                       Line);
+    expectGolden("setup/threads", Line);
   }
   setGlobalThreadCount(0);
 }
 
 TEST(TrafficSetupDifferential, ClosedLoopEngineAndThreadIdentity) {
-  // Closed-loop admission (deferral, retry, depth accounting) must agree
-  // between the step and event engines and across thread counts, in a
-  // regime where throttling actually engages.
+  // Closed-loop admission (deferral, retry, depth accounting) must match
+  // its golden at every thread count, in a regime where throttling
+  // actually engages.
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  WorkloadSpec Spec = uniformAt(0.5);
-  TrafficLoadOptions Step;
-  Step.Engine = SimEngine::Step;
-  Step.ClosedLoopMaxQueue = 2;
-  TrafficLoadOptions Event;
-  Event.ClosedLoopMaxQueue = 2;
-  Event.Shards = 4;
+  TrafficLoadOptions Closed;
+  Closed.ClosedLoopMaxQueue = 2;
   for (CommModel Model :
        {CommModel::AllPort, CommModel::SinglePort,
         CommModel::SingleDimension}) {
-    setGlobalThreadCount(1);
-    TrafficLoadResult A = simulateTrafficLoad(Net, Model, Spec, 200, Step);
-    TrafficLoadResult B = simulateTrafficLoad(Net, Model, Spec, 200, Event);
-    // Throttling must have engaged, or this test pins nothing.
-    EXPECT_GT(A.Sim.DeferredInjections, 0u) << commModelName(Model);
-    // Engines agree on everything except MeanQueued, whose "over active
-    // steps" denominator is the engine's processed-step count by
-    // definition (the event engine skips empty steps).
-    EXPECT_EQ(A.Sim.Delivered, B.Sim.Delivered) << commModelName(Model);
-    EXPECT_EQ(A.Sim.Transmissions, B.Sim.Transmissions)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.MaxQueueLength, B.Sim.MaxQueueLength)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.DeferredInjections, B.Sim.DeferredInjections)
-        << commModelName(Model);
-    EXPECT_EQ(A.Sim.DeferredSteps, B.Sim.DeferredSteps)
-        << commModelName(Model);
-    EXPECT_EQ(A.MeanLatency, B.MeanLatency) << commModelName(Model);
-    EXPECT_EQ(A.P99Latency, B.P99Latency) << commModelName(Model);
-    // And the event engine is thread-count invariant under closed loop.
-    for (unsigned Threads : {2u, 8u}) {
+    for (unsigned Threads : {1u, 2u, 8u}) {
       setGlobalThreadCount(Threads);
-      TrafficLoadResult C = simulateTrafficLoad(Net, Model, Spec, 200, Event);
-      expectSameLoad(B, C,
-                     (commModelName(Model) + " @" + std::to_string(Threads))
-                         .c_str());
+      std::string Line;
+      TrafficLoadResult R = golden::runTraffic(Net, Model, uniformAt(0.5),
+                                               200, Closed, Line);
+      // Throttling must have engaged, or this test pins nothing.
+      EXPECT_GT(R.Sim.DeferredInjections, 0u) << commModelName(Model);
+      expectGolden("closed/" + commModelName(Model), Line);
     }
   }
   setGlobalThreadCount(0);
