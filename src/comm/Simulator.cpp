@@ -4,7 +4,8 @@
 // bitmap of non-empty link queues and a bitmap of in-flight multi-flit
 // links, both scanned in ascending id, and a jump over every step at which
 // nothing is due. Why each skipped step could not have changed a result
-// is spelled out at the jump (NextDueStep) and at the cap.
+// is spelled out at the jump (NextDueStep) and at the cap. Link queues are
+// the intrusive FIFOs of Simulator.h (pushQueue/popQueue).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <deque>
+#include <numeric>
 
 using namespace scg;
 
@@ -33,11 +36,11 @@ std::string scg::commModelName(CommModel Model) {
 
 NetworkSimulator::NetworkSimulator(const ExplicitScg &Net, CommModel Model)
     : Net(Net), Model(Model),
-      Queues(size_t(Net.numNodes()) * Net.degree()),
-      Busy(size_t(Net.numNodes()) * Net.degree()),
+      QueueHead(size_t(Net.numNodes()) * Net.degree()),
+      QueueTail(QueueHead.size()), QueueLen(QueueHead.size(), 0),
+      Busy(QueueHead.size()), DimensionCycle(Net.degree()),
       PortPointer(Net.numNodes(), 0), NodeBusyUntil(Net.numNodes(), 0) {
-  for (GenIndex G = 0; G != Net.degree(); ++G)
-    DimensionCycle.push_back(G);
+  std::iota(DimensionCycle.begin(), DimensionCycle.end(), GenIndex(0));
 }
 
 std::pair<uint32_t, uint32_t>
@@ -59,10 +62,11 @@ void NetworkSimulator::injectPacket(NodeId Src, std::vector<GenIndex> Route,
   if (Len == 0) {
     // Already at its destination: delivered traffic, even though there is
     // nothing to simulate.
+    Packets.back().DeliveredAt = 0;
     ++DeliveredAtInject;
     return;
   }
-  Queues[queueIndex(Src, RoutePool[Begin])].push_back(Id);
+  pushQueue(queueIndex(Src, RoutePool[Begin]), Id);
   ++Pending;
 }
 
@@ -112,11 +116,14 @@ void NetworkSimulator::addObserver(SimObserver *Observer) {
 
 SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
   // Scheduled injections enter their queues in (step, call order); the sort
-  // is stable so same-step packets keep their scheduling order.
-  std::stable_sort(Injections.begin(), Injections.end(),
-                   [](const TimedInjection &A, const TimedInjection &B) {
-                     return A.Step < B.Step;
-                   });
+  // is stable so same-step packets keep their scheduling order. Traces
+  // scheduled in step order (simulateTrafficLoad's) are already sorted,
+  // and a stable sort would leave them as they are.
+  auto ByStep = [](const TimedInjection &A, const TimedInjection &B) {
+    return A.Step < B.Step;
+  };
+  if (!std::is_sorted(Injections.begin(), Injections.end(), ByStep))
+    std::stable_sort(Injections.begin(), Injections.end(), ByStep);
   // One dispatch on entry: the uninstrumented loop contains no observer
   // code at all, so observability is free when no observer is attached.
   return Observers.empty() ? runImpl<false>(MaxSteps)
@@ -166,7 +173,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   // exactly when Pending > InFlightLinks. Single-dimension runs also count
   // queued packets per generator, to find the next step whose scheduled
   // generator has work.
-  std::vector<uint64_t> Queued((Queues.size() + 63) / 64, 0);
+  std::vector<uint64_t> Queued((QueueLen.size() + 63) / 64, 0);
   std::vector<uint64_t> Flying(Queued.size(), 0);
   uint64_t InFlightLinks = 0;
   const bool PerGen = Model == CommModel::SingleDimension;
@@ -181,25 +188,25 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     return (Bits[I / 64] >> (I % 64)) & 1;
   };
   auto Push = [&](size_t Q, uint32_t Id) {
-    Queues[Q].push_back(Id);
+    pushQueue(Q, Id);
     SetBit(Queued, Q);
     if (PerGen)
       ++QueuedOnGen[Q % Degree];
   };
   auto PopFront = [&](size_t Q) {
-    Queues[Q].pop_front();
-    if (Queues[Q].empty())
+    popQueue(Q);
+    if (QueueLen[Q] == 0)
       ClearBit(Queued, Q);
     if (PerGen)
       --QueuedOnGen[Q % Degree];
   };
   // Packets injected before run() sit in their queues already: one pass
-  // over every queue seeds the active sets.
-  for (size_t Q = 0; Q != Queues.size(); ++Q)
-    if (!Queues[Q].empty()) {
+  // over every queue length seeds the active sets.
+  for (size_t Q = 0; Q != QueueLen.size(); ++Q)
+    if (QueueLen[Q] != 0) {
       SetBit(Queued, Q);
       if (PerGen)
-        QueuedOnGen[Q % Degree] += Queues[Q].size();
+        QueuedOnGen[Q % Degree] += QueueLen[Q];
     }
 
   // Closed-loop admission state: deferred injections retried FIFO each
@@ -212,7 +219,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   auto NodeQueueDepth = [&](NodeId U) {
     size_t Depth = 0;
     for (GenIndex G = 0; G != Degree; ++G)
-      Depth += Queues[queueIndex(U, G)].size();
+      Depth += QueueLen[queueIndex(U, G)];
     return Depth;
   };
   size_t InjCursor = 0;
@@ -240,10 +247,10 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     return Next;
   };
 
-  // Start-of-step queue sample: MaxQueueLength, and the observed
-  // occupancy fields. A skipped step's sample equals the one taken at the
-  // next executed step minus that step's injections, so skipping it loses
-  // nothing. The same pass lists the nodes with queued packets, in
+  // Start-of-step queue sample: MaxQueueLength, and the occupancy fields;
+  // returns the queued total. A skipped step's sample equals the one taken
+  // at the next executed step minus that step's injections, so skipping it
+  // loses nothing. The same pass lists the nodes with queued packets, in
   // ascending id, for phase 1.
   std::vector<NodeId> ActiveNodes;
   auto Sample = [&] {
@@ -251,7 +258,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     size_t NodeEnd = 0; ///< one past the last listed node's queues.
     ActiveNodes.clear();
     forEachSetBit(Queued, [&](size_t Q) {
-      uint64_t Len = Queues[Q].size();
+      uint64_t Len = QueueLen[Q];
       Longest = std::max(Longest, Len);
       Total += Len;
       if (Q >= NodeEnd) {
@@ -264,10 +271,11 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       Events.QueuedPackets = Total;
       Events.MaxQueueDepth = Longest;
     }
+    return Total;
   };
 
   uint64_t Step = NextDueStep(0, false);
-  uint64_t Executed = 0; ///< one past the last executed step.
+  uint64_t ExecutedEnd = 0; ///< one past the last executed step.
   bool Capped = false;
   while (Pending != 0 || InjCursor != Injections.size() || !Deferred.empty()) {
     if (Step >= MaxSteps) {
@@ -288,7 +296,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     // depth limit is deferred instead; deferred injections retry first
     // (they were scheduled earliest), in FIFO order.
     auto TryAdmit = [&](const TimedInjection &Inj) {
-      const Packet &P = Packets[Inj.Id];
+      Packet &P = Packets[Inj.Id];
       if (ClosedLoopMaxQueue && P.RouteLen != 0) {
         if (BlockedAt[P.At] == Step ||
             NodeQueueDepth(P.At) >= ClosedLoopMaxQueue) {
@@ -301,6 +309,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Result.DeferredSteps += Step - Inj.Step;
       }
       if (P.RouteLen == 0) {
+        P.DeliveredAt = Step;
         ++Result.Delivered;
         if constexpr (Collect)
           Events.Deliveries.push_back(Inj.Id);
@@ -323,7 +332,8 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Deferred.push_back(Inj);
     }
 
-    Sample();
+    Result.QueuedPacketSteps += Sample();
+    ++Result.ExecutedSteps;
 
     // Phase 0: account in-flight multi-flit occupancy and complete the
     // transmissions whose last flit lands this step.
@@ -354,7 +364,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       size_t Q = queueIndex(Node, Link);
       if (TestBit(Flying, Q) || !TestBit(Queued, Q))
         return false; // mid-message, or nothing to send.
-      uint32_t Id = Queues[Q].front();
+      uint32_t Id = QueueHead[Q];
       Packet &P = Packets[Id];
       assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
              "queue corruption");
@@ -428,6 +438,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Push(queueIndex(P.At, routeHop(P, P.NextHop)), Id);
         continue;
       }
+      P.DeliveredAt = Step;
       ++Result.Delivered;
       --Pending;
       if constexpr (Collect)
@@ -439,18 +450,18 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       for (SimObserver *O : Observers)
         O->onStep(*this, Events);
     }
-    Executed = Step + 1;
+    ExecutedEnd = Step + 1;
     Step = NextDueStep(Step + 1, Transmitted);
   }
 
   if (Capped) {
-    // Steps in [Executed, MaxSteps) were skipped, not run; any of them
+    // Steps in [ExecutedEnd, MaxSteps) were skipped, not run; any of them
     // would have sampled the queues as the last executed step left them.
-    if (Executed < MaxSteps)
+    if (ExecutedEnd < MaxSteps)
       Sample();
     Result.Steps = MaxSteps;
   } else {
-    Result.Steps = Executed;
+    Result.Steps = ExecutedEnd;
   }
   Result.Completed = !Capped;
   double LinkSteps = double(Net.numNodes()) * Degree * double(Result.Steps);

@@ -14,9 +14,17 @@
 ///                     SDC model of Section 3), cycling a dimension
 ///                     schedule
 ///
-/// Packets carry fixed source routes (generator words). Per-link FIFO
-/// queues, two-phase step execution (select transmissions, then apply), and
-/// completion/utilization statistics.
+/// Packets carry fixed source routes (generator words). Two-phase step
+/// execution (select transmissions, then apply), and completion,
+/// utilization and per-packet delivery statistics.
+///
+/// Link queues are intrusive FIFOs. A packet waits in at most one link
+/// queue at a time (it is queued, in flight or delivered), so each packet
+/// record carries the id of the packet queued behind it, and each link
+/// keeps three flat words: head id, tail id and length. Push and pop are
+/// O(1) and allocate nothing; a link costs 12 bytes however deep its queue
+/// gets, and constructing the simulator makes a fixed number of
+/// allocations, independent of the network size.
 ///
 /// The engine is one globally synchronous step loop that touches only
 /// active work: it keeps a bitmap of non-empty link queues and one of
@@ -40,8 +48,8 @@
 
 #include "networks/Explicit.h"
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -74,6 +82,14 @@ struct SimulationResult {
   /// (injections still deferred when the run ends are counted in neither).
   uint64_t DeferredInjections = 0;
   uint64_t DeferredSteps = 0;
+  /// Executed steps (the ones that fire SimObserver::onStep; steps at
+  /// which nothing was due are jumped over) and the start-of-step queued
+  /// packet totals summed over them, so QueuedPacketSteps / ExecutedSteps
+  /// is the mean occupancy over active steps.
+  uint64_t ExecutedSteps = 0;
+  uint64_t QueuedPacketSteps = 0;
+
+  bool operator==(const SimulationResult &) const = default;
 };
 
 class SimObserver;
@@ -150,17 +166,35 @@ public:
   /// or \p MaxSteps elapse.
   SimulationResult run(uint64_t MaxSteps);
 
+  /// deliveryStep() of a packet still undelivered (or never run).
+  static constexpr uint64_t NotDelivered = ~uint64_t(0);
+
+  /// The step at which packet \p Id was delivered, NotDelivered if it was
+  /// not. A zero-hop packet injected with injectPacket is delivered before
+  /// the run and reads 0; every other delivery is the step whose
+  /// StepEvents::Deliveries lists the packet.
+  uint64_t deliveryStep(uint32_t Id) const {
+    assert(Id < Packets.size() && "unknown packet id");
+    return Packets[Id].DeliveredAt;
+  }
+
 private:
+  static constexpr uint32_t NoPacket = ~uint32_t(0);
+
   /// Packets hold views into RoutePool (begin + length) instead of owned
   /// vectors: shared routes are registered once and referenced by every
   /// packet on the same relative label, and per-packet state is a flat
-  /// 16-byte record with no heap indirection on the hot path.
+  /// 32-byte record with no heap indirection on the hot path.
   struct Packet {
     NodeId At;
     uint32_t NextHop;
     unsigned Flits;
     uint32_t RouteBegin; ///< first hop's index in RoutePool.
     uint32_t RouteLen;   ///< number of hops.
+    /// The packet queued behind this one on its current link (meaningful
+    /// only while queued and not the tail).
+    uint32_t NextInQueue = NoPacket;
+    uint64_t DeliveredAt = NotDelivered;
   };
 
   /// In-flight multi-flit transmission on one link: message Id arrives in
@@ -192,6 +226,22 @@ private:
   /// Appends \p Route to RoutePool and returns (begin, length).
   std::pair<uint32_t, uint32_t> appendRoute(std::span<const GenIndex> Route);
 
+  /// Appends packet \p Id to the tail of link queue \p Q.
+  void pushQueue(size_t Q, uint32_t Id) {
+    if (QueueLen[Q]++ == 0)
+      QueueHead[Q] = Id;
+    else
+      Packets[QueueTail[Q]].NextInQueue = Id;
+    QueueTail[Q] = Id;
+  }
+
+  /// Removes the head of the non-empty link queue \p Q.
+  void popQueue(size_t Q) {
+    uint32_t Id = QueueHead[Q];
+    if (--QueueLen[Q] != 0)
+      QueueHead[Q] = Packets[Id].NextInQueue;
+  }
+
   /// Hop \p Hop of packet \p P.
   GenIndex routeHop(const Packet &P, uint32_t Hop) const {
     return RoutePool[size_t(P.RouteBegin) + Hop];
@@ -204,7 +254,11 @@ private:
   /// Shared routes by handle: (begin, length) into RoutePool.
   std::vector<std::pair<uint32_t, uint32_t>> SharedRoutes;
   std::vector<Packet> Packets;
-  std::vector<std::deque<uint32_t>> Queues;
+  /// The per-link FIFOs, indexed by queueIndex: first and last packet id
+  /// and packet count. Head and tail are stale while the length is 0.
+  std::vector<uint32_t> QueueHead;
+  std::vector<uint32_t> QueueTail;
+  std::vector<uint32_t> QueueLen;
   std::vector<InFlight> Busy; ///< per-link multi-flit transmission state.
   std::vector<TimedInjection> Injections; ///< future injections, by Step.
   std::vector<GenIndex> DimensionCycle;

@@ -6,7 +6,6 @@
 
 #include "comm/Workload.h"
 
-#include "comm/SimObserver.h"
 #include "query/QueryEngine.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
@@ -156,38 +155,6 @@ std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
   return Trace;
 }
 
-namespace {
-
-/// Records the delivery step of every packet id it sees.
-class DeliveryRecorder final : public SimObserver {
-public:
-  explicit DeliveryRecorder(size_t PacketCount)
-      : DeliverStep(PacketCount, ~uint64_t(0)) {}
-
-  void onStep(const NetworkSimulator &, const StepEvents &Events) override {
-    for (uint32_t Id : Events.Deliveries)
-      if (Id < DeliverStep.size())
-        DeliverStep[Id] = Events.Step;
-  }
-
-  std::vector<uint64_t> DeliverStep;
-};
-
-/// Averages Events.QueuedPackets over the steps the simulator reports (it
-/// jumps over steps at which nothing is due, so this is "over active
-/// steps").
-class OccupancyRecorder final : public SimObserver {
-public:
-  void onStep(const NetworkSimulator &, const StepEvents &Events) override {
-    QueuedSum += Events.QueuedPackets;
-    ++ActiveSteps;
-  }
-  uint64_t QueuedSum = 0;
-  uint64_t ActiveSteps = 0;
-};
-
-} // namespace
-
 TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
                                            CommModel Model,
                                            const WorkloadSpec &Spec,
@@ -287,10 +254,8 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
                            ? double(Trace.size()) / double(Result.DistinctLabels)
                            : 0.0;
 
-  DeliveryRecorder Recorder(Trace.size());
-  OccupancyRecorder Occupancy;
-  Sim.addObserver(&Recorder);
-  Sim.addObserver(&Occupancy);
+  // The simulator records delivery steps and occupancy itself, so with no
+  // caller observer the run takes the uninstrumented loop.
   for (SimObserver *O : Options.Observers)
     Sim.addObserver(O);
 
@@ -304,10 +269,10 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   uint64_t HopSum = 0;
   uint64_t LatencySum = 0;
   for (size_t I = 0; I != Trace.size(); ++I) {
-    if (Recorder.DeliverStep[I] == ~uint64_t(0))
+    uint64_t DeliverStep = Sim.deliveryStep(uint32_t(I));
+    if (DeliverStep == NetworkSimulator::NotDelivered)
       continue; // still in the network at the horizon.
-    uint64_t Latency =
-        Hops[I] ? Recorder.DeliverStep[I] - InjectStep[I] + 1 : 0;
+    uint64_t Latency = Hops[I] ? DeliverStep - InjectStep[I] + 1 : 0;
     Latencies.push_back(Latency);
     LatencySum += Latency;
     HopSum += Hops[I];
@@ -319,9 +284,9 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
     Result.P50Latency = Latencies[(Latencies.size() - 1) * 50 / 100];
     Result.P99Latency = Latencies[(Latencies.size() - 1) * 99 / 100];
   }
-  if (Occupancy.ActiveSteps)
-    Result.MeanQueued =
-        double(Occupancy.QueuedSum) / double(Occupancy.ActiveSteps);
+  if (Result.Sim.ExecutedSteps)
+    Result.MeanQueued = double(Result.Sim.QueuedPacketSteps) /
+                        double(Result.Sim.ExecutedSteps);
 
   if (MetricsRegistry *Reg = Options.Registry) {
     Reg->counter("traffic.offered").add(Result.Offered);

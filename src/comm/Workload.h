@@ -114,7 +114,9 @@ struct TrafficLoadResult {
   double MeanLatency = 0.0;
   uint64_t P50Latency = 0;
   uint64_t P99Latency = 0;
-  double MeanQueued = 0.0; ///< mean queued packets over active steps.
+  /// Mean start-of-step queued packets over the executed steps
+  /// (Sim.QueuedPacketSteps / Sim.ExecutedSteps).
+  double MeanQueued = 0.0;
   /// Setup telemetry. DistinctLabels and DedupFactor are deterministic
   /// (pure functions of the trace); SetupSeconds is wall-clock time of the
   /// route-setup phase and is the ONLY field excluded from the
@@ -122,6 +124,8 @@ struct TrafficLoadResult {
   uint64_t DistinctLabels = 0; ///< distinct relative labels routed.
   double DedupFactor = 0.0;    ///< Offered / DistinctLabels (0 if none).
   double SetupSeconds = 0.0;   ///< wall-clock route-setup time.
+
+  bool operator==(const TrafficLoadResult &) const = default;
 };
 
 /// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps

@@ -8,8 +8,10 @@
 // permutation-routing traffic, mixed random multi-flit traffic, timed
 // workload injections, MaxSteps caps, and stalled single-dimension
 // schedules. A ModelInvariantChecker rides along on every run (any
-// violation is a test failure). Plus the idle-step jump: injections 10^12
-// steps apart and a stalled run capped at ~0 both finish at once.
+// violation is a test failure), and the result's executed-step count and
+// queued-packet sum must match what the observer was shown. Plus the
+// idle-step jump: injections 10^12 steps apart and a stalled run capped at
+// ~0 both finish at once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,25 +28,6 @@
 using namespace scg;
 
 namespace {
-
-/// All network families at k = 4: the single-level classes plus every box
-/// class at (l, n) = (3, 1) (k = l * n + 1).
-std::vector<SuperCayleyGraph> familiesAtK4() {
-  std::vector<SuperCayleyGraph> Nets;
-  Nets.push_back(SuperCayleyGraph::star(4));
-  Nets.push_back(SuperCayleyGraph::bubbleSort(4));
-  Nets.push_back(SuperCayleyGraph::transpositionNetwork(4));
-  Nets.push_back(SuperCayleyGraph::rotator(4));
-  Nets.push_back(SuperCayleyGraph::insertionSelection(4));
-  for (NetworkKind Kind :
-       {NetworkKind::MacroStar, NetworkKind::RotationStar,
-        NetworkKind::CompleteRotationStar, NetworkKind::MacroRotator,
-        NetworkKind::RotationRotator, NetworkKind::CompleteRotationRotator,
-        NetworkKind::MacroIS, NetworkKind::RotationIS,
-        NetworkKind::CompleteRotationIS})
-    Nets.push_back(SuperCayleyGraph::create(Kind, 3, 1));
-  return Nets;
-}
 
 const std::vector<CommModel> AllModels = {
     CommModel::AllPort, CommModel::SinglePort, CommModel::SingleDimension};
@@ -82,6 +65,9 @@ SimulationResult expectRunGolden(const std::string &Name,
   SimulationResult R = Sim.run(MaxSteps);
   EXPECT_TRUE(Checker.clean()) << Name << "\n" << Checker.report();
   expectGolden(Name, golden::render(R, Stream));
+  // The native occupancy accounting covers exactly the steps observers see.
+  EXPECT_EQ(R.ExecutedSteps, Stream.OnSteps) << Name;
+  EXPECT_EQ(R.QueuedPacketSteps, Stream.QueuedSum) << Name;
   return R;
 }
 

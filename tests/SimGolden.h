@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Golden-file support for the simulator suites. A GoldenStream observer
-/// digests a run's event stream (onStep count, link activity, arrivals,
-/// queue samples, and every (packet, delivery step) pair in delivery
-/// order); render() turns a result plus its stream into one line; and
-/// expectGolden() compares that line with the one frozen under the same
-/// name in tests/golden/simulator.txt.
+/// Golden-file support for the simulator suites, and the k = 4 family
+/// list they sweep. A GoldenStream observer digests a run's event stream
+/// (onStep count, link activity, arrivals, queue samples, and every
+/// (packet, delivery step) pair in delivery order); render() turns a
+/// result plus its stream into one line; and expectGolden() compares that
+/// line with the one frozen under the same name in
+/// tests/golden/simulator.txt.
 ///
 /// Running a suite with SCG_PRINT_GOLDENS=1 prints "GOLDEN <name>\t<line>"
 /// for every case instead of comparing, which is how the file is
@@ -32,8 +33,28 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace scg {
+
+/// All network families at k = 4: the single-level classes plus every box
+/// class at (l, n) = (3, 1) (k = l * n + 1).
+inline std::vector<SuperCayleyGraph> familiesAtK4() {
+  std::vector<SuperCayleyGraph> Nets;
+  Nets.push_back(SuperCayleyGraph::star(4));
+  Nets.push_back(SuperCayleyGraph::bubbleSort(4));
+  Nets.push_back(SuperCayleyGraph::transpositionNetwork(4));
+  Nets.push_back(SuperCayleyGraph::rotator(4));
+  Nets.push_back(SuperCayleyGraph::insertionSelection(4));
+  for (NetworkKind Kind :
+       {NetworkKind::MacroStar, NetworkKind::RotationStar,
+        NetworkKind::CompleteRotationStar, NetworkKind::MacroRotator,
+        NetworkKind::RotationRotator, NetworkKind::CompleteRotationRotator,
+        NetworkKind::MacroIS, NetworkKind::RotationIS,
+        NetworkKind::CompleteRotationIS})
+    Nets.push_back(SuperCayleyGraph::create(Kind, 3, 1));
+  return Nets;
+}
 
 /// Digests everything a run reports through the observer hooks.
 struct GoldenStream final : SimObserver {

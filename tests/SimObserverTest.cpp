@@ -19,25 +19,6 @@ using namespace scg;
 
 namespace {
 
-/// All network families at k = 4: the single-level classes plus every box
-/// class at (l, n) = (3, 1) (k = l * n + 1).
-std::vector<SuperCayleyGraph> familiesAtK4() {
-  std::vector<SuperCayleyGraph> Nets;
-  Nets.push_back(SuperCayleyGraph::star(4));
-  Nets.push_back(SuperCayleyGraph::bubbleSort(4));
-  Nets.push_back(SuperCayleyGraph::transpositionNetwork(4));
-  Nets.push_back(SuperCayleyGraph::rotator(4));
-  Nets.push_back(SuperCayleyGraph::insertionSelection(4));
-  for (NetworkKind Kind :
-       {NetworkKind::MacroStar, NetworkKind::RotationStar,
-        NetworkKind::CompleteRotationStar, NetworkKind::MacroRotator,
-        NetworkKind::RotationRotator, NetworkKind::CompleteRotationRotator,
-        NetworkKind::MacroIS, NetworkKind::RotationIS,
-        NetworkKind::CompleteRotationIS})
-    Nets.push_back(SuperCayleyGraph::create(Kind, 3, 1));
-  return Nets;
-}
-
 /// Deterministic mixed workload: random valid routes, every fourth packet
 /// a multi-flit message, plus a few zero-hop packets.
 void injectMixed(NetworkSimulator &Sim, const ExplicitScg &Net,

@@ -16,11 +16,16 @@
 // exactly, and at overload it bounds queue occupancy by deferring
 // injections. Plus MetricsRegistry plumbing for the traffic.* metrics.
 // Every driver call also matches its frozen golden (tests/SimGolden.h).
+// Without a caller observer simulateTrafficLoad runs the simulator's
+// uninstrumented loop, which records delivery steps and occupancy itself;
+// on every family at k = 4 that must give the result the instrumented
+// loop gives.
 //
 //===----------------------------------------------------------------------===//
 
 #include "SimGolden.h"
 
+#include "query/QueryEngine.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -192,4 +197,43 @@ TEST(TrafficLoad, MetricsRegistryReceivesTrafficSeries) {
   ASSERT_NE(Reg.find("traffic.closedloop.deferred_injections"), nullptr);
   EXPECT_EQ(Reg.find("traffic.closedloop.deferred_injections")->value(), 0.0);
   EXPECT_EQ(Reg.find("traffic.closedloop.max_queue")->value(), 0.0);
+}
+
+TEST(TrafficLoad, UninstrumentedRunMatchesObservedOnEveryFamily) {
+  unsigned Families = 0;
+  for (const SuperCayleyGraph &Family : familiesAtK4()) {
+    if (!QueryEngine::supportsTableFree(Family))
+      continue; // simulateTrafficLoad routes table-free.
+    ++Families;
+    ExplicitScg Net(Family);
+    for (CommModel Model : {CommModel::AllPort, CommModel::SinglePort,
+                            CommModel::SingleDimension})
+      for (uint64_t ClosedLoop : {0u, 2u})
+        for (unsigned Flits : {1u, 3u}) {
+          SCOPED_TRACE(Family.name() + " " + commModelName(Model) +
+                       " closed-loop=" + std::to_string(ClosedLoop) +
+                       " flits=" + std::to_string(Flits));
+          WorkloadSpec Spec = uniformAt(0.3, 40 + Flits);
+          Spec.FlitCount = Flits;
+          TrafficLoadOptions Options;
+          Options.ClosedLoopMaxQueue = ClosedLoop;
+          TrafficLoadResult Native =
+              simulateTrafficLoad(Net, Model, Spec, 80, Options);
+          // Any attached observer selects the instrumented loop; this one
+          // also counts the steps it is shown.
+          GoldenStream Stream;
+          Options.Observers.push_back(&Stream);
+          TrafficLoadResult Observed =
+              simulateTrafficLoad(Net, Model, Spec, 80, Options);
+          ASSERT_GT(Native.Offered, 0u);
+          EXPECT_GT(Native.Sim.Delivered, 0u);
+          EXPECT_EQ(Observed.Sim.ExecutedSteps, Stream.OnSteps);
+          EXPECT_EQ(Observed.Sim.QueuedPacketSteps, Stream.QueuedSum);
+          Observed.SetupSeconds = Native.SetupSeconds; // wall clock.
+          EXPECT_EQ(Native, Observed)
+              << golden::render(Native, Stream) << "\n"
+              << golden::render(Observed, Stream);
+        }
+  }
+  EXPECT_GE(Families, 5u);
 }
