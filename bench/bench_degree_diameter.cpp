@@ -21,9 +21,8 @@
 //   --json     one-object JSON of every row (diameter, Moore bounds,
 //              ratios, exact-sweep agreement)
 //   --smoke    bounded subset with invariants checked (exact == shortcut,
-//              push engine == hybrid engine byte-identical, diameter >= DL,
-//              mean >= Moore mean bound), non-zero exit on any violation;
-//              wired into ctest under perf-smoke.
+//              diameter >= DL, mean >= Moore mean bound), non-zero exit on
+//              any violation; wired into ctest under perf-smoke.
 //
 //===----------------------------------------------------------------------===//
 
@@ -157,26 +156,18 @@ int runSmoke() {
   int Failures = 0;
   for (const SuperCayleyGraph &Scg : smokeSet()) {
     Row R = makeRow(Scg);
-    // The `exact` column above ran the default (hybrid) engine; rerun the
-    // sweep on the push reference and require byte-identical statistics.
-    MsSweepOptions PushOpts;
-    PushOpts.Engine = MsBfsEngine::Push;
-    DistanceStats Push = msAllPairsStats(ExplicitScg(Scg).toCsr(), PushOpts);
     bool ExactOk = R.Diameter == R.ExactDiameter &&
                    std::fabs(R.AvgDist - R.ExactAvgDist) < 1e-9;
-    bool EnginesOk = Push.Diameter == R.ExactDiameter &&
-                     Push.AverageDistance == R.ExactAvgDist;
     bool DlOk = R.Diameter >= R.Dl;
     bool MeanOk = R.AvgDist >= R.MeanLb;
     std::printf("%-12s N=%-5llu diam %u exact %u DL %u avg %.4f LB %.4f "
-                "%s%s%s%s\n",
+                "%s%s%s\n",
                 R.Name.c_str(), (unsigned long long)R.Nodes, R.Diameter,
                 R.ExactDiameter, R.Dl, R.AvgDist, R.MeanLb,
                 ExactOk ? "exact-ok " : "EXACT-MISMATCH ",
-                EnginesOk ? "engines-ok " : "PUSH-HYBRID-MISMATCH ",
                 DlOk ? "dl-ok " : "BELOW-MOORE-DL ",
                 MeanOk ? "mean-ok" : "BELOW-MOORE-MEAN");
-    Failures += !ExactOk + !EnginesOk + !DlOk + !MeanOk;
+    Failures += !ExactOk + !DlOk + !MeanOk;
   }
   return Failures ? 1 : 0;
 }

@@ -1,4 +1,4 @@
-//===- bench/bench_network_properties.cpp - Experiments E13 / E22 / E24 --===//
+//===- bench/bench_network_properties.cpp - Experiments E13 / E22 / E28 --===//
 //
 // Reproduces the Section 2 network inventory: every super Cayley graph
 // class (plus the classic comparison networks) with its size, degree,
@@ -6,29 +6,23 @@
 // diameters (given their node degree) and small node degrees"; the table
 // makes the degree/diameter trade-off concrete.
 //
-// Also carries the exact-distance engine curve (E22/E24): scalar vs
-// top-down (push) vs direction-optimizing (hybrid) all-pairs sweeps on
-// the star family, plus the hybrid's 1/2/4/8-thread scaling table.
+// Also carries the exact-distance engine curve (E22/E28): scalar vs
+// bit-parallel (push MS-BFS) all-pairs sweeps on the star family, plus
+// the MS-BFS sweep's 1/2/4/8-thread scaling table.
 //
 // Modes (consistent with bench_kernels / bench_pipelining):
 //   (default)  inventory table + scaling + google-benchmark timings
 //   --json     machine-readable distance-engine curve on stdout. Every
-//              entry records engine + thread-count metadata; hybrid
-//              entries add the distance.* counters (push/pull words,
-//              direction switches) that explain the win. Regenerates the
-//              committed BENCH_distance.json up to star(9); pass
+//              entry records engine + thread-count metadata. Regenerates
+//              the committed BENCH_distance.json up to star(9); pass
 //              "--maxk 10" to append the exact star(10) sweep (3.6M
-//              nodes -- an hours-scale single-machine run, which is the
-//              point of that row).
-//   --threads  just the hybrid thread-scaling table (human-readable).
+//              nodes -- an hours-scale single-machine run).
+//   --threads  just the MS-BFS thread-scaling table (human-readable).
 //   --smoke    bounded pinned workload (star 6/7), non-zero exit unless
-//              push >= scalar throughput at both sizes, hybrid >= push at
-//              star(7) on tuned -march=native builds / hybrid within
-//              1.25x of push on portable ones (star(6) is sub-millisecond
-//              and setup-dominated, so it only feeds the agreement
-//              checks), AND all three engines agree on diameter / average
-//              distance bit for bit; wired into ctest under the
-//              perf-smoke label.
+//              push >= scalar throughput at both sizes AND the two
+//              engines agree on diameter / average distance bit for bit
+//              (with the vertex-transitivity shortcut as a third
+//              witness); wired into ctest under the perf-smoke label.
 //
 // --json and --smoke force a single thread (except the explicit scaling
 // entries) so numbers are comparable across machines.
@@ -42,7 +36,6 @@
 #include "perm/GroupOrder.h"
 #include "support/BatchRunner.h"
 #include "support/Format.h"
-#include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
@@ -52,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 using namespace scg;
@@ -119,8 +111,8 @@ void printInventory() {
 }
 
 //===----------------------------------------------------------------------===//
-// E22/E24: the distance-engine curve (scalar vs push vs hybrid MS-BFS)
-// and the hybrid thread-scaling table.
+// E22/E28: the distance-engine curve (scalar vs push MS-BFS) and the
+// MS-BFS thread-scaling table.
 //===----------------------------------------------------------------------===//
 
 using Clock = std::chrono::steady_clock;
@@ -140,14 +132,7 @@ struct Measurement {
   /// JSON doubles as the certificate of the swept value (engines and
   /// thread counts must reproduce it bit for bit).
   double AvgDistance = 0.0;
-  /// Hybrid-only telemetry (distance.* counters) explaining the win.
-  std::optional<MsBfsCounters> Counters;
 };
-
-uint64_t counterValue(const MetricsRegistry &M, const std::string &Name) {
-  const Metric *C = M.find(Name);
-  return C ? uint64_t(C->value()) : 0;
-}
 
 /// Sub-second sweeps (k <= 7) are dominated by first-touch noise (cold
 /// scratch, hugepage setup, frequency ramp) on a single cold shot, so
@@ -166,69 +151,36 @@ Measurement scalarSweep(unsigned K) {
     BestMs = std::min(BestMs, msSince(Start));
   }
   return {"all_pairs_scalar_star" + std::to_string(K), BestMs, S.Diameter,
-          "scalar", 1, S.AverageDistance, std::nullopt};
+          "scalar", 1, S.AverageDistance};
 }
 
 /// MS-BFS all-pairs on star(k), fed straight from the Next table (no
-/// Graph intermediary), on the chosen engine at \p Threads threads. The
-/// hybrid run carries its work counters into the measurement.
-Measurement msbfsSweep(unsigned K, MsBfsEngine Engine, unsigned Threads = 1) {
+/// Graph intermediary), at \p Threads threads.
+Measurement msbfsSweep(unsigned K, unsigned Threads = 1) {
   Csr C = ExplicitScg(SuperCayleyGraph::star(K)).toCsr();
-  const char *Name = Engine == MsBfsEngine::Push ? "push" : "hybrid";
-  // One extra rep at k = 8 relative to curveReps: the first ~29 MB-scale
-  // scratch allocation of a process pays hugepage compaction on first
-  // touch, which lands entirely on whichever star(8) entry runs first
-  // and fakes a thread-scaling "speedup" on a single-core host. Best-of-2
-  // keeps every star(8) entry warm-measured for ~1.5 s apiece.
+  // One extra rep at k = 8 relative to curveReps: the first star(8) sweep
+  // of a process pays first-touch page faults on its scratch bitmaps,
+  // which would land entirely on whichever star(8) entry runs first and
+  // fake a thread-scaling "speedup" on a single-core host.
   const int Reps = K <= 7 ? 3 : K == 8 ? 2 : 1;
-  MetricsRegistry Registry;
-  MsSweepOptions Opts;
-  Opts.Engine = Engine;
-  // Counters must describe exactly one sweep. Where the curve reps for
-  // best-of (k <= 7) the timed reps run uncounted and one extra untimed
-  // counted run follows; the single-shot k >= 8 sweeps are counted
-  // directly -- counter accounting is per-node arithmetic that does not
-  // measurably perturb a seconds-to-hours sweep, and re-running star(10)
-  // just to keep the timed shot uncounted would double an hours run.
-  if (Engine == MsBfsEngine::Hybrid && Reps == 1)
-    Opts.Metrics = &Registry;
   setGlobalThreadCount(Threads);
   double Ms = 1e300;
   DistanceStats S;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     auto Start = Clock::now();
-    S = msAllPairsStats(C, Opts);
+    S = msAllPairsStats(C);
     Ms = std::min(Ms, msSince(Start));
   }
-  if (Engine == MsBfsEngine::Hybrid && Reps > 1) {
-    Opts.Metrics = &Registry;
-    msAllPairsStats(C, Opts);
-  }
   setGlobalThreadCount(1);
-  Measurement M{"all_pairs_" + std::string(Name) + "_star" +
-                    std::to_string(K) +
-                    (Threads == 1 ? "" : "_t" + std::to_string(Threads)),
-                Ms, S.Diameter, Name, Threads, S.AverageDistance,
-                std::nullopt};
-  if (Engine == MsBfsEngine::Hybrid) {
-    MsBfsCounters Counters;
-    Counters.Batches = counterValue(Registry, "distance.batches");
-    Counters.PushLevels = counterValue(Registry, "distance.push_levels");
-    Counters.PullLevels = counterValue(Registry, "distance.pull_levels");
-    Counters.PushWords = counterValue(Registry, "distance.push_words");
-    Counters.PullWords = counterValue(Registry, "distance.pull_words");
-    Counters.DirectionSwitches =
-        counterValue(Registry, "distance.direction_switches");
-    M.Counters = Counters;
-  }
-  return M;
+  return {"all_pairs_push_star" + std::to_string(K) +
+              (Threads == 1 ? "" : "_t" + std::to_string(Threads)),
+          Ms, S.Diameter, "push", Threads, S.AverageDistance};
 }
 
-/// The committed BENCH_distance.json curve: all three engines at
-/// k = 6/7/8, push + hybrid at k = 9 (the scalar engine needs ~half an
-/// hour there), hybrid alone at k = 10 (3.6M nodes; only the hybrid
-/// completes it in hours rather than days), plus the hybrid's
-/// 1/2/4/8-thread scaling points on the k = 8 sweep.
+/// The committed BENCH_distance.json curve: both engines at k = 6/7/8,
+/// MS-BFS alone at k >= 9 (the scalar engine needs ~half an hour at
+/// k = 9), plus MS-BFS's 1/2/4/8-thread scaling points on the k = 8
+/// sweep.
 std::vector<Measurement> distanceCurve(unsigned MaxK) {
   std::vector<Measurement> Ms;
   // The k >= 9 sweeps run for minutes to hours; narrate each completed
@@ -243,23 +195,15 @@ std::vector<Measurement> distanceCurve(unsigned MaxK) {
   for (unsigned K : {6u, 7u, 8u}) {
     Ms.push_back(scalarSweep(K));
     Log();
-    Ms.push_back(msbfsSweep(K, MsBfsEngine::Push));
-    Log();
-    Ms.push_back(msbfsSweep(K, MsBfsEngine::Hybrid));
+    Ms.push_back(msbfsSweep(K));
     Log();
   }
   for (unsigned Threads : {2u, 4u, 8u}) {
-    Ms.push_back(msbfsSweep(8, MsBfsEngine::Hybrid, Threads));
+    Ms.push_back(msbfsSweep(8, Threads));
     Log();
   }
-  if (MaxK >= 9) {
-    Ms.push_back(msbfsSweep(9, MsBfsEngine::Push));
-    Log();
-    Ms.push_back(msbfsSweep(9, MsBfsEngine::Hybrid));
-    Log();
-  }
-  if (MaxK >= 10) {
-    Ms.push_back(msbfsSweep(10, MsBfsEngine::Hybrid));
+  for (unsigned K = 9; K <= std::min(MaxK, 10u); ++K) {
+    Ms.push_back(msbfsSweep(K));
     Log();
   }
   return Ms;
@@ -275,23 +219,17 @@ void printJson(const std::vector<Measurement> &Ms) {
         .field("check", M.Check)
         .field("engine", M.Engine)
         .field("threads", M.Threads)
-        .field("avg_distance", M.AvgDistance);
-    if (M.Counters)
-      W.field("push_words", M.Counters->PushWords)
-          .field("pull_words", M.Counters->PullWords)
-          .field("push_levels", M.Counters->PushLevels)
-          .field("pull_levels", M.Counters->PullLevels)
-          .field("direction_switches", M.Counters->DirectionSwitches);
-    W.endObject();
+        .field("avg_distance", M.AvgDistance)
+        .endObject();
   }
   W.endObject();
   std::fputs(W.str().c_str(), stdout);
 }
 
-/// Human-readable hybrid scaling table: the k = 8 sweep at 1/2/4/8
+/// Human-readable MS-BFS scaling table: the k = 8 sweep at 1/2/4/8
 /// threads with byte-identity asserted against the single-thread run.
 void printThreadScaling() {
-  std::printf("hybrid engine thread scaling: msAllPairsStats on star(8) "
+  std::printf("MS-BFS thread scaling: msAllPairsStats on star(8) "
               "(40,320 nodes, 630 batches) at 1/2/4/8 threads\n");
   std::printf("(hardware concurrency here: %u; SCG_THREADS overrides; on a "
               "1-core host wall-clock parity is the ceiling and the table "
@@ -328,19 +266,14 @@ bool bitEqualDouble(double A, double B) {
   return std::memcmp(&A, &B, sizeof(double)) == 0;
 }
 
-/// Pinned workload for the perf-smoke lane: at star(6) and star(7) -- the
-/// latter the dense-diameter family instance (5040 nodes, diameter 9,
-/// frontier covering >1/3 of the graph at mid-levels) -- the engines must
-/// order hybrid >= push >= scalar on throughput, and all three must agree
-/// on the diameter and bit for bit on the average distance (with the
-/// vertex-transitivity shortcut as a fourth witness). The hybrid run must
-/// also report pull work: a hybrid that never switches direction is a
-/// misconfigured heuristic, not a faster engine.
-///
-/// Timing discipline: every timed run is uncounted (the counters for the
-/// pull-work check come from one extra untimed run), and each engine
-/// takes the best of three reps -- ctest runs this lane alongside other
-/// tests, and a single descheduled rep must not fail the ordering check.
+/// Pinned workload for the perf-smoke lane: at star(6) and star(7) --
+/// the latter the dense-diameter family instance (5040 nodes, diameter
+/// 9) -- MS-BFS must beat the scalar engine on throughput, and the two
+/// must agree on the diameter and bit for bit on the average distance
+/// (with the vertex-transitivity shortcut as a third witness). Each
+/// engine takes the best of three reps: ctest runs this lane alongside
+/// other tests, and a single descheduled rep must not fail the ordering
+/// check.
 int runSmoke() {
   constexpr int Reps = 3;
   int Failures = 0;
@@ -348,64 +281,32 @@ int runSmoke() {
     ExplicitScg Net(SuperCayleyGraph::star(K));
     Graph G = Net.toGraph();
     Csr C = Net.toCsr();
-    DistanceStats Scalar, Push, Hybrid;
-    double ScalarMs = 1e300, PushMs = 1e300, HybridMs = 1e300;
+    DistanceStats Scalar, Push;
+    double ScalarMs = 1e300, PushMs = 1e300;
     for (int Rep = 0; Rep != Reps; ++Rep) {
       auto StartScalar = Clock::now();
       Scalar = scalarAllPairsStats(G);
       ScalarMs = std::min(ScalarMs, msSince(StartScalar));
       auto StartPush = Clock::now();
-      Push = msAllPairsStats(C, {MsBfsEngine::Push, nullptr});
+      Push = msAllPairsStats(C);
       PushMs = std::min(PushMs, msSince(StartPush));
-      auto StartHybrid = Clock::now();
-      Hybrid = msAllPairsStats(C, {MsBfsEngine::Hybrid, nullptr});
-      HybridMs = std::min(HybridMs, msSince(StartHybrid));
     }
-    MetricsRegistry Registry;
-    msAllPairsStats(C, {MsBfsEngine::Hybrid, &Registry});
     DistanceStats Vt = vertexTransitiveStats(G);
-    double NodesPerSec =
-        HybridMs > 0.0 ? Net.numNodes() / (HybridMs / 1e3) : 0;
+    double NodesPerSec = PushMs > 0.0 ? Net.numNodes() / (PushMs / 1e3) : 0;
 
-    bool Agree = Scalar.Connected && Push.Connected && Hybrid.Connected &&
+    bool Agree = Scalar.Connected && Push.Connected &&
                  Scalar.Diameter == Push.Diameter &&
-                 Push.Diameter == Hybrid.Diameter &&
-                 bitEqualDouble(Scalar.AverageDistance, Push.AverageDistance) &&
-                 bitEqualDouble(Push.AverageDistance, Hybrid.AverageDistance);
-    bool VtAgree = Vt.Diameter == Hybrid.Diameter;
-    // The hybrid >= push ordering is only asserted once the sweep is big
-    // enough to dominate the hybrid's fixed transpose/worklist setup. On
-    // star(6) the whole workload is ~0.4 ms, the setup is a third of it,
-    // and the ordering genuinely inverts (hybrid ~0.8x push on portable
-    // builds) -- star(6) stays in the gate for the engine-agreement, VT,
-    // and pull-work checks only. At star(7), the dense-diameter instance
-    // the gate exists for, the margin is ISA-dependent: the pull pass
-    // leans on POPCNT/wide OR-reduce, so tuned (-march=native) builds see
-    // a stable ~1.5x hybrid win and assert the ordering strictly, while
-    // portable baseline-ISA builds see hybrid ~= push (0.9-1.1x run to
-    // run) and assert a deterministic 1.25x regression bound instead of a
-    // coin-flip strict comparison.
-#ifdef SCG_NATIVE_BUILD
-    const double HybridBudgetMs = PushMs;
-#else
-    const double HybridBudgetMs = 1.25 * PushMs;
-#endif
-    bool Faster = PushMs <= ScalarMs && (K < 7 || HybridMs <= HybridBudgetMs);
-    bool Pulled = counterValue(Registry, "distance.pull_levels") > 0 &&
-                  counterValue(Registry, "distance.direction_switches") > 0;
-    std::printf("star(%u): scalar %8.2f ms | push %8.2f ms | hybrid %8.2f ms "
-                "(%.1fx vs push, %.0f sources/s) | diam %u avg %.6f | pull "
-                "%.0f%% of words | %s%s%s%s\n",
-                K, ScalarMs, PushMs, HybridMs, PushMs / HybridMs, NodesPerSec,
-                Hybrid.Diameter, Hybrid.AverageDistance,
-                100.0 * counterValue(Registry, "distance.pull_words") /
-                    double(counterValue(Registry, "distance.pull_words") +
-                           counterValue(Registry, "distance.push_words")),
+                 bitEqualDouble(Scalar.AverageDistance, Push.AverageDistance);
+    bool VtAgree = Vt.Diameter == Push.Diameter;
+    bool Faster = PushMs <= ScalarMs;
+    std::printf("star(%u): scalar %8.2f ms | push %8.2f ms (%.1fx vs scalar, "
+                "%.0f sources/s) | diam %u avg %.6f | %s%s%s\n",
+                K, ScalarMs, PushMs, ScalarMs / PushMs, NodesPerSec,
+                Push.Diameter, Push.AverageDistance,
                 Agree ? "agree " : "ENGINE-MISMATCH ",
                 VtAgree ? "vt-ok " : "VT-MISMATCH ",
-                Faster ? "fast-ok " : "SLOWER-THAN-BASELINE ",
-                Pulled ? "pull-ok" : "NEVER-PULLED");
-    Failures += !Agree + !VtAgree + !Faster + !Pulled;
+                Faster ? "fast-ok" : "SLOWER-THAN-BASELINE");
+    Failures += !Agree + !VtAgree + !Faster;
   }
   return Failures ? 1 : 0;
 }
@@ -442,21 +343,6 @@ BENCHMARK(BM_AllPairsStatsStar7)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AllPairsPushVsHybridStar7(benchmark::State &State) {
-  // Arg = engine (0 push, 1 hybrid), single thread: the algorithmic gap.
-  static Csr C = ExplicitScg(SuperCayleyGraph::star(7)).toCsr();
-  MsSweepOptions Opts;
-  Opts.Engine = State.range(0) ? MsBfsEngine::Hybrid : MsBfsEngine::Push;
-  setGlobalThreadCount(1);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(msAllPairsStats(C, Opts).Diameter);
-  setGlobalThreadCount(0);
-}
-BENCHMARK(BM_AllPairsPushVsHybridStar7)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

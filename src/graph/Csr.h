@@ -55,9 +55,8 @@ public:
   /// The reverse graph: T.neighbors(V) enumerates the in-neighbors of V,
   /// in ascending source-node order (counting sort, O(V + E),
   /// deterministic). For the undirected families the transpose equals the
-  /// original up to row order, but it is built generically so the
-  /// direction-optimizing BFS pull pass is correct on directed graphs
-  /// (rotator networks) too.
+  /// original up to row order; on directed graphs (rotator networks) it is
+  /// the true reverse.
   Csr transpose() const;
 
   /// Raw row storage for hot engine loops that hoist the per-row

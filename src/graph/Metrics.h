@@ -12,11 +12,10 @@
 /// topologies (meshes, trees -- not vertex-transitive) and for
 /// cross-checking the transitivity shortcut in tests and benches.
 ///
-/// allPairsStats runs on the direction-optimizing bit-parallel multi-source
-/// BFS engine (graph/MsBfs.h): 512 sources per fused task over CSR
-/// adjacency, push/pull switched per level, batches spread across the
-/// ThreadPool -- which is what makes exact sweeps at k = 9 (362,880
-/// nodes) routine and k = 10 (3.6M nodes) an hours-scale run. The scalar
+/// allPairsStats runs on the bit-parallel multi-source BFS engine
+/// (graph/MsBfs.h): 64 sources per batch over CSR adjacency, batches
+/// spread across the ThreadPool -- which is what makes exact sweeps at
+/// k = 9 (362,880 nodes) a minutes-scale run. The scalar
 /// one-BFS-per-source engine survives as scalarAllPairsStats, the
 /// reference the bit-parallel results are pinned against.
 ///

@@ -2,21 +2,21 @@
 
 #include "graph/MsBfs.h"
 
-#include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <numeric>
 
 using namespace scg;
 
-namespace {
-
-/// Shared per-lane statistics sink for msBfs / msBfsHybrid.
-struct BatchSink {
-  MsBfsBatch &Batch;
-  void operator()(NodeId, uint64_t NewMask, uint32_t Level) const {
+MsBfsBatch scg::msBfs(const Csr &G, std::span<const NodeId> Sources) {
+  MsBfsBatch Batch;
+  Batch.Eccentricity.assign(Sources.size(), 0);
+  Batch.NumReached.assign(Sources.size(), 0);
+  Batch.DistanceSum.assign(Sources.size(), 0);
+  msBfsCore(G, Sources, [&Batch](NodeId, uint64_t NewMask, uint32_t Level) {
     // Peel the newly arrived lanes; levels are ascending, so assigning the
     // eccentricity each time leaves the per-lane maximum behind.
     do {
@@ -26,40 +26,7 @@ struct BatchSink {
       Batch.DistanceSum[Lane] += Level;
       NewMask &= NewMask - 1;
     } while (NewMask);
-  }
-};
-
-MsBfsBatch makeBatch(size_t Lanes) {
-  MsBfsBatch Batch;
-  Batch.Eccentricity.assign(Lanes, 0);
-  Batch.NumReached.assign(Lanes, 0);
-  Batch.DistanceSum.assign(Lanes, 0);
-  return Batch;
-}
-
-/// Shared distance-matrix sink for msBfsDistances{,Hybrid}.
-struct RowsSink {
-  std::vector<std::vector<uint32_t>> &Rows;
-  void operator()(NodeId Node, uint64_t NewMask, uint32_t Level) const {
-    do {
-      Rows[unsigned(std::countr_zero(NewMask))][Node] = Level;
-      NewMask &= NewMask - 1;
-    } while (NewMask);
-  }
-};
-
-} // namespace
-
-MsBfsBatch scg::msBfs(const Csr &G, std::span<const NodeId> Sources) {
-  MsBfsBatch Batch = makeBatch(Sources.size());
-  msBfsCore(G, Sources, BatchSink{Batch});
-  return Batch;
-}
-
-MsBfsBatch scg::msBfsHybrid(const Csr &G, const Csr &GT,
-                            std::span<const NodeId> Sources) {
-  MsBfsBatch Batch = makeBatch(Sources.size());
-  msBfsHybridCore(G, GT, Sources, BatchSink{Batch});
+  });
   return Batch;
 }
 
@@ -68,17 +35,12 @@ scg::msBfsDistances(const Csr &G, std::span<const NodeId> Sources) {
   std::vector<std::vector<uint32_t>> Rows(
       Sources.size(),
       std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsCore(G, Sources, RowsSink{Rows});
-  return Rows;
-}
-
-std::vector<std::vector<uint32_t>>
-scg::msBfsDistancesHybrid(const Csr &G, const Csr &GT,
-                          std::span<const NodeId> Sources) {
-  std::vector<std::vector<uint32_t>> Rows(
-      Sources.size(),
-      std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsHybridCore(G, GT, Sources, RowsSink{Rows});
+  msBfsCore(G, Sources, [&Rows](NodeId Node, uint64_t NewMask, uint32_t Level) {
+    do {
+      Rows[unsigned(std::countr_zero(NewMask))][Node] = Level;
+      NewMask &= NewMask - 1;
+    } while (NewMask);
+  });
   return Rows;
 }
 
@@ -98,94 +60,59 @@ namespace {
 
 /// Order-independent batch partial (AND / max / exact sums), identical in
 /// shape to the scalar sweep's accumulator so the two engines fold the
-/// same integers into the same double at the end. Counters ride along as
-/// more exact sums.
+/// same integers into the same double at the end.
 struct SweepAccum {
   bool AllConnected = true;
   uint32_t Diameter = 0;
   uint64_t DistanceSum = 0;
-  MsBfsCounters Counters;
 };
 
 SweepAccum mergeSweep(SweepAccum A, const SweepAccum &B) {
   A.AllConnected = A.AllConnected && B.AllConnected;
   A.Diameter = std::max(A.Diameter, B.Diameter);
   A.DistanceSum += B.DistanceSum;
-  A.Counters += B.Counters;
   return A;
 }
 
 } // namespace
 
-DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
+DistanceStats scg::msAllPairsStats(const Csr &G) {
   DistanceStats Stats;
   const uint64_t N = G.numNodes();
   if (N == 0)
     return Stats;
-  const bool Hybrid = Opts.Engine == MsBfsEngine::Hybrid;
-  const bool Counted = Hybrid && Opts.Metrics != nullptr;
-  // The pull pass needs the reverse graph; identical to G (up to row
-  // order) for the undirected families, but built generically so directed
-  // graphs pull from true in-neighbors. One O(V + E) build per sweep.
-  const Csr GT = Hybrid ? G.transpose() : Csr(Graph(0));
-  // The hybrid sweep fuses 8 batches per task (512 sources, one lane
-  // cache line per node); the push reference keeps plain 64-lane batches.
-  // Sweep statistics are per-(source, node) sums / maxima, so the
-  // grouping cannot change any result bit.
-  const uint64_t GroupLanes =
-      Hybrid ? uint64_t(MsBfsLanes) * MsBfsFusedWords : MsBfsLanes;
-  const uint64_t NumGroups = (N + GroupLanes - 1) / GroupLanes;
-  // Group g owns sources [g * GroupLanes, ...); groups are independent
-  // (each worker thread reuses its own scratch), and the early-out flag
-  // can only make a doomed sweep cheaper, never change its result.
+  const uint64_t NumBatches = (N + MsBfsLanes - 1) / MsBfsLanes;
+  // Batch b owns sources [b * 64, ...); batches are independent (each
+  // worker thread reuses its own scratch), and the early-out flag can
+  // only make a doomed sweep cheaper, never change its result.
   std::atomic<bool> Disconnected{false};
   SweepAccum Acc = ThreadPool::global().parallelMapReduce<SweepAccum>(
-      0, NumGroups, SweepAccum{},
-      [&](uint64_t Group) {
+      0, NumBatches, SweepAccum{},
+      [&](uint64_t Batch) {
         SweepAccum One;
         if (Disconnected.load(std::memory_order_relaxed)) {
           One.AllConnected = false;
           return One;
         }
-        NodeId Begin = NodeId(Group * GroupLanes);
-        NodeId End = NodeId(std::min<uint64_t>(N, Begin + GroupLanes));
+        NodeId Begin = NodeId(Batch * MsBfsLanes);
+        NodeId End = NodeId(std::min<uint64_t>(N, Begin + MsBfsLanes));
         MsBfsScratch &Scratch = threadScratch<MsBfsScratch>();
         Scratch.Sources.resize(End - Begin);
         std::iota(Scratch.Sources.begin(), Scratch.Sources.end(), Begin);
         // The whole-sweep statistics need no per-lane bookkeeping: the
         // number of lanes arriving per level gives visits / distance sum /
-        // diameter, and the group is fully connected iff lane-visits total
-        // N per lane. The fused engine detects the level() member and
-        // tallies popcounts branchlessly inside its commit loops.
+        // diameter, and the batch is fully connected iff lane-visits total
+        // N per lane.
         uint64_t Visits = 0;
-        struct LevelTally {
-          SweepAccum &One;
-          uint64_t &Visits;
-          void level(uint32_t Level, uint64_t NewVisits) {
-            Visits += NewVisits;
-            One.DistanceSum += uint64_t(Level) * NewVisits;
-            One.Diameter = Level; // ascending levels, only fired when
-                                  // NewVisits > 0: max wins.
-          }
-        } Sink{One, Visits};
-        if (Hybrid) {
-          if (Counted)
-            detail::msBfsFusedImpl<MsBfsFusedWords, true>(
-                G, GT, Scratch.Sources, Sink, &One.Counters, Scratch);
-          else
-            detail::msBfsFusedImpl<MsBfsFusedWords, false>(
-                G, GT, Scratch.Sources, Sink, nullptr, Scratch);
-        } else {
-          msBfsCore(
-              G, Scratch.Sources,
-              [&](NodeId, uint64_t NewMask, uint32_t Level) {
-                unsigned Count = unsigned(std::popcount(NewMask));
-                Visits += Count;
-                One.DistanceSum += uint64_t(Level) * Count;
-                One.Diameter = Level; // ascending levels: max wins.
-              },
-              &Scratch);
-        }
+        msBfsCore(
+            G, Scratch.Sources,
+            [&](NodeId, uint64_t NewMask, uint32_t Level) {
+              unsigned Count = unsigned(std::popcount(NewMask));
+              Visits += Count;
+              One.DistanceSum += uint64_t(Level) * Count;
+              One.Diameter = Level; // ascending levels: max wins.
+            },
+            &Scratch);
         if (Visits != N * Scratch.Sources.size()) {
           Disconnected.store(true, std::memory_order_relaxed);
           One = SweepAccum{};
@@ -194,18 +121,6 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
         return One;
       },
       mergeSweep);
-  if (Counted) {
-    // One publication per sweep, after the deterministic fold; on a
-    // connected graph the totals are a pure function of (graph, engine).
-    MetricsRegistry &M = *Opts.Metrics;
-    M.counter("distance.batches").add(Acc.Counters.Batches);
-    M.counter("distance.push_levels").add(Acc.Counters.PushLevels);
-    M.counter("distance.pull_levels").add(Acc.Counters.PullLevels);
-    M.counter("distance.push_words").add(Acc.Counters.PushWords);
-    M.counter("distance.pull_words").add(Acc.Counters.PullWords);
-    M.counter("distance.direction_switches")
-        .add(Acc.Counters.DirectionSwitches);
-  }
   if (!Acc.AllConnected)
     return Stats; // Connected=false, zeroed metrics.
   Stats.Connected = true;
@@ -213,8 +128,4 @@ DistanceStats scg::msAllPairsStats(const Csr &G, const MsSweepOptions &Opts) {
   uint64_t Pairs = N * (N - 1);
   Stats.AverageDistance = Pairs ? double(Acc.DistanceSum) / double(Pairs) : 0.0;
   return Stats;
-}
-
-DistanceStats scg::msAllPairsStats(const Csr &G) {
-  return msAllPairsStats(G, MsSweepOptions{});
 }

@@ -50,8 +50,8 @@ template <typename T> T &threadScratch() {
 /// Grows \p Buf's capacity to \p Elems and, when the buffer spans at
 /// least one 2 MiB huge page, asks the kernel to back it with huge pages
 /// (MADV_HUGEPAGE) before the caller first touches it. Multi-megabyte
-/// scratch arrays accessed at random are dTLB-bound on 4 KiB pages;
-/// advising huge pages is worth ~10% on the fused distance sweeps. Pure
+/// scratch arrays accessed at random (the distance engine's bitmaps from
+/// k = 9 up) are dTLB-bound on 4 KiB pages. Pure
 /// hint: a refusing kernel (or non-Linux host) changes nothing
 /// observable, so callers never need to check for success.
 template <typename T>

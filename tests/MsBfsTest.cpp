@@ -9,10 +9,16 @@
 //  * Source lists that are not a multiple (or a divisor) of 64 lanes, in
 //    arbitrary order, with duplicates.
 //  * Disconnected and faulted graphs: unreached nodes, per-lane reached
-//    counts, and the Connected=false sweep result.
-//  * allPairsStats (now MS-BFS-backed) == scalarAllPairsStats everywhere,
-//    and parallel == serial byte-identity at 1/2/8 threads (the
-//    determinism contract, under the `parallel` ctest label).
+//    counts, and the Connected=false sweep result at 1/2/8 threads.
+//  * allPairsStats / msAllPairsStats == scalarAllPairsStats everywhere,
+//    and parallel == serial byte-identity at 1/2/8 threads, directed
+//    rotator included (the determinism contract, under the `parallel`
+//    ctest label; the CSR sweep's cases live in the MsBfsHybrid suite).
+//  * Allocation reuse: with a warm scratch, a whole sweep's worth of
+//    batches performs zero heap allocations (the operator-new interposer
+//    below counts every allocation in this binary).
+//  * Csr::transpose on a directed graph: the true reverse edge set, and
+//    transposing twice restores every adjacency set.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +31,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <numeric>
+#include <utility>
 
 using namespace scg;
+
+//===----------------------------------------------------------------------===//
+// Global allocation counter (same pattern as SimulatorQueueTest.cpp):
+// replacing operator new in this TU intercepts every heap allocation in
+// the test binary, so snapshotting the counter around a batch loop proves
+// the engine reuses warm scratch instead of reallocating per batch.
+//===----------------------------------------------------------------------===//
+
+static std::atomic<uint64_t> GHeapAllocations{0};
+
+// Out of line (with the deletes below), so the compiler does not pair an
+// inlined malloc() or free() with a call it can see and warn about a
+// mismatch.
+[[gnu::noinline]] void *operator new(std::size_t Size) {
+  ++GHeapAllocations;
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t Size) { return ::operator new(Size); }
+// The nothrow forms too, so every allocation is counted and freed by the
+// matching replacement.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  ++GHeapAllocations;
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return ::operator new(Size, std::nothrow);
+}
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P) noexcept { ::operator delete(P); }
+void operator delete[](void *P, std::size_t) noexcept { ::operator delete(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}
 
 namespace {
 
@@ -208,6 +261,127 @@ TEST(MsBfs, ParallelSerialByteIdentity) {
                       }),
                       Scg.name() + " @" + std::to_string(Threads));
   }
+}
+
+// The MsBfsHybrid suite is named for the direction-optimizing engine it
+// once pinned against push; with push the only engine, its two remaining
+// tests pin the CSR sweep entry point, msAllPairsStats(const Csr&).
+
+TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
+  // Faulted star(5): node + link failures leave an irregular survivor.
+  ExplicitScg Net(SuperCayleyGraph::star(5));
+  Graph G = Net.toGraph();
+  FaultSet Faults;
+  Faults.failNode(7);
+  Faults.failNode(63);
+  Faults.failLink(0, G.neighbors(0)[0]);
+  Graph Surviving = applyFaults(G, Faults);
+  expectSameStats(msAllPairsStats(Csr(Surviving)),
+                  scalarAllPairsStats(Surviving), "faulted star5 sweep");
+
+  // Two components plus an isolated node: the sweep reports
+  // Connected = false at every thread count.
+  Graph Two(8);
+  for (NodeId I = 0; I + 1 != 4; ++I)
+    Two.addUndirectedEdge(I, I + 1);
+  Two.addUndirectedEdge(4, 5);
+  Two.addUndirectedEdge(5, 6);
+  Two.addUndirectedEdge(6, 4);
+  Csr TwoCsr(Two);
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    DistanceStats Stats =
+        withThreads(Threads, [&] { return msAllPairsStats(TwoCsr); });
+    EXPECT_FALSE(Stats.Connected) << Threads;
+    expectSameStats(Stats, scalarAllPairsStats(Two),
+                    "two components @" + std::to_string(Threads));
+  }
+}
+
+TEST(MsBfsHybrid, SweepEnginesByteIdenticalAcrossThreadCounts) {
+  for (const SuperCayleyGraph &Scg :
+       {SuperCayleyGraph::star(6), SuperCayleyGraph::rotator(6),
+        SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2)}) {
+    ExplicitScg Net(Scg);
+    Csr C = Net.toCsr();
+    DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(C); });
+    expectSameStats(Ref, scalarAllPairsStats(Net.toGraph()),
+                    Scg.name() + " scalar");
+    for (unsigned Threads : {2u, 8u})
+      expectSameStats(Ref, withThreads(Threads, [&] {
+                        return msAllPairsStats(C);
+                      }),
+                      Scg.name() + " @" + std::to_string(Threads));
+  }
+}
+
+TEST(MsBfs, WarmBatchesAreAllocationFree) {
+  // A sweep runs tens of thousands of batches through one warm scratch
+  // per worker; per-batch heap growth would reintroduce the malloc storm
+  // support/Scratch.h exists to prevent. One cold pass warms the buffers
+  // (and proves warm results match cold ones), then a full all-sources
+  // pass must not allocate at all. The sink accumulates into locals, so
+  // any allocation counted here is engine-internal.
+  Csr C = ExplicitScg(SuperCayleyGraph::star(5)).toCsr();
+  const NodeId N = C.numNodes();
+  std::vector<NodeId> All(N);
+  std::iota(All.begin(), All.end(), 0);
+  MsBfsScratch Scratch;
+  auto RunAll = [&](uint64_t &Sum, uint64_t &Visits) {
+    for (size_t Begin = 0; Begin < All.size(); Begin += MsBfsLanes) {
+      size_t Count = std::min<size_t>(MsBfsLanes, All.size() - Begin);
+      msBfsCore(
+          C, std::span(All).subspan(Begin, Count),
+          [&](NodeId, uint64_t Mask, uint32_t Level) {
+            Sum += uint64_t(Level) * uint64_t(std::popcount(Mask));
+            Visits += uint64_t(std::popcount(Mask));
+          },
+          &Scratch);
+    }
+  };
+  uint64_t ColdSum = 0, ColdVisits = 0;
+  RunAll(ColdSum, ColdVisits); // cold: buffers grow once.
+  uint64_t WarmSum = 0, WarmVisits = 0;
+  uint64_t Before = GHeapAllocations.load();
+  RunAll(WarmSum, WarmVisits);
+  uint64_t After = GHeapAllocations.load();
+  EXPECT_EQ(After, Before) << "warm MS-BFS batches touched the heap";
+  EXPECT_EQ(ColdSum, WarmSum);
+  EXPECT_EQ(ColdVisits, WarmVisits);
+  EXPECT_EQ(WarmVisits, uint64_t(N) * N); // connected: every lane, every node.
+}
+
+TEST(MsBfs, TransposeOfDirectedRotator) {
+  // rotator(5) is directed, so its transpose genuinely differs from the
+  // forward CSR: T holds exactly the reversed edges, and transposing
+  // twice restores every node's adjacency set.
+  Csr C = ExplicitScg(SuperCayleyGraph::rotator(5)).toCsr();
+  Csr T = C.transpose();
+  ASSERT_EQ(T.numNodes(), C.numNodes());
+  EXPECT_EQ(T.numEdges(), C.numEdges());
+  std::vector<std::pair<NodeId, NodeId>> Reversed, FromT;
+  for (NodeId V = 0; V != C.numNodes(); ++V) {
+    for (NodeId W : C.neighbors(V))
+      Reversed.emplace_back(W, V);
+    for (NodeId U : T.neighbors(V))
+      FromT.emplace_back(V, U);
+  }
+  std::sort(Reversed.begin(), Reversed.end());
+  std::sort(FromT.begin(), FromT.end());
+  EXPECT_EQ(Reversed, FromT);
+  Csr Back = T.transpose();
+  bool AnyRowDiffers = false;
+  for (NodeId V = 0; V != C.numNodes(); ++V) {
+    std::span<const NodeId> Fwd = C.neighbors(V), Twice = Back.neighbors(V),
+                            Rev = T.neighbors(V);
+    std::vector<NodeId> Want(Fwd.begin(), Fwd.end()),
+        Got(Twice.begin(), Twice.end());
+    std::sort(Want.begin(), Want.end());
+    std::sort(Got.begin(), Got.end());
+    EXPECT_EQ(Want, Got) << "node " << V;
+    AnyRowDiffers |=
+        !std::is_permutation(Rev.begin(), Rev.end(), Fwd.begin(), Fwd.end());
+  }
+  EXPECT_TRUE(AnyRowDiffers) << "rotator(5) should not be its own transpose";
 }
 
 TEST(MsBfs, LeanReachabilityAgreesWithBfs) {
