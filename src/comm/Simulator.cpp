@@ -5,7 +5,11 @@
 // links, both scanned in ascending id, and a jump over every step at which
 // nothing is due. Why each skipped step could not have changed a result
 // is spelled out at the jump (NextDueStep) and at the cap. Link queues are
-// the intrusive FIFOs of Simulator.h (pushQueue/popQueue).
+// the intrusive FIFOs of Simulator.h (pushQueue/popQueue). Within a step,
+// every transmitting link is picked from the bitmaps before any packet
+// record is read, so the transmit pass can prefetch the head packets of
+// links picked further ahead; why that order gives the interleaved
+// result is spelled out at the pick.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +44,7 @@ NetworkSimulator::NetworkSimulator(const ExplicitScg &Net, CommModel Model)
       QueueTail(QueueHead.size()), QueueLen(QueueHead.size(), 0),
       Busy(QueueHead.size()), DimensionCycle(Net.degree()),
       PortPointer(Net.numNodes(), 0), NodeBusyUntil(Net.numNodes(), 0) {
+  assert(QueueHead.size() <= ~uint32_t(0) && "link ids exceed 32 bits");
   std::iota(DimensionCycle.begin(), DimensionCycle.end(), GenIndex(0));
 }
 
@@ -56,6 +61,7 @@ void NetworkSimulator::injectPacket(NodeId Src, std::vector<GenIndex> Route,
                                     unsigned FlitCount) {
   assert(Src < Net.numNodes() && "source out of range");
   assert(FlitCount >= 1 && "a message carries at least one flit");
+  assert(!Outcome && "packet added after run()");
   auto [Begin, Len] = appendRoute(Route);
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
   uint32_t Id = Packets.size() - 1;
@@ -75,6 +81,7 @@ uint32_t NetworkSimulator::scheduleInjection(uint64_t Step, NodeId Src,
                                              unsigned FlitCount) {
   assert(Src < Net.numNodes() && "source out of range");
   assert(FlitCount >= 1 && "a message carries at least one flit");
+  assert(!Outcome && "packet added after run()");
   auto [Begin, Len] = appendRoute(Route);
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
   uint32_t Id = Packets.size() - 1;
@@ -93,6 +100,7 @@ uint32_t NetworkSimulator::scheduleInjectionShared(uint64_t Step, NodeId Src,
                                                    unsigned FlitCount) {
   assert(Src < Net.numNodes() && "source out of range");
   assert(FlitCount >= 1 && "a message carries at least one flit");
+  assert(!Outcome && "packet added after run()");
   assert(RouteHandle < SharedRoutes.size() && "unknown shared route");
   auto [Begin, Len] = SharedRoutes[RouteHandle];
   Packets.push_back({Src, 0, FlitCount, Begin, Len});
@@ -109,12 +117,22 @@ void NetworkSimulator::setDimensionCycle(std::vector<GenIndex> Cycle) {
   DimensionCycle = std::move(Cycle);
 }
 
+void NetworkSimulator::reserve(size_t Count) {
+  Packets.reserve(Count);
+  Injections.reserve(Count);
+}
+
 void NetworkSimulator::addObserver(SimObserver *Observer) {
   assert(Observer && "null observer");
   Observers.push_back(Observer);
 }
 
 SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
+  // Single-shot: the run consumed the injection schedule and moved every
+  // packet, so a second pass would re-admit injections from where their
+  // packets ended up.
+  if (Outcome)
+    return *Outcome;
   // Scheduled injections enter their queues in (step, call order); the sort
   // is stable so same-step packets keep their scheduling order. Traces
   // scheduled in step order (simulateTrafficLoad's) are already sorted,
@@ -126,8 +144,9 @@ SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
     std::stable_sort(Injections.begin(), Injections.end(), ByStep);
   // One dispatch on entry: the uninstrumented loop contains no observer
   // code at all, so observability is free when no observer is attached.
-  return Observers.empty() ? runImpl<false>(MaxSteps)
-                           : runImpl<true>(MaxSteps);
+  Outcome = Observers.empty() ? runImpl<false>(MaxSteps)
+                              : runImpl<true>(MaxSteps);
+  return *Outcome;
 }
 
 namespace {
@@ -144,6 +163,11 @@ void forEachSetBit(const std::vector<uint64_t> &Bits, Fn F) {
 
 constexpr uint64_t NeverStep = ~uint64_t(0);
 
+/// How many picks ahead the transmit pass prefetches a head packet: far
+/// enough for a memory miss to land before its transmission, near enough
+/// that the line is still cached when it does.
+constexpr size_t PrefetchAhead = 16;
+
 } // namespace
 
 template <bool Collect>
@@ -153,7 +177,8 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   const unsigned Degree = Net.degree();
   const uint64_t CycleLen = DimensionCycle.size();
   std::vector<uint32_t> Moved;
-  std::vector<size_t> Landed; ///< links whose message arrived this step.
+  std::vector<size_t> Landed;   ///< links whose message arrived this step.
+  std::vector<uint32_t> Picked; ///< links transmitting this step, in order.
 
   // Collection is a compile-time parameter: with no observer attached the
   // dispatch selects the Collect = false instantiation, whose hot loop
@@ -283,7 +308,6 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       break;
     }
     Moved.clear();
-    bool Transmitted = false;
     if constexpr (Collect) {
       Events.clear();
       Events.Step = Step;
@@ -359,52 +383,34 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Landed.push_back(Q);
       });
 
-    // Phase 1: select one packet per permitted, idle link.
-    auto SelectLink = [&](NodeId Node, GenIndex Link) {
-      size_t Q = queueIndex(Node, Link);
-      if (TestBit(Flying, Q) || !TestBit(Queued, Q))
-        return false; // mid-message, or nothing to send.
-      uint32_t Id = QueueHead[Q];
-      Packet &P = Packets[Id];
-      assert(P.At == Node && routeHop(P, P.NextHop) == Link &&
-             "queue corruption");
-      // The link is occupied from this step on (one step for a unit
-      // packet, Flits steps for a store-and-forward message).
-      ++Result.BusyLinkSteps;
-      if constexpr (Collect)
-        Events.Active.push_back({Node, Link, Id, P.Flits, true});
-      PopFront(Q);
-      Transmitted = true;
-      if (P.Flits > 1) {
-        // Occupy the link for Flits steps; arrival in phase 0 of step
-        // Step + Flits - 1, node port free again at Step + Flits.
-        Busy[Q] = {Id, Step + P.Flits - 1};
-        NodeBusyUntil[Node] = Step + P.Flits;
-        SetBit(Flying, Q);
-        ++InFlightLinks;
-        return true;
-      }
-      P.At = Net.next(Node, Link);
-      ++P.NextHop;
-      Moved.push_back(Id);
-      ++Result.Transmissions;
-      return true;
-    };
-
+    // Phase 1a, pick: list every permitted, idle link with a queued
+    // packet, node by node over the nodes the sample listed (phase 0
+    // queues nothing; a node without queued packets would pick nothing,
+    // so order and outcome are those of a sweep over every node). Only the
+    // bitmaps and the per-node port state are read. Picking every link
+    // before transmitting any gives the picks of choosing and transmitting
+    // link by link: a link is picked at most once per step, and a
+    // transmission changes nothing another link's pick reads (it pops
+    // only its own queue, and the single-port busy window it opens is
+    // tested once per node, before the node picks).
     const GenIndex Scheduled =
         PerGen ? DimensionCycle[Step % CycleLen] : GenIndex(0);
     if constexpr (Collect) {
       Events.ScheduledLink = Scheduled;
       Events.HasScheduledLink = PerGen;
     }
-    // Node by node over the nodes the sample listed (phase 0 queues
-    // nothing). A node without queued packets would select nothing, so
-    // order and outcome are those of a sweep over every node.
+    auto Pick = [&](size_t Q) {
+      if (TestBit(Flying, Q) || !TestBit(Queued, Q))
+        return false; // mid-message, or nothing to send.
+      Picked.push_back(uint32_t(Q));
+      return true;
+    };
+    Picked.clear();
     for (NodeId Node : ActiveNodes) {
       switch (Model) {
       case CommModel::AllPort:
         for (GenIndex G = 0; G != Degree; ++G)
-          SelectLink(Node, G);
+          Pick(queueIndex(Node, G));
         break;
       case CommModel::SinglePort:
         // A port mid-way through a multi-flit transmission transmits
@@ -414,17 +420,54 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         // Round-robin over links so no queue starves.
         for (unsigned Offset = 0; Offset != Degree; ++Offset) {
           GenIndex G = (PortPointer[Node] + Offset) % Degree;
-          if (SelectLink(Node, G)) {
+          if (Pick(queueIndex(Node, G))) {
             PortPointer[Node] = (G + 1) % Degree;
             break;
           }
         }
         break;
       case CommModel::SingleDimension:
-        SelectLink(Node, Scheduled);
+        Pick(queueIndex(Node, Scheduled));
         break;
       }
     }
+
+    // Phase 1b, transmit: pop the head of every picked link, in pick
+    // order. The head packets are random reads from an array far larger
+    // than the caches; prefetching the head of the link PrefetchAhead
+    // picks on overlaps those misses instead of paying them one after
+    // another.
+    for (size_t I = 0, E = Picked.size(); I != E; ++I) {
+      if (I + PrefetchAhead < E)
+        __builtin_prefetch(&Packets[QueueHead[Picked[I + PrefetchAhead]]]);
+      const size_t Q = Picked[I];
+      const uint32_t Id = QueueHead[Q];
+      Packet &P = Packets[Id];
+      const NodeId Node = P.At;
+      const GenIndex Link = routeHop(P, P.NextHop);
+      assert(Link < Degree && queueIndex(Node, Link) == Q &&
+             "queue corruption");
+      // The link is occupied from this step on (one step for a unit
+      // packet, Flits steps for a store-and-forward message).
+      ++Result.BusyLinkSteps;
+      if constexpr (Collect)
+        Events.Active.push_back({Node, Link, Id, P.Flits, true});
+      PopFront(Q);
+      if (P.Flits > 1) {
+        // Occupy the link for Flits steps; arrival in phase 0 of step
+        // Step + Flits - 1, node port free again at Step + Flits.
+        Busy[Q] = {Id, Step + P.Flits - 1};
+        NodeBusyUntil[Node] = Step + P.Flits;
+        SetBit(Flying, Q);
+        ++InFlightLinks;
+        continue;
+      }
+      P.At = Net.next(Node, Link);
+      ++P.NextHop;
+      Moved.push_back(Id);
+      ++Result.Transmissions;
+    }
+    const bool Transmitted = !Picked.empty();
 
     for (size_t Q : Landed)
       ClearBit(Flying, Q);

@@ -14,9 +14,10 @@
 ///                     SDC model of Section 3), cycling a dimension
 ///                     schedule
 ///
-/// Packets carry fixed source routes (generator words). Two-phase step
-/// execution (select transmissions, then apply), and completion,
-/// utilization and per-packet delivery statistics.
+/// Packets carry fixed source routes (generator words). A step picks every
+/// link that transmits before it transmits any packet (pick, then
+/// transmit), and reports completion, utilization and per-packet delivery
+/// statistics.
 ///
 /// Link queues are intrusive FIFOs. A packet waits in at most one link
 /// queue at a time (it is queued, in flight or delivered), so each packet
@@ -50,6 +51,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,7 +97,7 @@ struct SimulationResult {
 class SimObserver;
 struct StepEvents;
 
-/// The simulator. Inject packets, then run(). Optionally attach
+/// The simulator. Inject packets, then run() once. Optionally attach
 /// SimObservers (comm/SimObserver.h) first; with none attached run()
 /// executes an uninstrumented loop, so observability is free when off and
 /// results are identical either way.
@@ -162,8 +164,16 @@ public:
   /// are unchanged).
   void addObserver(SimObserver *Observer);
 
+  /// Reserves room for \p Count packets and \p Count scheduled injections,
+  /// so a caller that knows its trace size up front builds both arrays
+  /// with one allocation each instead of doubling into them.
+  void reserve(size_t Count);
+
   /// Runs until every packet (including scheduled injections) is delivered
-  /// or \p MaxSteps elapse.
+  /// or \p MaxSteps elapse. run() is single-shot: the first call simulates,
+  /// and every later call returns that call's result unchanged, simulating
+  /// nothing and firing no observer (a capped run is not resumed). Inject
+  /// and schedule before the first call.
   SimulationResult run(uint64_t MaxSteps);
 
   /// deliveryStep() of a packet still undelivered (or never run).
@@ -272,6 +282,7 @@ private:
   uint64_t Pending = 0; ///< injected, undelivered: queued or in flight.
   uint64_t DeliveredAtInject = 0; ///< zero-hop packets, delivered on inject.
   std::vector<SimObserver *> Observers;
+  std::optional<SimulationResult> Outcome; ///< set by the first run().
 };
 
 } // namespace scg

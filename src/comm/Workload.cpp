@@ -165,6 +165,8 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   std::vector<TrafficEvent> Trace = Gen.generate(Steps);
 
   NetworkSimulator Sim(Net, Model);
+  // Every trace event becomes one packet and one scheduled injection.
+  Sim.reserve(Trace.size());
   if (Options.ClosedLoopMaxQueue)
     Sim.setClosedLoop(Options.ClosedLoopMaxQueue);
 

@@ -15,6 +15,10 @@
 //   no per-link heap  constructing a simulator takes the same number of
 //                     allocations on star(5) (480 links) as on star(7)
 //                     (30,240 links)
+//   single-shot run   a second run() returns the first run's result and
+//                     moves nothing; re-admitting the scheduled injections
+//                     from where their packets ended up corrupted the
+//                     queues
 //
 // The allocation count comes from replacing the global operator new in
 // this test binary, which is why these checks live in a binary of their
@@ -195,4 +199,27 @@ TEST(SimulatorQueue, ConstructionAllocationsIndependentOfNetworkSize) {
   // link: the deque-per-link layout made two per link (map and chunk).
   EXPECT_EQ(SmallAllocs, LargeAllocs);
   EXPECT_LT(LargeAllocs, 16u);
+}
+
+TEST(SimulatorQueue, SecondRunReturnsTheFirstResult) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  for (CommModel Model : AllModels)
+    for (uint64_t Cap : {2u, 100u}) {
+      SCOPED_TRACE(commModelName(Model) + " cap=" + std::to_string(Cap));
+      NetworkSimulator Sim(Net, Model);
+      Sim.injectPacket(0, {0, 1});
+      uint32_t Late = Sim.scheduleInjection(1, 5, {2, 0});
+      DeliveryLog Log;
+      Sim.addObserver(&Log);
+      SimulationResult First = Sim.run(Cap);
+      EXPECT_EQ(First.Completed, Cap == 100);
+      const size_t Logged = Log.Deliveries.size();
+      const uint64_t EarlyAt = Sim.deliveryStep(0);
+      const uint64_t LateAt = Sim.deliveryStep(Late);
+      // A larger cap changes nothing either: the run is over.
+      EXPECT_EQ(Sim.run(Cap * 10), First);
+      EXPECT_EQ(Log.Deliveries.size(), Logged);
+      EXPECT_EQ(Sim.deliveryStep(0), EarlyAt);
+      EXPECT_EQ(Sim.deliveryStep(Late), LateAt);
+    }
 }

@@ -19,7 +19,10 @@
 // Without a caller observer simulateTrafficLoad runs the simulator's
 // uninstrumented loop, which records delivery steps and occupancy itself;
 // on every family at k = 4 that must give the result the instrumented
-// loop gives.
+// loop gives. And star(6) far past saturation, where each step starts
+// hundreds to thousands of transmissions: every model, open and closed
+// loop, unit and 3-flit messages, each clean under the
+// ModelInvariantChecker, equal with and without an observer, and frozen.
 //
 //===----------------------------------------------------------------------===//
 
@@ -236,4 +239,38 @@ TEST(TrafficLoad, UninstrumentedRunMatchesObservedOnEveryFamily) {
         }
   }
   EXPECT_GE(Families, 5u);
+}
+
+TEST(TrafficLoad, SaturatedStar6MatchesGoldensAndUninstrumented) {
+  // 720 nodes, 3,600 links, 0.8 packets per node per step: the step loop
+  // starts far more transmissions per step than the k = 4 cases do.
+  ExplicitScg Net(SuperCayleyGraph::star(6));
+  for (CommModel Model : {CommModel::AllPort, CommModel::SinglePort,
+                          CommModel::SingleDimension})
+    for (uint64_t ClosedLoop : {0u, 4u})
+      for (unsigned Flits : {1u, 3u}) {
+        std::string Name = "saturated/star(6)/" + commModelName(Model) +
+                           (ClosedLoop ? "/closed/" : "/open/") +
+                           std::to_string(Flits) + "-flit";
+        SCOPED_TRACE(Name);
+        WorkloadSpec Spec = uniformAt(0.8, 60 + Flits);
+        Spec.FlitCount = Flits;
+        TrafficLoadOptions Options;
+        Options.ClosedLoopMaxQueue = ClosedLoop;
+        TrafficLoadResult Native =
+            simulateTrafficLoad(Net, Model, Spec, 60, Options);
+        GoldenStream Stream;
+        ModelInvariantChecker Checker;
+        Options.Observers = {&Stream, &Checker};
+        TrafficLoadResult Observed =
+            simulateTrafficLoad(Net, Model, Spec, 60, Options);
+        EXPECT_TRUE(Checker.clean()) << Checker.report();
+        expectGolden(Name, golden::render(Observed, Stream));
+        EXPECT_GT(Native.Sim.Transmissions, 0u);
+        if (ClosedLoop) {
+          EXPECT_GT(Native.Sim.DeferredInjections, 0u);
+        }
+        Observed.SetupSeconds = Native.SetupSeconds; // wall clock.
+        EXPECT_EQ(Native, Observed);
+      }
 }
