@@ -9,7 +9,10 @@
 // every transmitting link is picked from the bitmaps before any packet
 // record is read, so the transmit pass can prefetch the head packets of
 // links picked further ahead; why that order gives the interleaved
-// result is spelled out at the pick.
+// result is spelled out at the pick. Under closed loop each node keeps
+// its deferred injections in a FIFO of its own, retried only after the
+// node transmitted; why that admits what one global FIFO retried every
+// step would is spelled out at the retry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +23,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <deque>
 #include <numeric>
 
 using namespace scg;
@@ -168,6 +170,12 @@ constexpr uint64_t NeverStep = ~uint64_t(0);
 /// that the line is still cached when it does.
 constexpr size_t PrefetchAhead = 16;
 
+/// How many retried nodes ahead the closed-loop retry pass prefetches the
+/// head deferred packet. The packet's address comes from the head
+/// injection, which is prefetched PrefetchAhead nodes ahead, so the packet
+/// prefetch trails it by half that distance and finds the entry landed.
+constexpr size_t RetryPacketAhead = PrefetchAhead / 2;
+
 } // namespace
 
 template <bool Collect>
@@ -234,13 +242,24 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         QueuedOnGen[Q % Degree] += QueueLen[Q];
     }
 
-  // Closed-loop admission state: deferred injections retried FIFO each
-  // executed step, and a per-node "already blocked this step" stamp --
-  // admissions only deepen queues within a step, so one failed depth test
-  // per node per step is exact, not an approximation.
-  std::deque<TimedInjection> Deferred;
-  std::vector<uint64_t> BlockedAt(ClosedLoopMaxQueue ? Net.numNodes() : 0,
-                                  NeverStep);
+  // Closed-loop admission state. Each node keeps its deferred injections
+  // in a FIFO of Injections indices (DeferHead, DeferTail), chained
+  // through TimedInjection::NextDeferred, so deferring allocates nothing.
+  // Retry lists the nodes to retry at the next executed step.
+  const uint64_t Limit = ClosedLoopMaxQueue;
+  std::vector<uint32_t> DeferHead(Limit ? Net.numNodes() : 0, NoInjection);
+  std::vector<uint32_t> DeferTail(DeferHead.size(), NoInjection);
+  uint64_t DeferredCount = 0;
+  std::vector<NodeId> Retry;
+  auto Defer = [&](uint32_t I, NodeId U) {
+    Injections[I].NextDeferred = NoInjection;
+    if (DeferHead[U] == NoInjection)
+      DeferHead[U] = I;
+    else
+      Injections[DeferTail[U]].NextDeferred = I;
+    DeferTail[U] = I;
+    ++DeferredCount;
+  };
   auto NodeQueueDepth = [&](NodeId U) {
     size_t Depth = 0;
     for (GenIndex G = 0; G != Degree; ++G)
@@ -257,7 +276,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   // a step that transmitted, From itself is due. NeverStep when nothing
   // will ever be due again (traffic stalled on an unscheduled generator).
   auto NextDueStep = [&](uint64_t From, bool Transmitted) -> uint64_t {
-    if (InFlightLinks != 0 || (Transmitted && !Deferred.empty()))
+    if (InFlightLinks != 0 || (Transmitted && DeferredCount != 0))
       return From;
     uint64_t Next = InjCursor != Injections.size()
                         ? std::max(From, Injections[InjCursor].Step)
@@ -302,7 +321,8 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   uint64_t Step = NextDueStep(0, false);
   uint64_t ExecutedEnd = 0; ///< one past the last executed step.
   bool Capped = false;
-  while (Pending != 0 || InjCursor != Injections.size() || !Deferred.empty()) {
+  while (Pending != 0 || InjCursor != Injections.size() ||
+         DeferredCount != 0) {
     if (Step >= MaxSteps) {
       Capped = true;
       break;
@@ -318,16 +338,9 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     // injections are at step 0. Zero-hop injections deliver on the spot.
     // Under closed loop an injection whose source node is at the queue
     // depth limit is deferred instead; deferred injections retry first
-    // (they were scheduled earliest), in FIFO order.
-    auto TryAdmit = [&](const TimedInjection &Inj) {
+    // (they were scheduled earliest), each node's in FIFO order.
+    auto Admit = [&](const TimedInjection &Inj) {
       Packet &P = Packets[Inj.Id];
-      if (ClosedLoopMaxQueue && P.RouteLen != 0) {
-        if (BlockedAt[P.At] == Step ||
-            NodeQueueDepth(P.At) >= ClosedLoopMaxQueue) {
-          BlockedAt[P.At] = Step;
-          return false;
-        }
-      }
       if (Step != Inj.Step) {
         ++Result.DeferredInjections;
         Result.DeferredSteps += Step - Inj.Step;
@@ -337,23 +350,52 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         ++Result.Delivered;
         if constexpr (Collect)
           Events.Deliveries.push_back(Inj.Id);
-        return true;
+        return;
       }
       Push(queueIndex(P.At, routeHop(P, 0)), Inj.Id);
       ++Pending;
-      return true;
     };
-    for (size_t I = 0, E = Deferred.size(); I != E; ++I) {
-      TimedInjection Inj = Deferred.front();
-      Deferred.pop_front();
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
+    // The retry. Per-node FIFOs admit what one global FIFO of every
+    // deferred injection would: admitting reads and writes only its own
+    // node's queues, so the admitted set and each link queue's push order
+    // are the same, and across nodes only order-free sums are shared
+    // (deferred injections are never zero-hop, so they add no Deliveries).
+    // Retrying only Retry's nodes is exact too: a node with deferred
+    // injections was at the limit when it last tried, and its depth falls
+    // only when phase 1b pops one of its queues, so a node that did not
+    // transmit would fail again. Those that did are filtered on depth
+    // first, so the admission pass prefetches only for nodes that admit.
+    size_t Kept = 0;
+    for (NodeId U : Retry)
+      if (NodeQueueDepth(U) < Limit)
+        Retry[Kept++] = U;
+    Retry.resize(Kept);
+    for (size_t I = 0; I != Kept; ++I) {
+      if (I + PrefetchAhead < Kept)
+        __builtin_prefetch(&Injections[DeferHead[Retry[I + PrefetchAhead]]]);
+      if (I + RetryPacketAhead < Kept)
+        __builtin_prefetch(
+            &Packets[Injections[DeferHead[Retry[I + RetryPacketAhead]]].Id]);
+      const NodeId U = Retry[I];
+      for (size_t Depth = NodeQueueDepth(U);
+           Depth < Limit && DeferHead[U] != NoInjection; ++Depth) {
+        const TimedInjection &Inj = Injections[DeferHead[U]];
+        DeferHead[U] = Inj.NextDeferred;
+        --DeferredCount;
+        Admit(Inj);
+      }
     }
+    // A node whose FIFO is still non-empty is at the limit, so new
+    // injections queue behind its deferred ones.
     while (InjCursor != Injections.size() &&
            Injections[InjCursor].Step <= Step) {
-      const TimedInjection &Inj = Injections[InjCursor++];
-      if (!TryAdmit(Inj))
-        Deferred.push_back(Inj);
+      const uint32_t I = uint32_t(InjCursor++);
+      const Packet &P = Packets[Injections[I].Id];
+      if (Limit && P.RouteLen != 0 &&
+          (DeferHead[P.At] != NoInjection || NodeQueueDepth(P.At) >= Limit))
+        Defer(I, P.At);
+      else
+        Admit(Injections[I]);
     }
 
     Result.QueuedPacketSteps += Sample();
@@ -468,6 +510,19 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       ++Result.Transmissions;
     }
     const bool Transmitted = !Picked.empty();
+
+    // Closed loop: the nodes to retry at the next executed step are the
+    // ones that transmitted and still hold deferred injections. Picks come
+    // node by node in ascending order, so comparing with the last listed
+    // node dedupes.
+    if (Limit) {
+      Retry.clear();
+      for (uint32_t Q : Picked) {
+        const NodeId U = NodeId(Q / Degree);
+        if (DeferHead[U] != NoInjection && (Retry.empty() || Retry.back() != U))
+          Retry.push_back(U);
+      }
+    }
 
     for (size_t Q : Landed)
       ClearBit(Flying, Q);

@@ -145,8 +145,10 @@ public:
   /// \p MaxNodeQueue is nonzero, an injection is admitted at the first
   /// step >= its scheduled step at which the total queued packets across
   /// its source node's output queues is below the limit; otherwise it is
-  /// deferred and retried (FIFO among deferred injections, which are
-  /// always retried before that step's newly scheduled ones). Zero-hop
+  /// deferred and retried. Each node admits its deferred injections in
+  /// FIFO order, before that step's newly scheduled ones. Admitting
+  /// touches only the source node's queues, so this is observably the
+  /// same as one FIFO over every node's deferred injections. Zero-hop
   /// packets occupy no queue and are never throttled. 0 (the default)
   /// restores open-loop behavior.
   void setClosedLoop(uint64_t MaxNodeQueue) {
@@ -214,12 +216,19 @@ private:
     uint64_t DoneStep = 0;
   };
 
+  static constexpr uint32_t NoInjection = ~uint32_t(0);
+
   /// A scheduled future injection: Packets[Id] enters its first queue at
   /// the start of step Step.
   struct TimedInjection {
     uint64_t Step;
     uint32_t Id;
+    /// The Injections index deferred behind this one at its node
+    /// (closed loop only; meaningful only while deferred and not the
+    /// tail). It fills the record's padding, so it costs no memory.
+    uint32_t NextDeferred = NoInjection;
   };
+  static_assert(sizeof(TimedInjection) == 16);
 
   /// Queue index of (node, link).
   size_t queueIndex(NodeId Node, GenIndex Link) const {

@@ -7,7 +7,9 @@
 // network family at k = 4 across all three communication models, under
 // permutation-routing traffic, mixed random multi-flit traffic, timed
 // workload injections, MaxSteps caps, and stalled single-dimension
-// schedules. A ModelInvariantChecker rides along on every run (any
+// schedules. A closed-loop schedule capped with injections still deferred
+// is pinned the same way, frozen from the global retry FIFO that per-node
+// FIFOs replaced. A ModelInvariantChecker rides along on every run (any
 // violation is a test failure), and the result's executed-step count and
 // queued-packet sum must match what the observer was shown. Plus the
 // idle-step jump: injections 10^12 steps apart and a stalled run capped at
@@ -146,6 +148,40 @@ TEST(EventCoreDifferential, WorkloadTraceEveryModel) {
                                                 E.Src % 5 == 0 ? 2 : 1);
                         }
                       });
+  }
+}
+
+TEST(EventCoreDifferential, ClosedLoopScheduleCappedWhileDeferred) {
+  // Closed loop at a depth limit of 2 on star(4): pre-run packets already
+  // fill some nodes' queues at step 0, injections are scheduled out of
+  // step order (a fifth of them zero-hop), and node 0 alone is offered
+  // 40 injections at step 0. Node 0 has 3 links, so by the cap at step 10
+  // at most 2 + 3 * 10 of those can have been admitted: the run ends with
+  // injections still deferred, which count in neither deferred counter.
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  auto Fill = [&](NetworkSimulator &Sim) {
+    Sim.setClosedLoop(2);
+    injectMixed(Sim, Net, 30, 0xC105ED);
+    SplitMix64 Rng(0x5EED);
+    for (unsigned P = 0; P != 160; ++P) {
+      bool Flood = P < 40;
+      uint64_t Step = Flood ? 0 : (P * 7) % 9;
+      NodeId Src = Flood ? 0 : Rng.nextBelow(6);
+      unsigned Len = P % 5 == 0 ? 0 : 1 + Rng.nextBelow(4);
+      std::vector<GenIndex> Route;
+      for (unsigned H = 0; H != Len; ++H)
+        Route.push_back(Rng.nextBelow(Net.degree()));
+      Sim.scheduleInjection(Step, Src, Route, P % 7 == 0 ? 2 : 1);
+    }
+  };
+  for (CommModel Model : AllModels) {
+    SimulationResult R = expectRunGolden(
+        "closed-capped/" + commModelName(Model), Net, Model, 10, Fill);
+    EXPECT_FALSE(R.Completed);
+    EXPECT_GT(R.DeferredInjections, 0u);
+    NetworkSimulator Native(Net, Model);
+    Fill(Native);
+    EXPECT_EQ(Native.run(10), R) << commModelName(Model);
   }
 }
 

@@ -23,6 +23,9 @@
 // hundreds to thousands of transmissions: every model, open and closed
 // loop, unit and 3-flit messages, each clean under the
 // ModelInvariantChecker, equal with and without an observer, and frozen.
+// The same holds for closed-loop corners on star(5) that decide the order
+// of deferred admissions: transpose traffic with zero-hop fixed points,
+// all-port at queue limit 1, and single-port 3-flit messages.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +58,29 @@ TrafficLoadResult checkedLoad(const std::string &Name, const ExplicitScg &Net,
       golden::runTraffic(Net, Model, Spec, Steps, Options, Line);
   expectGolden("traffic/" + Name, Line);
   return R;
+}
+
+/// simulateTrafficLoad twice: uninstrumented, and with a GoldenStream and
+/// a ModelInvariantChecker attached. The checker must be clean, the
+/// observed run must match the golden \p Name, and the two results must
+/// be equal. Returns the uninstrumented result.
+TrafficLoadResult checkedBothWays(const std::string &Name,
+                                  const ExplicitScg &Net, CommModel Model,
+                                  const WorkloadSpec &Spec, uint64_t Steps,
+                                  TrafficLoadOptions Options) {
+  SCOPED_TRACE(Name);
+  TrafficLoadResult Native =
+      simulateTrafficLoad(Net, Model, Spec, Steps, Options);
+  GoldenStream Stream;
+  ModelInvariantChecker Checker;
+  Options.Observers = {&Stream, &Checker};
+  TrafficLoadResult Observed =
+      simulateTrafficLoad(Net, Model, Spec, Steps, Options);
+  EXPECT_TRUE(Checker.clean()) << Checker.report();
+  expectGolden(Name, golden::render(Observed, Stream));
+  Observed.SetupSeconds = Native.SetupSeconds; // wall clock.
+  EXPECT_EQ(Native, Observed);
+  return Native;
 }
 
 } // namespace
@@ -252,25 +278,54 @@ TEST(TrafficLoad, SaturatedStar6MatchesGoldensAndUninstrumented) {
         std::string Name = "saturated/star(6)/" + commModelName(Model) +
                            (ClosedLoop ? "/closed/" : "/open/") +
                            std::to_string(Flits) + "-flit";
-        SCOPED_TRACE(Name);
         WorkloadSpec Spec = uniformAt(0.8, 60 + Flits);
         Spec.FlitCount = Flits;
         TrafficLoadOptions Options;
         Options.ClosedLoopMaxQueue = ClosedLoop;
-        TrafficLoadResult Native =
-            simulateTrafficLoad(Net, Model, Spec, 60, Options);
-        GoldenStream Stream;
-        ModelInvariantChecker Checker;
-        Options.Observers = {&Stream, &Checker};
-        TrafficLoadResult Observed =
-            simulateTrafficLoad(Net, Model, Spec, 60, Options);
-        EXPECT_TRUE(Checker.clean()) << Checker.report();
-        expectGolden(Name, golden::render(Observed, Stream));
-        EXPECT_GT(Native.Sim.Transmissions, 0u);
+        TrafficLoadResult R =
+            checkedBothWays(Name, Net, Model, Spec, 60, Options);
+        EXPECT_GT(R.Sim.Transmissions, 0u) << Name;
         if (ClosedLoop) {
-          EXPECT_GT(Native.Sim.DeferredInjections, 0u);
+          EXPECT_GT(R.Sim.DeferredInjections, 0u) << Name;
         }
-        Observed.SetupSeconds = Native.SetupSeconds; // wall clock.
-        EXPECT_EQ(Native, Observed);
       }
+}
+
+TEST(TrafficLoad, ClosedLoopDeferralCornersMatchGoldens) {
+  // Closed-loop cases aimed at the order in which deferred injections are
+  // admitted, on star(5) far past saturation:
+  //   transpose     the 26 involution labels are their own transpose, so
+  //                 those nodes inject zero-hop packets, which are never
+  //                 throttled, while their other injections wait deferred
+  //   all-port, 1   several links of one node transmit in the same step,
+  //                 so one node can admit several deferred injections
+  //   3-flit        a single port stays busy for three steps, so a node
+  //                 with deferred injections goes steps without draining
+  ExplicitScg Net(SuperCayleyGraph::star(5));
+  struct Case {
+    std::string Name;
+    CommModel Model;
+    WorkloadKind Kind;
+    unsigned Flits;
+    uint64_t Limit;
+  };
+  for (const Case &C :
+       {Case{"transpose/single-port", CommModel::SinglePort,
+             WorkloadKind::Transpose, 1, 2},
+        Case{"transpose/all-port", CommModel::AllPort,
+             WorkloadKind::Transpose, 1, 2},
+        Case{"limit-1/all-port", CommModel::AllPort,
+             WorkloadKind::UniformRandom, 1, 1},
+        Case{"3-flit/single-port", CommModel::SinglePort,
+             WorkloadKind::UniformRandom, 3, 2}}) {
+    WorkloadSpec Spec = uniformAt(0.8, 70);
+    Spec.Kind = C.Kind;
+    Spec.FlitCount = C.Flits;
+    TrafficLoadOptions Options;
+    Options.ClosedLoopMaxQueue = C.Limit;
+    TrafficLoadResult R = checkedBothWays("closed-corner/" + C.Name, Net,
+                                          C.Model, Spec, 200, Options);
+    EXPECT_GT(R.Sim.DeferredInjections, 0u) << C.Name;
+    EXPECT_LE(R.Sim.Delivered, R.Offered) << C.Name;
+  }
 }

@@ -120,6 +120,31 @@ TEST(Workload, HotspotConcentratesConfiguredFraction) {
   EXPECT_LT(Fraction, 0.75);
 }
 
+TEST(Workload, HotspotOnTheLastNodeStaysInRange) {
+  // The highest valid hot node: every destination is a node, and the
+  // traffic driver, which indexes per-node arrays by destination, runs
+  // the trace to the end.
+  ExplicitScg Net = star4();
+  WorkloadSpec Spec;
+  Spec.Kind = WorkloadKind::Hotspot;
+  Spec.InjectionRate = 0.1;
+  Spec.Seed = 29;
+  Spec.HotspotFraction = 0.5;
+  Spec.HotspotNode = Net.numNodes() - 1;
+  std::vector<TrafficEvent> Trace = generate(Net, Spec, 200);
+  ASSERT_FALSE(Trace.empty());
+  uint64_t Hot = 0;
+  for (const TrafficEvent &E : Trace) {
+    EXPECT_LT(E.Dst, Net.numNodes());
+    Hot += E.Dst == Spec.HotspotNode;
+  }
+  EXPECT_GT(Hot, Trace.size() / 3);
+  TrafficLoadResult R =
+      simulateTrafficLoad(Net, CommModel::AllPort, Spec, 200);
+  EXPECT_EQ(R.Offered, Trace.size());
+  EXPECT_GT(R.Sim.Delivered, 0u);
+}
+
 TEST(Workload, TransposeMatchesClosedForm) {
   ExplicitScg Net = star4();
   WorkloadSpec Spec;
