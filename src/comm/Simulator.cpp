@@ -19,6 +19,7 @@
 #include "comm/Simulator.h"
 
 #include "comm/SimObserver.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
@@ -65,7 +66,7 @@ void NetworkSimulator::injectPacket(NodeId Src, std::vector<GenIndex> Route,
   assert(FlitCount >= 1 && "a message carries at least one flit");
   assert(!Outcome && "packet added after run()");
   auto [Begin, Len] = appendRoute(Route);
-  Packets.push_back({Src, 0, FlitCount, Begin, Len});
+  Packets.push_back({Src, 0, FlitCount, Begin, Len, NoPacket, NotDelivered});
   uint32_t Id = Packets.size() - 1;
   if (Len == 0) {
     // Already at its destination: delivered traffic, even though there is
@@ -85,30 +86,50 @@ uint32_t NetworkSimulator::scheduleInjection(uint64_t Step, NodeId Src,
   assert(FlitCount >= 1 && "a message carries at least one flit");
   assert(!Outcome && "packet added after run()");
   auto [Begin, Len] = appendRoute(Route);
-  Packets.push_back({Src, 0, FlitCount, Begin, Len});
+  Packets.push_back({Src, 0, FlitCount, Begin, Len, NoPacket, NotDelivered});
   uint32_t Id = Packets.size() - 1;
-  Injections.push_back({Step, Id});
+  Injections.push_back({Step, Id, NoInjection});
   return Id;
 }
 
-uint32_t NetworkSimulator::addSharedRoute(std::span<const GenIndex> Route) {
-  auto [Begin, Len] = appendRoute(Route);
-  SharedRoutes.push_back({Begin, Len});
-  return uint32_t(SharedRoutes.size() - 1);
-}
-
-uint32_t NetworkSimulator::scheduleInjectionShared(uint64_t Step, NodeId Src,
-                                                   uint32_t RouteHandle,
-                                                   unsigned FlitCount) {
-  assert(Src < Net.numNodes() && "source out of range");
+uint32_t NetworkSimulator::scheduleRoutedInjections(
+    std::span<const TrafficEvent> Events, std::span<const uint32_t> RouteSlots,
+    std::span<const GenIndex> RouteHops, std::span<const uint32_t> RouteOffsets,
+    unsigned FlitCount) {
   assert(FlitCount >= 1 && "a message carries at least one flit");
   assert(!Outcome && "packet added after run()");
-  assert(RouteHandle < SharedRoutes.size() && "unknown shared route");
-  auto [Begin, Len] = SharedRoutes[RouteHandle];
-  Packets.push_back({Src, 0, FlitCount, Begin, Len});
-  uint32_t Id = Packets.size() - 1;
-  Injections.push_back({Step, Id});
-  return Id;
+  assert(Events.size() == RouteSlots.size() && "one route slot per event");
+  assert(!RouteOffsets.empty() && RouteOffsets.back() == RouteHops.size() &&
+         "route offsets do not cover the route pool");
+  assert(Packets.size() + Events.size() <= NoPacket &&
+         "packet ids exceed 32 bits");
+  const uint32_t FirstId = uint32_t(Packets.size());
+  const size_t FirstInjection = Injections.size();
+  [[maybe_unused]] const size_t NumRoutes = RouteOffsets.size() - 1;
+  [[maybe_unused]] const NodeId Count = Net.numNodes();
+  const uint32_t PoolBase = appendRoute(RouteHops).first;
+  Packets.resize(Packets.size() + Events.size());
+  Injections.resize(Injections.size() + Events.size());
+  ThreadPool::global().parallelForChunks(
+      0, Events.size(), 0, [&](uint64_t Begin, uint64_t End) {
+        for (uint64_t I = Begin; I != End; ++I) {
+          const TrafficEvent &E = Events[I];
+          const uint32_t Slot = RouteSlots[I];
+          assert(E.Src < Count && "source out of range");
+          assert((Slot == ZeroHopRoute || Slot < NumRoutes) &&
+                 "unknown route slot");
+          uint32_t RouteBegin = PoolBase, RouteLen = 0;
+          if (Slot != ZeroHopRoute) {
+            RouteBegin += RouteOffsets[Slot];
+            RouteLen = RouteOffsets[Slot + 1] - RouteOffsets[Slot];
+          }
+          const uint32_t Id = FirstId + uint32_t(I);
+          Packets[Id] = {E.Src,    0,        FlitCount,   RouteBegin,
+                         RouteLen, NoPacket, NotDelivered};
+          Injections[FirstInjection + I] = {E.Step, Id, NoInjection};
+        }
+      });
+  return FirstId;
 }
 
 void NetworkSimulator::setDimensionCycle(std::vector<GenIndex> Cycle) {

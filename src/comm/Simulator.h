@@ -39,7 +39,8 @@
 /// Results are pinned by tests/EventCoreDifferentialTest.cpp.
 ///
 /// Traffic can be injected up front (injectPacket) or scheduled for a
-/// future step (scheduleInjection), which is how the open-loop workload
+/// future step (scheduleInjection, or scheduleRoutedInjections for a whole
+/// trace over a shared route pool), which is how the open-loop workload
 /// driver offers load at a configurable injection rate.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,8 +52,11 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace scg {
@@ -62,6 +66,13 @@ enum class CommModel { AllPort, SinglePort, SingleDimension };
 
 /// Returns a display name ("all-port", ...).
 std::string commModelName(CommModel Model);
+
+/// One timed injection: node Src sends one message to Dst at step Step.
+struct TrafficEvent {
+  uint64_t Step;
+  NodeId Src;
+  NodeId Dst;
+};
 
 /// Outcome of a simulation run.
 struct SimulationResult {
@@ -125,21 +136,27 @@ public:
                              std::vector<GenIndex> Route,
                              unsigned FlitCount = 1);
 
-  /// Registers \p Route once in the simulator's flat route pool and
-  /// returns a handle; any number of injections can then share it via
-  /// scheduleInjectionShared. On a vertex-transitive network a route is a
-  /// function of the relative label only, so the batched traffic setup
-  /// stores one route per distinct label here instead of one owned
-  /// std::vector per packet.
-  uint32_t addSharedRoute(std::span<const GenIndex> Route);
+  /// scheduleRoutedInjections' route slot for a zero-hop event: the packet
+  /// gets an empty route and is delivered at its injection step.
+  static constexpr uint32_t ZeroHopRoute = ~uint32_t(0);
 
-  /// scheduleInjection following the previously registered shared route
-  /// \p RouteHandle (an addSharedRoute return value). Returns the packet
-  /// id; ids are shared with the owned-route overload and stay contiguous
-  /// in call order.
-  uint32_t scheduleInjectionShared(uint64_t Step, NodeId Src,
-                                   uint32_t RouteHandle,
-                                   unsigned FlitCount = 1);
+  /// Bulk scheduleInjection for traffic routed once per distinct route:
+  /// copies the route pool once (route R is \p RouteHops
+  /// [RouteOffsets[R], RouteOffsets[R + 1])), then schedules Events[I] as
+  /// packet FirstId + I following route RouteSlots[I] (ZeroHopRoute for
+  /// none), where FirstId, the return value, is the number of packets
+  /// added before the call. Event destinations are not read: the route
+  /// is the packet's path. On a vertex-transitive network a route is a
+  /// function of the relative label only, so simulateTrafficLoad stores
+  /// one route per distinct label instead of one per packet. Packets and
+  /// injections are written by index in one chunked pass over the global
+  /// ThreadPool, so the result is the same at every thread count and
+  /// equals scheduling the events one by one in index order.
+  uint32_t scheduleRoutedInjections(std::span<const TrafficEvent> Events,
+                                    std::span<const uint32_t> RouteSlots,
+                                    std::span<const GenIndex> RouteHops,
+                                    std::span<const uint32_t> RouteOffsets,
+                                    unsigned FlitCount = 1);
 
   /// Closed-loop admission control for scheduled injections: when
   /// \p MaxNodeQueue is nonzero, an injection is admitted at the first
@@ -194,9 +211,12 @@ private:
   static constexpr uint32_t NoPacket = ~uint32_t(0);
 
   /// Packets hold views into RoutePool (begin + length) instead of owned
-  /// vectors: shared routes are registered once and referenced by every
-  /// packet on the same relative label, and per-packet state is a flat
-  /// 32-byte record with no heap indirection on the hot path.
+  /// vectors: a routed batch's routes are copied once and referenced by
+  /// every packet on the same relative label, and per-packet state is a flat
+  /// 32-byte record with no heap indirection on the hot path. Like
+  /// TimedInjection it has no default member initializers, so growing
+  /// Packets for a bulk schedule writes nothing (see UninitAllocator);
+  /// every creation site sets every field.
   struct Packet {
     NodeId At;
     uint32_t NextHop;
@@ -205,9 +225,10 @@ private:
     uint32_t RouteLen;   ///< number of hops.
     /// The packet queued behind this one on its current link (meaningful
     /// only while queued and not the tail).
-    uint32_t NextInQueue = NoPacket;
-    uint64_t DeliveredAt = NotDelivered;
+    uint32_t NextInQueue;
+    uint64_t DeliveredAt; ///< NotDelivered until delivered.
   };
+  static_assert(std::is_trivially_default_constructible_v<Packet>);
 
   /// In-flight multi-flit transmission on one link: message Id arrives in
   /// phase 0 of DoneStep.
@@ -226,9 +247,24 @@ private:
     /// The Injections index deferred behind this one at its node
     /// (closed loop only; meaningful only while deferred and not the
     /// tail). It fills the record's padding, so it costs no memory.
-    uint32_t NextDeferred = NoInjection;
+    uint32_t NextDeferred;
   };
   static_assert(sizeof(TimedInjection) == 16);
+  static_assert(std::is_trivially_default_constructible_v<TimedInjection>);
+
+  /// std::allocator whose value-initialization is default-initialization:
+  /// resize() leaves new trivially constructible elements unwritten, so
+  /// the chunked fill of scheduleRoutedInjections is their first touch
+  /// and the pool, not the calling thread, takes their page faults.
+  template <typename T> struct UninitAllocator : std::allocator<T> {
+    template <typename U> void construct(U *P) {
+      ::new (static_cast<void *>(P)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U *P, Args &&...A) {
+      ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+    }
+  };
 
   /// Queue index of (node, link).
   size_t queueIndex(NodeId Node, GenIndex Link) const {
@@ -270,16 +306,15 @@ private:
   CommModel Model;
   uint64_t ClosedLoopMaxQueue = 0; ///< 0 = open loop (no admission control).
   std::vector<GenIndex> RoutePool; ///< every route, flat; packets index in.
-  /// Shared routes by handle: (begin, length) into RoutePool.
-  std::vector<std::pair<uint32_t, uint32_t>> SharedRoutes;
-  std::vector<Packet> Packets;
+  std::vector<Packet, UninitAllocator<Packet>> Packets;
   /// The per-link FIFOs, indexed by queueIndex: first and last packet id
   /// and packet count. Head and tail are stale while the length is 0.
   std::vector<uint32_t> QueueHead;
   std::vector<uint32_t> QueueTail;
   std::vector<uint32_t> QueueLen;
   std::vector<InFlight> Busy; ///< per-link multi-flit transmission state.
-  std::vector<TimedInjection> Injections; ///< future injections, by Step.
+  /// Future injections, by Step.
+  std::vector<TimedInjection, UninitAllocator<TimedInjection>> Injections;
   std::vector<GenIndex> DimensionCycle;
   std::vector<GenIndex> PortPointer; ///< round-robin state per node.
   /// Single-port rule for store-and-forward messages: a node whose port is

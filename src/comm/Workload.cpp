@@ -9,11 +9,14 @@
 #include "query/QueryEngine.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <numeric>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
 using namespace scg;
 
@@ -70,11 +73,23 @@ WorkloadGenerator::WorkloadGenerator(const ExplicitScg &Net,
 
 namespace {
 
-/// Uniform [0, 1) from the top 53 bits of one SplitMix64 draw; bit-exact
-/// on every platform, unlike std::uniform_real_distribution.
-double nextU01(SplitMix64 &R) {
-  return double(R.next() >> 11) * 0x1.0p-53;
-}
+/// A Bernoulli draw of probability P: true when u < P, for u uniform in
+/// [0, 1) from the top 53 bits X of one SplitMix64 draw (u = X * 2^-53,
+/// exact in a double, so bit-exact on every platform, unlike
+/// std::uniform_real_distribution). As an integer compare: X * 2^-53 < P
+/// exactly when X < ceil(P * 2^53), which needs no conversion per draw.
+class Chance {
+public:
+  explicit Chance(double P)
+      : Below(!(P > 0.0)  ? 0
+              : P >= 1.0 ? uint64_t(1) << 53
+                         : uint64_t(std::ceil(std::ldexp(P, 53)))) {}
+
+  bool draw(SplitMix64 &R) const { return (R.next() >> 11) < Below; }
+
+private:
+  uint64_t Below; ///< 53-bit draws below this value succeed.
+};
 
 /// Uniform destination over the nodes other than \p Src.
 NodeId uniformOther(SplitMix64 &R, NodeId Src, NodeId Count) {
@@ -82,29 +97,92 @@ NodeId uniformOther(SplitMix64 &R, NodeId Src, NodeId Count) {
   return D >= Src ? D + 1 : D;
 }
 
+/// The body of both generation passes: replays the streams of one chunk of
+/// source nodes, node by node, over every step. A chunk owns one run
+/// counter per step (Runs[Step]). The count pass (Emit = false) counts the
+/// chunk's events at each step there; the write pass (Emit = true) finds
+/// there the offset of the step's run in the trace and appends the node's
+/// event at it. Both make every draw, so each stream stays in step, but
+/// the count pass reduces no draw to a destination and stores no event.
+struct ChunkReplay {
+  const WorkloadSpec &Spec;
+  const std::vector<uint64_t> &Seeds;   ///< per-node stream seeds.
+  const std::vector<NodeId> &FixedDest; ///< transpose/bit-reversal map.
+  NodeId Count;
+  uint64_t Steps;
+  bool Bursty;
+  Chance Inject, Hot, Duty, OnExit, OffExit, OnInject;
+
+  template <bool Emit> NodeId destination(SplitMix64 &R, NodeId U) const {
+    auto Uniform = [&]() -> NodeId {
+      if constexpr (Emit)
+        return uniformOther(R, U, Count);
+      R.next(); // the draw, without its reduction to a node id.
+      return 0;
+    };
+    switch (Spec.Kind) {
+    case WorkloadKind::UniformRandom:
+    case WorkloadKind::BurstyUniform:
+      return Uniform();
+    case WorkloadKind::Hotspot:
+      if (Hot.draw(R) && Spec.HotspotNode != U)
+        return Spec.HotspotNode;
+      return Uniform();
+    case WorkloadKind::Transpose:
+    case WorkloadKind::BitReversal:
+      return Emit ? FixedDest[U] : 0;
+    }
+    return 0;
+  }
+
+  template <bool Emit>
+  void run(NodeId Begin, NodeId End, uint64_t *Runs,
+           TrafficEvent *Trace) const {
+    for (NodeId U = Begin; U != End; ++U) {
+      SplitMix64 R(Seeds[U]);
+      bool On = Bursty && Duty.draw(R);
+      for (uint64_t Step = 0; Step != Steps; ++Step) {
+        bool Injects;
+        if (Bursty) {
+          Injects = On && OnInject.draw(R);
+          // State transition drawn every step, after the arrival draw.
+          On = On ? !OnExit.draw(R) : OffExit.draw(R);
+        } else {
+          Injects = Inject.draw(R);
+        }
+        if (!Injects)
+          continue;
+        NodeId Dst = destination<Emit>(R, U);
+        if constexpr (Emit)
+          Trace[Runs[Step]++] = {Step, U, Dst};
+        else
+          ++Runs[Step];
+      }
+    }
+  }
+};
+
 } // namespace
 
 std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
   const NodeId Count = Net.numNodes();
-  // One stream per source node, all advanced in the same step-major order,
-  // so the trace never depends on how it is consumed. Per-node seeds are
-  // SplitMix64 *outputs*, not raw states: states spaced by the generator's
-  // own golden-ratio increment would make every node replay its neighbor's
+  // One stream per source node, each advanced step by step, so the trace
+  // never depends on how it is consumed. Per-node seeds are SplitMix64
+  // *outputs*, not raw states: states spaced by the generator's own
+  // golden-ratio increment would make every node replay its neighbor's
   // sequence one draw behind, synchronizing injections into waves.
-  std::vector<SplitMix64> Streams;
-  Streams.reserve(Count);
+  std::vector<uint64_t> Seeds(Count);
   SplitMix64 SeedStream(Spec.Seed);
-  for (NodeId U = 0; U != Count; ++U)
-    Streams.emplace_back(SeedStream.next());
+  for (uint64_t &Seed : Seeds)
+    Seed = SeedStream.next();
 
-  const bool Bursty = Spec.Kind == WorkloadKind::BurstyUniform;
   // Bursty arrivals: a two-state Markov source per node. Mean on-period
   // MeanBurstLength, mean off-period chosen so the long-run on-fraction is
   // BurstDutyCycle; while on, inject at InjectionRate / BurstDutyCycle so
   // the long-run offered rate still equals InjectionRate.
-  double Duty = Spec.BurstDutyCycle;
+  const bool Bursty = Spec.Kind == WorkloadKind::BurstyUniform;
+  const double Duty = Spec.BurstDutyCycle;
   double OnExit = 0.0, OffExit = 0.0, OnRate = 0.0;
-  std::vector<uint8_t> On;
   if (Bursty) {
     assert(Duty > 0.0 && Duty <= 1.0 && "duty cycle out of range");
     assert(Spec.MeanBurstLength >= 1.0 && "mean burst below one step");
@@ -112,49 +190,45 @@ std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
     double MeanOff = Spec.MeanBurstLength * (1.0 - Duty) / Duty;
     OffExit = MeanOff > 0.0 ? 1.0 / MeanOff : 1.0;
     OnRate = std::min(1.0, Spec.InjectionRate / Duty);
-    On.resize(Count);
-    for (NodeId U = 0; U != Count; ++U)
-      On[U] = nextU01(Streams[U]) < Duty ? 1 : 0;
   }
 
-  std::vector<TrafficEvent> Trace;
-  for (uint64_t Step = 0; Step != Steps; ++Step) {
-    for (NodeId U = 0; U != Count; ++U) {
-      SplitMix64 &R = Streams[U];
-      bool Inject;
-      if (Bursty) {
-        Inject = On[U] && nextU01(R) < OnRate;
-        // State transition drawn every step, after the arrival draw.
-        if (On[U])
-          On[U] = nextU01(R) < OnExit ? 0 : 1;
-        else
-          On[U] = nextU01(R) < OffExit ? 1 : 0;
-        if (!Inject)
-          continue;
-      } else {
-        if (nextU01(R) >= Spec.InjectionRate)
-          continue;
-      }
-      NodeId Dst = 0;
-      switch (Spec.Kind) {
-      case WorkloadKind::UniformRandom:
-      case WorkloadKind::BurstyUniform:
-        Dst = uniformOther(R, U, Count);
-        break;
-      case WorkloadKind::Hotspot:
-        if (nextU01(R) < Spec.HotspotFraction && Spec.HotspotNode != U)
-          Dst = Spec.HotspotNode;
-        else
-          Dst = uniformOther(R, U, Count);
-        break;
-      case WorkloadKind::Transpose:
-      case WorkloadKind::BitReversal:
-        Dst = FixedDest[U];
-        break;
-      }
-      Trace.push_back({Step, U, Dst});
-    }
-  }
+  // Two passes over node chunks on the pool. A stream belongs to one node,
+  // so a chunk replays its nodes on its own. The count pass sizes every
+  // (step, chunk) run; a prefix sum in (step, chunk) order turns the sizes
+  // into offsets, which is (Step, Src) order because chunks are ascending
+  // node ranges and each chunk visits its nodes in ascending order; the
+  // write pass replays the same draws and writes each event at its final
+  // index. Chunk boundaries depend on the node count only, so the trace is
+  // the same at every thread count. Runs is chunk-major, so no two chunks
+  // write to one cache line but at their boundary.
+  const uint64_t ChunkSize = ThreadPool::defaultChunkSize(Count);
+  const uint64_t NumChunks = (Count + ChunkSize - 1) / ChunkSize;
+  const ChunkReplay Replay{Spec,
+                           Seeds,
+                           FixedDest,
+                           Count,
+                           Steps,
+                           Bursty,
+                           Chance(Spec.InjectionRate),
+                           Chance(Spec.HotspotFraction),
+                           Chance(Duty),
+                           Chance(OnExit),
+                           Chance(OffExit),
+                           Chance(OnRate)};
+  std::vector<uint64_t> Runs(NumChunks * Steps);
+  auto ChunkRuns = [&](uint64_t B) { return &Runs[B / ChunkSize * Steps]; };
+  ThreadPool &Pool = ThreadPool::global();
+  Pool.parallelForChunks(0, Count, ChunkSize, [&](uint64_t B, uint64_t E) {
+    Replay.run<false>(NodeId(B), NodeId(E), ChunkRuns(B), nullptr);
+  });
+  uint64_t Total = 0;
+  for (uint64_t Step = 0; Step != Steps; ++Step)
+    for (uint64_t C = 0; C != NumChunks; ++C)
+      Total += std::exchange(Runs[C * Steps + Step], Total);
+  std::vector<TrafficEvent> Trace(Total);
+  Pool.parallelForChunks(0, Count, ChunkSize, [&](uint64_t B, uint64_t E) {
+    Replay.run<true>(NodeId(B), NodeId(E), ChunkRuns(B), Trace.data());
+  });
   return Trace;
 }
 
@@ -163,6 +237,10 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
                                            const WorkloadSpec &Spec,
                                            uint64_t Steps,
                                            const TrafficLoadOptions &Options) {
+  const SuperCayleyGraph &Host = Net.network();
+  if (!QueryEngine::supportsTableFree(Host))
+    throw std::invalid_argument("simulateTrafficLoad: " + Host.name() +
+                                " has no table-free route");
   const NodeId Count = Net.numNodes();
   WorkloadGenerator Gen(Net, Spec);
   std::vector<TrafficEvent> Trace = Gen.generate(Steps);
@@ -179,45 +257,55 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   // translation is an automorphism -- so the N^2 possible pairs collapse
   // to at most numNodes distinct labels. The setup dedupes on that label
   // (node ids ARE Lehmer ranks, so a flat slot vector indexes the dedup)
-  // and routes each distinct label once.
-  const SuperCayleyGraph &Host = Net.network();
-  std::vector<uint64_t> InjectStep;
-  std::vector<unsigned> Hops;
-  InjectStep.reserve(Trace.size());
-  Hops.reserve(Trace.size());
-
+  // and routes each distinct label once. Every pass but the first-seen
+  // numbering is chunked over the pool and writes by index, so the setup
+  // is the same at every thread count.
   TrafficLoadResult Result;
   auto SetupBegin = std::chrono::steady_clock::now();
+  ThreadPool &Pool = ThreadPool::global();
 
   // Per-node labels and inverses, computed once instead of per event.
-  std::vector<Permutation> Labels;
-  Labels.reserve(Count);
-  for (NodeId U = 0; U != Count; ++U)
-    Labels.push_back(Net.label(U));
-  std::vector<Permutation> InvLabels;
-  InvLabels.reserve(Count);
-  for (NodeId U = 0; U != Count; ++U)
-    InvLabels.push_back(Labels[U].inverse());
+  std::vector<Permutation> Labels(Count), InvLabels(Count);
+  Pool.parallelFor(0, Count, [&](uint64_t U) {
+    Labels[U] = Net.label(NodeId(U));
+    InvLabels[U] = Labels[U].inverse();
+  });
 
-  // Dedup pass: map each event to the slot of its relative label. Slot 0
-  // is reserved for the identity label (src == dst, zero-hop).
-  constexpr uint32_t NoSlot = ~uint32_t(0);
+  // Rank pass: each event's relative label, as its Lehmer rank, held in
+  // EventSlot until the first-seen pass turns ranks into slots. Source
+  // equal to destination keeps the zero-hop sentinel (the identity label
+  // is never routed).
+  constexpr uint32_t NoSlot = NetworkSimulator::ZeroHopRoute;
+  std::vector<uint32_t> EventSlot(Trace.size());
+  Pool.parallelForChunks(0, Trace.size(), 0, [&](uint64_t B, uint64_t E) {
+    Permutation Rel;
+    for (uint64_t I = B; I != E; ++I) {
+      const TrafficEvent &Ev = Trace[I];
+      if (Ev.Src == Ev.Dst) {
+        EventSlot[I] = NoSlot;
+        continue;
+      }
+      InvLabels[Ev.Src].composeInto(Labels[Ev.Dst], Rel);
+      EventSlot[I] = Net.rankOf(Rel);
+    }
+  });
+
+  // First-seen pass, serial: number the distinct ranks in trace order, so
+  // slots, and with them the route batch and the simulator's route pool,
+  // are laid out exactly as a serial dedup over the trace lays them out.
+  // A rank is a node id, so its label is already in Labels.
   std::vector<uint32_t> LabelSlot(Count, NoSlot);
   std::vector<Permutation> Rels;
-  std::vector<uint32_t> EventSlot;
-  EventSlot.reserve(Trace.size());
-  for (const TrafficEvent &E : Trace) {
-    if (E.Src == E.Dst) {
-      EventSlot.push_back(NoSlot);
+  Rels.reserve(std::min<uint64_t>(Count, Trace.size()));
+  for (uint32_t &Slot : EventSlot) {
+    if (Slot == NoSlot)
       continue;
+    uint32_t &Seen = LabelSlot[Slot];
+    if (Seen == NoSlot) {
+      Seen = uint32_t(Rels.size());
+      Rels.push_back(Labels[Slot]);
     }
-    Permutation Rel = InvLabels[E.Src].compose(Labels[E.Dst]);
-    uint32_t &Slot = LabelSlot[Net.rankOf(Rel)];
-    if (Slot == NoSlot) {
-      Slot = uint32_t(Rels.size());
-      Rels.push_back(std::move(Rel));
-    }
-    EventSlot.push_back(Slot);
+    Slot = Seen;
   }
   Result.DistinctLabels = Rels.size();
 
@@ -230,27 +318,11 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   QOpts.CacheCapacity = 0;
   QueryEngine Engine(Host, QOpts);
   RouteArena Arena = Engine.routeBatchRelative(Rels);
-  // Register each distinct route once; every injection shares its label's
-  // pool segment instead of copying the hop vector.
-  std::vector<uint32_t> Handles;
-  Handles.reserve(Rels.size());
-  for (size_t I = 0; I != Rels.size(); ++I)
-    Handles.push_back(Sim.addSharedRoute(Arena.route(I)));
-  const std::vector<GenIndex> ZeroHop;
-  for (size_t I = 0; I != Trace.size(); ++I) {
-    const TrafficEvent &E = Trace[I];
-    uint32_t Slot = EventSlot[I];
-    uint32_t Id = Slot == NoSlot
-                      ? Sim.scheduleInjection(E.Step, E.Src, ZeroHop,
-                                              Spec.FlitCount)
-                      : Sim.scheduleInjectionShared(E.Step, E.Src,
-                                                    Handles[Slot],
-                                                    Spec.FlitCount);
-    assert(Id == InjectStep.size() && "packet ids not contiguous");
-    (void)Id;
-    InjectStep.push_back(E.Step);
-    Hops.push_back(Slot == NoSlot ? 0 : Arena.length(Slot));
-  }
+  // One bulk call copies the arena into the simulator's route pool once;
+  // every injection indexes its label's segment. Packet I is event I.
+  [[maybe_unused]] uint32_t FirstId = Sim.scheduleRoutedInjections(
+      Trace, EventSlot, Arena.Hops, Arena.Offsets, Spec.FlitCount);
+  assert(FirstId == 0 && "packet ids do not start at the trace");
   Result.SetupSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     SetupBegin)
@@ -272,16 +344,20 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
 
   std::vector<uint64_t> Latencies;
   Latencies.reserve(Result.Sim.Delivered);
+  uint64_t RouteHops = 0;
   uint64_t HopSum = 0;
   uint64_t LatencySum = 0;
   for (size_t I = 0; I != Trace.size(); ++I) {
+    const uint32_t Slot = EventSlot[I];
+    const uint64_t Hops = Slot == NoSlot ? 0 : Arena.length(Slot);
+    RouteHops += Hops;
     uint64_t DeliverStep = Sim.deliveryStep(uint32_t(I));
     if (DeliverStep == NetworkSimulator::NotDelivered)
       continue; // still in the network at the horizon.
-    uint64_t Latency = Hops[I] ? DeliverStep - InjectStep[I] + 1 : 0;
+    uint64_t Latency = Hops ? DeliverStep - Trace[I].Step + 1 : 0;
     Latencies.push_back(Latency);
     LatencySum += Latency;
-    HopSum += Hops[I];
+    HopSum += Hops;
   }
   if (!Latencies.empty()) {
     Result.MeanHops = double(HopSum) / double(Latencies.size());
@@ -313,8 +389,7 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
         .set(double(Result.Sim.MaxQueueLength));
     Reg->counter("traffic.setup.events").add(Result.Offered);
     Reg->counter("traffic.setup.distinct_labels").add(Result.DistinctLabels);
-    Reg->counter("traffic.setup.route_hops")
-        .add(std::accumulate(Hops.begin(), Hops.end(), uint64_t(0)));
+    Reg->counter("traffic.setup.route_hops").add(RouteHops);
     Reg->gauge("traffic.setup.dedup_factor").set(Result.DedupFactor);
     Reg->gauge("traffic.closedloop.max_queue")
         .set(double(Options.ClosedLoopMaxQueue));

@@ -17,8 +17,8 @@
 /// traffic, so this is the repo's extension to "heavy traffic".
 ///
 /// All generators are seeded and deterministic: one SplitMix64 stream per
-/// source node (derived from the spec seed), stepped in a fixed order, so
-/// a trace is a pure function of (network, spec, horizon) on every
+/// source node (derived from the spec seed), each advanced step by step,
+/// so a trace is a pure function of (network, spec, horizon) on every
 /// platform and thread count.
 ///
 //===----------------------------------------------------------------------===//
@@ -61,19 +61,18 @@ struct WorkloadSpec {
   unsigned FlitCount = 1;        ///< flits per injected message.
 };
 
-/// One timed injection: node Src sends one message to Dst at step Step.
-struct TrafficEvent {
-  uint64_t Step;
-  NodeId Src;
-  NodeId Dst;
-};
-
 /// Deterministic generator of TrafficEvent traces.
 class WorkloadGenerator {
 public:
   WorkloadGenerator(const ExplicitScg &Net, const WorkloadSpec &Spec);
 
   /// Generates the trace for steps [0, Steps), sorted by (Step, Src).
+  /// Runs in two passes over node chunks on the global ThreadPool: a
+  /// count pass sizes each (step, chunk) run of events, a prefix sum
+  /// places the runs, and a write pass replays the same per-node streams
+  /// and writes every event at its final index. Chunk boundaries depend
+  /// on the node count only, so the trace is the same at every thread
+  /// count. Besides the trace it keeps one counter per (step, chunk).
   std::vector<TrafficEvent> generate(uint64_t Steps) const;
 
   /// The closed-form transpose destination of \p U (exposed for tests).
@@ -130,12 +129,19 @@ struct TrafficLoadResult {
 
 /// Offers \p Spec traffic to \p Net under \p Model for \p Steps steps
 /// (routes are the lifted optimal star routes, as in permutation routing)
-/// and reports what was delivered. Route setup dedupes the trace to its
-/// relative labels (Cayley symmetry: at most numNodes distinct), computes
-/// one route per label via QueryEngine::routeBatchRelative over the global
-/// ThreadPool, and lets every injection share its label's route through
-/// the simulator's flat route pool. Deterministic for fixed inputs,
-/// including across thread counts.
+/// and reports what was delivered. Route setup ranks every event's
+/// relative label on the global ThreadPool, dedupes the ranks in
+/// first-seen order (Cayley symmetry: at most numNodes distinct),
+/// computes one route per label via QueryEngine::routeBatchRelative, and
+/// schedules the whole trace with one
+/// NetworkSimulator::scheduleRoutedInjections call, so every injection
+/// shares its label's route in the simulator's flat route pool.
+/// Deterministic for fixed inputs, including across thread counts.
+///
+/// Routes are computed table-free, so \p Net must be of a family
+/// QueryEngine::supportsTableFree accepts; on any other (MR, RR and
+/// complete-RR) the call throws std::invalid_argument naming the family,
+/// in every build, before generating any traffic.
 TrafficLoadResult simulateTrafficLoad(const ExplicitScg &Net, CommModel Model,
                                       const WorkloadSpec &Spec,
                                       uint64_t Steps,

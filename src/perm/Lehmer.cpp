@@ -69,14 +69,17 @@ uint64_t scg::rankPermutation(const Permutation &P) {
   assert(K <= Permutation::InlineCapacity &&
          "rank kernel covers the inline (enumerable) regime only");
   // c_i = |{j > i : P[j] < P[i]}| = number of not-yet-seen symbols smaller
-  // than P[i]; track "not yet seen" as a bitmask and popcount a prefix.
-  uint32_t Remaining = (K == 0) ? 0 : (~0u >> (32 - K));
+  // than P[i]. Less keeps that count for every symbol s in its nibble s,
+  // starting at s; seeing s decrements nibbles s+1..15. Nibble t is t minus
+  // the distinct seen symbols below t, never negative, so no nibble
+  // borrows. The two-step shift keeps each shift below 64 bits, so s = 15
+  // subtracts nothing.
+  uint64_t Less = 0xFEDCBA9876543210ULL;
   uint64_t Rank = 0;
   for (unsigned I = 0; I != K; ++I) {
-    uint32_t Bit = 1u << P[I];
-    Rank += uint64_t(std::popcount(Remaining & (Bit - 1u))) *
-            Factorials[K - 1 - I];
-    Remaining ^= Bit;
+    unsigned Shift = 4 * unsigned(P[I]);
+    Rank += ((Less >> Shift) & 15) * Factorials[K - 1 - I];
+    Less -= (0x1111111111111111ULL << Shift) << 4;
   }
   return Rank;
 }

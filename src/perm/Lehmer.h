@@ -13,9 +13,10 @@
 /// (Corollary 7 / [11]).
 ///
 /// The rank/unrank kernels are allocation-free and table-driven: factorials
-/// come from a precomputed table, and the "symbols remaining" set is a
-/// 16-bit mask, so each Lehmer digit is one masked popcount (ranking) or one
-/// select-bit (unranking) instead of the textbook O(k) scan per digit.
+/// come from a precomputed table; ranking keeps a 64-bit word of 4-bit
+/// per-symbol counters, so each Lehmer digit is one nibble read, and
+/// unranking keeps the remaining symbols as a 16-bit mask, so each digit is
+/// one select-bit, instead of the textbook O(k) scan per digit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +42,8 @@ std::vector<uint8_t> lehmerCode(const Permutation &P);
 Permutation fromLehmerCode(const std::vector<uint8_t> &Code);
 
 /// Ranks \p P into [0, k!) lexicographically (identity has rank 0).
-/// Allocation-free: one masked popcount per symbol.
+/// Allocation-free and popcount-free: one shift, mask and subtract per
+/// symbol.
 uint64_t rankPermutation(const Permutation &P);
 
 /// Inverse of rankPermutation for permutations on \p K symbols.

@@ -14,7 +14,8 @@
 // Plus the closed-loop source (injection throttled by source-node queue
 // depth): at near-zero load it degenerates to the open-loop result
 // exactly, and at overload it bounds queue occupancy by deferring
-// injections. Plus MetricsRegistry plumbing for the traffic.* metrics.
+// injections. Plus MetricsRegistry plumbing for the traffic.* metrics, and
+// the refusal of families that have no table-free route.
 // Every driver call also matches its frozen golden (tests/SimGolden.h).
 // Without a caller observer simulateTrafficLoad runs the simulator's
 // uninstrumented loop, which records delivery steps and occupancy itself;
@@ -35,6 +36,7 @@
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -198,6 +200,27 @@ TEST(TrafficLoad, DedupStatisticsAreConsistent) {
   // A long uniform trace on 24 nodes revisits labels many times over.
   EXPECT_GT(R.DedupFactor, 5.0);
   EXPECT_GE(R.SetupSeconds, 0.0);
+}
+
+TEST(TrafficLoad, TableOnlyFamilyIsRejected) {
+  // The driver routes table-free; a family without a table-free router is
+  // refused up front, in every build, instead of simulating empty routes.
+  for (NetworkKind Kind :
+       {NetworkKind::MacroRotator, NetworkKind::RotationRotator}) {
+    SuperCayleyGraph Family = SuperCayleyGraph::create(Kind, 2, 2);
+    ASSERT_FALSE(QueryEngine::supportsTableFree(Family)) << Family.name();
+    ExplicitScg Net(Family);
+    EXPECT_THROW(
+        simulateTrafficLoad(Net, CommModel::SinglePort, uniformAt(0.3), 20),
+        std::invalid_argument)
+        << Family.name();
+    try {
+      simulateTrafficLoad(Net, CommModel::SinglePort, uniformAt(0.3), 20);
+    } catch (const std::invalid_argument &E) {
+      EXPECT_NE(std::string(E.what()).find(Family.name()), std::string::npos)
+          << E.what();
+    }
+  }
 }
 
 TEST(TrafficLoad, MetricsRegistryReceivesTrafficSeries) {

@@ -4,15 +4,19 @@
 // uniform traffic hits all destinations within chi-square tolerance,
 // hotspot traffic concentrates the configured fraction on the hot node,
 // transpose and bit-reversal match their closed-form maps exactly, bursty
-// arrivals realize the configured duty cycle and long-run rate, and
+// arrivals realize the configured duty cycle and long-run rate,
 // identical seeds reproduce identical traces (while different seeds do
-// not). All bounds are deterministic: the generators are seeded SplitMix64
+// not), and every kind's trace matches its frozen digest at every thread
+// count. All bounds are deterministic: the generators are seeded SplitMix64
 // streams, so these are exact assertions on fixed traces, not flaky
 // statistical tests.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimGolden.h"
+
 #include "comm/Workload.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -250,4 +254,47 @@ TEST(Workload, SeedsReproduceAndDistinguishTraces) {
     EXPECT_TRUE(Differs) << workloadKindName(Kind)
                          << ": different seeds, same trace";
   }
+}
+
+TEST(Workload, TracesMatchGoldensAtEveryThreadCount) {
+  // Generation runs node chunks on the pool. star(4) is 24 one-node
+  // chunks; star(6) is 720 nodes in 66 chunks of 11, so a run written at
+  // the wrong chunk's offset moves events between sources.
+  auto Digest = [](const std::vector<TrafficEvent> &Trace) {
+    uint64_t H = 1469598103934665603ull; // FNV-1a over (step, src, dst).
+    auto Mix = [&](uint64_t V, int Bytes) {
+      for (int B = 0; B != Bytes; ++B) {
+        H ^= (V >> (8 * B)) & 0xFF;
+        H *= 1099511628211ull;
+      }
+    };
+    for (const TrafficEvent &E : Trace) {
+      Mix(E.Step, 8);
+      Mix(E.Src, 4);
+      Mix(E.Dst, 4);
+    }
+    return "events=" + std::to_string(Trace.size()) +
+           " digest=" + std::to_string(H);
+  };
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    setGlobalThreadCount(Threads);
+    for (unsigned K : {4u, 6u}) {
+      ExplicitScg Net(SuperCayleyGraph::star(K));
+      for (WorkloadKind Kind :
+           {WorkloadKind::UniformRandom, WorkloadKind::Hotspot,
+            WorkloadKind::Transpose, WorkloadKind::BitReversal,
+            WorkloadKind::BurstyUniform}) {
+        WorkloadSpec Spec;
+        Spec.Kind = Kind;
+        Spec.InjectionRate = 0.2;
+        Spec.Seed = 43;
+        Spec.HotspotNode = Net.numNodes() - 1;
+        std::string Name = "workload/star(" + std::to_string(K) + ")/" +
+                           workloadKindName(Kind);
+        SCOPED_TRACE(Name + " threads=" + std::to_string(Threads));
+        expectGolden(Name, Digest(generate(Net, Spec, 150)));
+      }
+    }
+  }
+  setGlobalThreadCount(0);
 }
