@@ -28,6 +28,13 @@ Csr::Csr(NodeId NumNodes, unsigned Degree, std::vector<NodeId> Flat)
     Offsets[Node] = Node * Degree;
 }
 
+Csr::Csr(std::vector<uint64_t> Offsets, std::vector<NodeId> Adjacency)
+    : Offsets(std::move(Offsets)), Adjacency(std::move(Adjacency)) {
+  assert(!this->Offsets.empty() && this->Offsets.front() == 0 &&
+         this->Offsets.back() == this->Adjacency.size() &&
+         "offsets must span the adjacency array");
+}
+
 Csr Csr::transpose() const {
   const NodeId N = numNodes();
   Csr T;

@@ -43,6 +43,11 @@ public:
   /// passes an rvalue.
   Csr(NodeId NumNodes, unsigned Degree, std::vector<NodeId> Flat);
 
+  /// Adopts prebuilt rows: node V's neighbors are \p Adjacency[\p
+  /// Offsets[V] .. \p Offsets[V + 1]), with Offsets nondecreasing from 0 to
+  /// Adjacency.size(). For builders that filter arcs while flattening.
+  Csr(std::vector<uint64_t> Offsets, std::vector<NodeId> Adjacency);
+
   NodeId numNodes() const { return NodeId(Offsets.size() - 1); }
   uint64_t numEdges() const { return Adjacency.size(); }
 

@@ -6,94 +6,90 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <functional>
 
 using namespace scg;
 
-Graph scg::applyFaults(const Graph &G, const FaultSet &Faults) {
-  Graph Out(G.numNodes());
-  for (NodeId From = 0; From != G.numNodes(); ++From)
+namespace {
+
+/// The surviving network in one pass over \p G: each row keeps the arcs
+/// whose link (and both endpoints) survive, so failed nodes keep their ids
+/// but get empty rows and are never reached. Appends the healthy nodes, in
+/// id order, to \p Healthy along the way.
+Csr survivingCsr(const Graph &G, const FaultSet &Faults,
+                 std::vector<NodeId> &Healthy) {
+  std::vector<uint64_t> Offsets(uint64_t(G.numNodes()) + 1);
+  std::vector<NodeId> Adjacency;
+  Adjacency.reserve(G.numDirectedEdges());
+  Healthy.reserve(G.numNodes());
+  for (NodeId From = 0; From != G.numNodes(); ++From) {
+    Offsets[From] = Adjacency.size();
+    if (Faults.nodeFailed(From))
+      continue;
+    Healthy.push_back(From);
     for (NodeId To : G.neighbors(From))
       if (!Faults.linkFailed(From, To))
-        Out.addEdge(From, To);
-  return Out;
+        Adjacency.push_back(To);
+  }
+  Offsets.back() = Adjacency.size();
+  return Csr(std::move(Offsets), std::move(Adjacency));
 }
 
-FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
-                                      const FaultSet &Faults) {
-  FaultAnalysis Analysis;
+/// The body of both analyses. Healthy sources advance 64 per word, and the
+/// sink folds each (node, level) visit with one popcount: a batch's
+/// lane-visits (each lane counts its own source) and its last level, the
+/// largest eccentricity in the batch. No lane can reach more than the
+/// HealthyNodes survivors, so a batch is connected iff its visits total
+/// HealthyNodes per lane. \p StopAtDisconnect ends the sweep at the first
+/// batch that falls short. Batches run serially: the analysis is already
+/// one scenario of a parallel sweep.
+ReachabilityAnalysis countReachability(const Graph &G, const FaultSet &Faults,
+                                       bool StopAtDisconnect) {
+  ReachabilityAnalysis Analysis;
   std::vector<NodeId> Healthy;
-  Healthy.reserve(G.numNodes());
-  for (NodeId Node = 0; Node != G.numNodes(); ++Node)
-    if (!Faults.nodeFailed(Node))
-      Healthy.push_back(Node);
+  Csr Surviving = survivingCsr(G, Faults, Healthy);
   Analysis.HealthyNodes = Healthy.size();
   if (Healthy.empty())
     return Analysis;
-
-  // Healthy sources advance 64 per word through the bit-parallel BFS over
-  // the surviving graph (failed nodes keep their ids but have no links, so
-  // they are simply never reached). Batches run serially here: this whole
-  // analysis is already one scenario of a parallel sweep, and the early
-  // exit wants the node-order semantics of the scalar loop anyway.
-  Csr Surviving(applyFaults(G, Faults));
   Analysis.Connected = true;
+  uint32_t MaxEccentricity = 0;
   for (size_t Begin = 0; Begin < Healthy.size(); Begin += MsBfsLanes) {
-    size_t Count = std::min<size_t>(MsBfsLanes, Healthy.size() - Begin);
-    MsBfsBatch Batch =
-        msBfs(Surviving, std::span(Healthy).subspan(Begin, Count));
-    for (size_t Lane = 0; Lane != Count; ++Lane) {
-      if (Batch.NumReached[Lane] != Analysis.HealthyNodes) {
-        Analysis.Connected = false;
-        // Earlier lanes may have accumulated a nonzero maximum; the field
-        // is meaningless for a disconnected survivor, so zero it rather
-        // than leak a partial measurement.
-        Analysis.Diameter = 0;
-        return Analysis;
-      }
-      Analysis.Diameter =
-          std::max(Analysis.Diameter, Batch.Eccentricity[Lane]);
+    size_t Lanes = std::min<size_t>(MsBfsLanes, Healthy.size() - Begin);
+    uint64_t Visits = 0;
+    uint32_t LastLevel = 0;
+    msBfsCore(Surviving, std::span(Healthy).subspan(Begin, Lanes),
+              [&](NodeId, uint64_t NewMask, uint32_t Level) {
+                Visits += uint64_t(std::popcount(NewMask));
+                LastLevel = Level; // ascending levels: max wins.
+              });
+    Analysis.ReachableOrderedPairs += Visits - Lanes;
+    MaxEccentricity = std::max(MaxEccentricity, LastLevel);
+    if (Visits != Analysis.HealthyNodes * Lanes) {
+      Analysis.Connected = false;
+      if (StopAtDisconnect)
+        break;
     }
   }
+  // The diameter is a measurement only when the survivors are mutually
+  // connected; it never leaks a partial maximum.
+  Analysis.Diameter = Analysis.Connected ? MaxEccentricity : 0;
   return Analysis;
+}
+
+} // namespace
+
+FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
+                                      const FaultSet &Faults) {
+  ReachabilityAnalysis Reach =
+      countReachability(G, Faults, /*StopAtDisconnect=*/true);
+  return {Reach.Connected, Reach.Diameter, Reach.HealthyNodes};
 }
 
 ReachabilityAnalysis
 scg::analyzeReachabilityUnderFaults(const Graph &G, const FaultSet &Faults) {
-  ReachabilityAnalysis Analysis;
-  std::vector<NodeId> Healthy;
-  Healthy.reserve(G.numNodes());
-  for (NodeId Node = 0; Node != G.numNodes(); ++Node)
-    if (!Faults.nodeFailed(Node))
-      Healthy.push_back(Node);
-  Analysis.HealthyNodes = Healthy.size();
-  if (Healthy.empty())
-    return Analysis;
-
-  // Same batching as analyzeUnderFaults, but every lane is consumed: a
-  // disconnected scenario contributes its partial reachability instead of
-  // aborting the sweep. NumReached counts the source itself, so each lane
-  // adds NumReached - 1 ordered pairs; failed nodes are linkless and are
-  // never reached.
-  Csr Surviving(applyFaults(G, Faults));
-  Analysis.Connected = true;
-  uint32_t MaxEccentricity = 0;
-  for (size_t Begin = 0; Begin < Healthy.size(); Begin += MsBfsLanes) {
-    size_t Count = std::min<size_t>(MsBfsLanes, Healthy.size() - Begin);
-    MsBfsBatch Batch =
-        msBfs(Surviving, std::span(Healthy).subspan(Begin, Count));
-    for (size_t Lane = 0; Lane != Count; ++Lane) {
-      Analysis.ReachableOrderedPairs += Batch.NumReached[Lane] - 1;
-      if (Batch.NumReached[Lane] != Analysis.HealthyNodes)
-        Analysis.Connected = false;
-      MaxEccentricity = std::max(MaxEccentricity, Batch.Eccentricity[Lane]);
-    }
-  }
-  // Same contract as FaultAnalysis: the diameter is a measurement only
-  // when the survivors are mutually connected.
-  Analysis.Diameter = Analysis.Connected ? MaxEccentricity : 0;
-  return Analysis;
+  return countReachability(G, Faults, /*StopAtDisconnect=*/false);
 }
 
 namespace {

@@ -127,10 +127,6 @@ private:
   mutable bool NodesSorted = true;
 };
 
-/// Returns \p G with every failed link removed (failed nodes keep their id
-/// but lose all links).
-Graph applyFaults(const Graph &G, const FaultSet &Faults);
-
 /// Health of the surviving network: connectivity and distances among the
 /// healthy nodes.
 struct FaultAnalysis {
@@ -140,10 +136,12 @@ struct FaultAnalysis {
   uint64_t HealthyNodes = 0;
 };
 
-/// Analyzes \p G under \p Faults: healthy sources are batched 64 at a time
-/// through the bit-parallel multi-source BFS (graph/MsBfs.h), with an
-/// early exit on the first disconnected source. Disconnected results carry
-/// Diameter == 0 (never a partial accumulation).
+/// Analyzes \p G under \p Faults: healthy sources run 64 at a time through
+/// the bit-parallel multi-source BFS (graph/MsBfs.h) over the surviving
+/// network, with a sink that counts each (node, level) visit by popcount.
+/// The first batch whose visits fall short of HealthyNodes per lane ends
+/// the analysis. Disconnected results carry Diameter == 0 (never a partial
+/// accumulation).
 FaultAnalysis analyzeUnderFaults(const Graph &G, const FaultSet &Faults);
 
 /// Pairwise reachability of the surviving network -- the per-trial
@@ -159,8 +157,8 @@ struct ReachabilityAnalysis {
   uint32_t Diameter = 0;  ///< over healthy pairs; 0 when not connected.
 };
 
-/// Full (no early exit) reachability sweep of \p G under \p Faults via the
-/// bit-parallel multi-source BFS.
+/// Full (no early exit) reachability sweep of \p G under \p Faults, with
+/// the same counting batches as analyzeUnderFaults.
 ReachabilityAnalysis analyzeReachabilityUnderFaults(const Graph &G,
                                                     const FaultSet &Faults);
 

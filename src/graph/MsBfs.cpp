@@ -11,25 +11,6 @@
 
 using namespace scg;
 
-MsBfsBatch scg::msBfs(const Csr &G, std::span<const NodeId> Sources) {
-  MsBfsBatch Batch;
-  Batch.Eccentricity.assign(Sources.size(), 0);
-  Batch.NumReached.assign(Sources.size(), 0);
-  Batch.DistanceSum.assign(Sources.size(), 0);
-  msBfsCore(G, Sources, [&Batch](NodeId, uint64_t NewMask, uint32_t Level) {
-    // Peel the newly arrived lanes; levels are ascending, so assigning the
-    // eccentricity each time leaves the per-lane maximum behind.
-    do {
-      unsigned Lane = unsigned(std::countr_zero(NewMask));
-      Batch.Eccentricity[Lane] = Level;
-      ++Batch.NumReached[Lane];
-      Batch.DistanceSum[Lane] += Level;
-      NewMask &= NewMask - 1;
-    } while (NewMask);
-  });
-  return Batch;
-}
-
 std::vector<std::vector<uint32_t>>
 scg::msBfsDistances(const Csr &G, std::span<const NodeId> Sources) {
   std::vector<std::vector<uint32_t>> Rows(

@@ -14,8 +14,11 @@
 /// msBfsCore is the one engine: every level scans all N frontier words,
 /// ORs each live word into its out-neighbors' next words, then commits
 /// the lanes not yet seen. Its sink fires once per (node, level) with the
-/// exact lane mask first reaching the node then; msBfs, msBfsDistances,
-/// msBfsDistanceRow and msAllPairsStats are small sinks over it.
+/// exact lane mask first reaching the node then; msBfsDistances,
+/// msBfsDistanceRow and msAllPairsStats are small sinks over it, and the
+/// fault analyses (graph/Faults.cpp) call it directly with a counting sink.
+/// Sinks that only need totals fold each call with one popcount rather than
+/// peeling the mask lane by lane.
 ///
 /// The engine draws its bitmap arrays from per-thread reusable scratch
 /// (support/Scratch.h) -- a 56k-batch sweep at k = 10 would otherwise
@@ -161,19 +164,6 @@ void msBfsCore(const Csr &G, std::span<const NodeId> Sources, OnVisit &&Visit,
     }
   }
 }
-
-/// Per-source results of one bit-parallel batch, indexed like \p Sources.
-/// Field semantics match BfsResult (eccentricity = largest finite
-/// distance, reached count includes the source, distance sum over finite
-/// distances) so scalar and bit-parallel engines are directly comparable.
-struct MsBfsBatch {
-  std::vector<uint32_t> Eccentricity;
-  std::vector<uint64_t> NumReached;
-  std::vector<uint64_t> DistanceSum;
-};
-
-/// Runs one batch and accumulates the per-source statistics.
-MsBfsBatch msBfs(const Csr &G, std::span<const NodeId> Sources);
 
 /// Full distance vectors per source (UnreachableDistance where a lane
 /// never arrives). Row i is the distance vector of Sources[i]; byte-equal

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 using namespace scg;
 
@@ -45,16 +47,10 @@ struct PointAccum {
 
 /// The coupling threshold: a component fails at rate R iff its 64-bit draw
 /// is below R * 2^64, so one draw decides the component at every rate and
-/// the fault sets are nested along the ladder.
+/// the fault sets are nested along the ladder. Rates are validated to
+/// [0, 1], and any rate below 1 scales to strictly less than 2^64.
 uint64_t rateThreshold(double Rate) {
-  if (Rate <= 0.0)
-    return 0;
-  if (Rate >= 1.0)
-    return ~uint64_t(0);
-  double Scaled = std::ldexp(Rate, 64);
-  // 2^64 - 1 is the largest representable threshold; Rate < 1 keeps
-  // Scaled strictly below 2^64 but guard the cast anyway.
-  return Scaled >= 18446744073709551615.0 ? ~uint64_t(0) : uint64_t(Scaled);
+  return Rate >= 1.0 ? ~uint64_t(0) : uint64_t(std::ldexp(Rate, 64));
 }
 
 /// Per-trial generator state: decorrelate trials by running the base seed
@@ -69,6 +65,14 @@ uint64_t trialSeed(uint64_t Base, uint64_t Trial) {
 
 FaultCampaignResult scg::runFaultCampaign(const ExplicitScg &Net,
                                           const FaultCampaignOptions &Opts) {
+  // rateThreshold scales a rate to 2^64, where a NaN or out-of-range
+  // value would reach an undefined float-to-integer cast.
+  for (double Rate : Opts.Rates)
+    if (!(Rate >= 0.0 && Rate <= 1.0))
+      throw std::invalid_argument("runFaultCampaign: fault rate " +
+                                  std::to_string(Rate) +
+                                  " is not in [0, 1]");
+
   FaultCampaignResult Result;
   Result.Network = Net.network().name();
   Result.Nodes = Net.numNodes();

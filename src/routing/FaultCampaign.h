@@ -91,7 +91,9 @@ struct FaultCampaignResult {
 };
 
 /// Runs the campaign described by \p Opts against \p Net. Deterministic
-/// for a fixed (network, options) at every thread count.
+/// for a fixed (network, options) at every thread count. Throws
+/// std::invalid_argument, in every build, when a rate in \p Opts.Rates is
+/// NaN or outside [0, 1].
 FaultCampaignResult runFaultCampaign(const ExplicitScg &Net,
                                      const FaultCampaignOptions &Opts);
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 using namespace scg;
 
 namespace {
@@ -134,4 +138,24 @@ TEST(FaultCampaign, DirectedFamilyFailsArcs) {
   EXPECT_EQ(Result.Components, 72u);
   EXPECT_EQ(Result.StarGeneratorContainers, 0u);
   EXPECT_EQ(Result.MaxFlowContainers, 4u);
+}
+
+TEST(FaultCampaign, RejectsRatesOutsideTheUnitInterval) {
+  // A NaN or out-of-range rate would reach an undefined float-to-integer
+  // cast when scaled to a 64-bit threshold; it is refused up front, in
+  // every build. The endpoints 0 and 1 stay valid.
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  for (double Bad : {std::nan(""), -0.01, 1.5,
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    FaultCampaignOptions Opts = smallOptions();
+    Opts.Rates.push_back(Bad);
+    EXPECT_THROW(runFaultCampaign(Net, Opts), std::invalid_argument) << Bad;
+  }
+  FaultCampaignOptions Ends = smallOptions();
+  Ends.Rates = {0.0, 1.0};
+  FaultCampaignResult Result = runFaultCampaign(Net, Ends);
+  ASSERT_EQ(Result.Points.size(), 2u);
+  EXPECT_EQ(Result.Points[0].ConnectedTrials, Ends.Trials);
+  EXPECT_EQ(Result.Points[1].ConnectedTrials, 0u);
 }

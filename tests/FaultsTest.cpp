@@ -2,12 +2,18 @@
 
 #include "graph/Faults.h"
 
+#include "graph/Bfs.h"
 #include "graph/Metrics.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
+#include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace scg;
 
@@ -17,7 +23,7 @@ TEST(Faults, ApplyRemovesFailedLinks) {
   G.addUndirectedEdge(1, 2);
   FaultSet Faults;
   Faults.failLink(0, 1);
-  Graph Out = applyFaults(G, Faults);
+  Graph Out = oracle::applyFaults(G, Faults);
   EXPECT_FALSE(Out.hasEdge(0, 1));
   EXPECT_FALSE(Out.hasEdge(1, 0));
   EXPECT_TRUE(Out.hasEdge(1, 2));
@@ -27,7 +33,7 @@ TEST(Faults, NodeFaultKillsAllIncidentLinks) {
   Graph G = mesh2D(2, 2);
   FaultSet Faults;
   Faults.failNode(0);
-  Graph Out = applyFaults(G, Faults);
+  Graph Out = oracle::applyFaults(G, Faults);
   EXPECT_EQ(Out.outDegree(0), 0u);
   EXPECT_FALSE(Out.hasEdge(1, 0));
 }
@@ -216,4 +222,195 @@ TEST(Faults, ReachabilityMatchesAllPairsOnHealthyGraph) {
   EXPECT_EQ(Reach.HealthyNodes, 9u);
   EXPECT_EQ(Reach.ReachableOrderedPairs, 9u * 8u);
   EXPECT_EQ(Reach.Diameter, Stats.Diameter);
+}
+
+//===----------------------------------------------------------------------===//
+// FaultAnalysisDifferential: both analyses fold whole lane masks with one
+// popcount per (node, level) over a surviving Csr built straight from the
+// fault set. They must match, field by field, a per-lane oracle: one
+// scalar bfs() per healthy source over oracle::applyFaults.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct OracleAnalyses {
+  FaultAnalysis Fault;
+  ReachabilityAnalysis Reach;
+};
+
+OracleAnalyses oracleAnalyses(const Graph &G, const FaultSet &Faults) {
+  Graph Surviving = oracle::applyFaults(G, Faults);
+  std::vector<NodeId> Healthy;
+  for (NodeId Node = 0; Node != G.numNodes(); ++Node)
+    if (!Faults.nodeFailed(Node))
+      Healthy.push_back(Node);
+  OracleAnalyses Ref;
+  Ref.Fault.HealthyNodes = Ref.Reach.HealthyNodes = Healthy.size();
+  if (Healthy.empty())
+    return Ref;
+  bool Connected = true;
+  uint32_t MaxEccentricity = 0;
+  for (NodeId Src : Healthy) {
+    BfsResult Lane = bfs(Surviving, Src);
+    Ref.Reach.ReachableOrderedPairs += Lane.NumReached - 1;
+    Connected = Connected && Lane.NumReached == Healthy.size();
+    MaxEccentricity = std::max(MaxEccentricity, Lane.Eccentricity);
+  }
+  Ref.Fault.Connected = Ref.Reach.Connected = Connected;
+  Ref.Fault.Diameter = Ref.Reach.Diameter = Connected ? MaxEccentricity : 0;
+  return Ref;
+}
+
+void expectAnalysesMatchOracle(const Graph &G, const FaultSet &Faults,
+                               const std::string &What) {
+  OracleAnalyses Ref = oracleAnalyses(G, Faults);
+  FaultAnalysis Fault = analyzeUnderFaults(G, Faults);
+  EXPECT_EQ(Fault.HealthyNodes, Ref.Fault.HealthyNodes) << What;
+  EXPECT_EQ(Fault.Connected, Ref.Fault.Connected) << What;
+  EXPECT_EQ(Fault.Diameter, Ref.Fault.Diameter) << What;
+  ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Faults);
+  EXPECT_EQ(Reach.HealthyNodes, Ref.Reach.HealthyNodes) << What;
+  EXPECT_EQ(Reach.ReachableOrderedPairs, Ref.Reach.ReachableOrderedPairs)
+      << What;
+  EXPECT_EQ(Reach.Connected, Ref.Reach.Connected) << What;
+  EXPECT_EQ(Reach.Diameter, Ref.Reach.Diameter) << What;
+}
+
+enum class FaultKind { Links, DirectedArcs, Nodes };
+
+/// Fails each component with probability Permille / 1000, from a seeded
+/// stream over a fixed component order.
+FaultSet randomFaults(const Graph &G, FaultKind Kind, unsigned Permille,
+                      uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  FaultSet Faults;
+  for (NodeId From = 0; From != G.numNodes(); ++From) {
+    if (Kind == FaultKind::Nodes) {
+      if (Rng.nextBelow(1000) < Permille)
+        Faults.failNode(From);
+      continue;
+    }
+    for (NodeId To : G.neighbors(From))
+      if (Rng.nextBelow(1000) < Permille) {
+        if (Kind == FaultKind::Links)
+          Faults.failLink(From, To);
+        else
+          Faults.failDirectedLink(From, To);
+      }
+  }
+  return Faults;
+}
+
+std::vector<SuperCayleyGraph> differentialFamilies() {
+  return {SuperCayleyGraph::star(5),
+          SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2),
+          SuperCayleyGraph::rotator(5)};
+}
+
+} // namespace
+
+TEST(FaultAnalysisDifferential, RandomFaultSetsMatchPerLaneOracle) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    for (FaultKind Kind :
+         {FaultKind::Links, FaultKind::DirectedArcs, FaultKind::Nodes})
+      for (unsigned Permille : {10u, 50u, 200u, 500u})
+        for (uint64_t Seed = 1; Seed != 5; ++Seed)
+          expectAnalysesMatchOracle(
+              G, randomFaults(G, Kind, Permille, Seed),
+              Scg.name() + " kind " + std::to_string(int(Kind)) + " rate " +
+                  std::to_string(Permille) + "/1000 seed " +
+                  std::to_string(Seed));
+  }
+}
+
+TEST(FaultAnalysisDifferential, HealthyCountEdgeCases) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    const NodeId N = G.numNodes(); // 120: one full batch and a 56-lane tail.
+    // Keep exactly Keep healthy nodes (the lowest ids after an offset, so
+    // the survivors are not just a prefix).
+    for (NodeId Keep : {NodeId(0), NodeId(1), NodeId(2), NodeId(63),
+                        NodeId(64), NodeId(65), NodeId(117), N}) {
+      FaultSet Faults;
+      for (NodeId Node = 0; Node != N; ++Node)
+        if ((Node + 7) % N >= Keep)
+          Faults.failNode(Node);
+      std::string What = Scg.name() + " healthy " + std::to_string(Keep);
+      expectAnalysesMatchOracle(G, Faults, What);
+      EXPECT_EQ(analyzeUnderFaults(G, Faults).HealthyNodes, Keep) << What;
+    }
+    // One healthy node: connected, diameter 0, no ordered pairs.
+    FaultSet Single;
+    for (NodeId Node = 1; Node != N; ++Node)
+      Single.failNode(Node);
+    ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Single);
+    EXPECT_TRUE(Reach.Connected) << Scg.name();
+    EXPECT_EQ(Reach.ReachableOrderedPairs, 0u) << Scg.name();
+    EXPECT_EQ(Reach.Diameter, 0u) << Scg.name();
+    // No healthy node: nothing to be connected.
+    FaultSet None;
+    for (NodeId Node = 0; Node != N; ++Node)
+      None.failNode(Node);
+    EXPECT_FALSE(analyzeUnderFaults(G, None).Connected) << Scg.name();
+    EXPECT_FALSE(analyzeReachabilityUnderFaults(G, None).Connected)
+        << Scg.name();
+  }
+}
+
+TEST(FaultAnalysisDifferential, IsolatedHealthyNodes) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    // Cut every arc into and out of node 5 (first batch) and node 100
+    // (tail batch) while both stay healthy: each still visits itself.
+    FaultSet Faults;
+    for (NodeId Isolated : {NodeId(5), NodeId(100)})
+      for (NodeId From = 0; From != G.numNodes(); ++From)
+        for (NodeId To : G.neighbors(From))
+          if (From == Isolated || To == Isolated)
+            Faults.failLink(From, To);
+    expectAnalysesMatchOracle(G, Faults, Scg.name() + " two isolated");
+    ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Faults);
+    EXPECT_FALSE(Reach.Connected) << Scg.name();
+    // The other 118 nodes stay mutually connected; the isolated pair sees
+    // nobody and nobody sees them.
+    EXPECT_EQ(Reach.ReachableOrderedPairs, 118u * 117u) << Scg.name();
+    // Only node 100 isolated: the first batch is connected, the tail is
+    // not, so the early exit happens in the second batch.
+    FaultSet Tail;
+    for (NodeId From = 0; From != G.numNodes(); ++From)
+      for (NodeId To : G.neighbors(From))
+        if (From == 100 || To == 100)
+          Tail.failLink(From, To);
+    expectAnalysesMatchOracle(G, Tail, Scg.name() + " tail isolated");
+  }
+}
+
+TEST(FaultAnalysisDifferential, OneUnreachablePair) {
+  // The smallest disconnect the counting sink must see: one directed arc
+  // of a two-node link fails, so the batch is one lane-visit short.
+  Graph G(2);
+  G.addUndirectedEdge(0, 1);
+  FaultSet Faults;
+  Faults.failDirectedLink(1, 0);
+  expectAnalysesMatchOracle(G, Faults, "one unreachable pair");
+  EXPECT_FALSE(analyzeUnderFaults(G, Faults).Connected);
+  ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Faults);
+  EXPECT_FALSE(Reach.Connected);
+  EXPECT_EQ(Reach.ReachableOrderedPairs, 1u);
+}
+
+TEST(FaultAnalysisDifferential, AllLinksFailed) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    FaultSet Faults;
+    for (NodeId From = 0; From != G.numNodes(); ++From)
+      for (NodeId To : G.neighbors(From))
+        Faults.failDirectedLink(From, To);
+    expectAnalysesMatchOracle(G, Faults, Scg.name() + " all links failed");
+    ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Faults);
+    EXPECT_EQ(Reach.HealthyNodes, G.numNodes()) << Scg.name();
+    EXPECT_EQ(Reach.ReachableOrderedPairs, 0u) << Scg.name();
+    EXPECT_FALSE(Reach.Connected) << Scg.name();
+  }
 }

@@ -2,10 +2,11 @@
 //
 // Differential tests for the bit-parallel distance engine (graph/MsBfs.h):
 //
-//  * msBfs / msBfsDistances must agree with one scalar bfs() per source --
-//    distances, eccentricity, reached count, and distance sum, per lane --
-//    on every network family at k = 5, from both Csr builds (Graph
-//    flatten and ExplicitScg::toCsr).
+//  * msBfsDistances and the per-lane oracle::msBfs sink (tests/Oracles.h)
+//    must agree with one scalar bfs() per source -- distances,
+//    eccentricity, reached count, and distance sum, per lane -- on every
+//    network family at k = 5, from both Csr builds (Graph flatten and
+//    ExplicitScg::toCsr).
 //  * Source lists that are not a multiple (or a divisor) of 64 lanes, in
 //    arbitrary order, with duplicates.
 //  * Disconnected and faulted graphs: unreached nodes, per-lane reached
@@ -28,6 +29,8 @@
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
 #include "support/ThreadPool.h"
+
+#include "Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -111,7 +114,7 @@ std::vector<SuperCayleyGraph> allFamiliesK5() {
 void expectBatchMatchesScalar(const Graph &G, const Csr &C,
                               std::span<const NodeId> Sources,
                               const std::string &What) {
-  MsBfsBatch Batch = msBfs(C, Sources);
+  oracle::MsBfsBatch Batch = oracle::msBfs(C, Sources);
   std::vector<std::vector<uint32_t>> Rows = msBfsDistances(C, Sources);
   ASSERT_EQ(Batch.Eccentricity.size(), Sources.size()) << What;
   ASSERT_EQ(Rows.size(), Sources.size()) << What;
@@ -197,7 +200,7 @@ TEST(MsBfs, DisconnectedGraphPerLaneReach) {
   std::vector<NodeId> Sources(8);
   std::iota(Sources.begin(), Sources.end(), 0);
   expectBatchMatchesScalar(G, C, Sources, "two components");
-  MsBfsBatch Batch = msBfs(C, Sources);
+  oracle::MsBfsBatch Batch = oracle::msBfs(C, Sources);
   EXPECT_EQ(Batch.NumReached[0], 4u);
   EXPECT_EQ(Batch.NumReached[4], 3u);
   EXPECT_EQ(Batch.NumReached[7], 1u); // the isolated node reaches itself.
@@ -214,7 +217,7 @@ TEST(MsBfs, FaultedGraphMatchesScalar) {
   Faults.failNode(7);
   Faults.failNode(63);
   Faults.failLink(0, G.neighbors(0)[0]);
-  Graph Surviving = applyFaults(G, Faults);
+  Graph Surviving = oracle::applyFaults(G, Faults);
   Csr C(Surviving);
   std::vector<NodeId> Sources;
   for (NodeId Node = 0; Node != Surviving.numNodes(); ++Node)
@@ -275,7 +278,7 @@ TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
   Faults.failNode(7);
   Faults.failNode(63);
   Faults.failLink(0, G.neighbors(0)[0]);
-  Graph Surviving = applyFaults(G, Faults);
+  Graph Surviving = oracle::applyFaults(G, Faults);
   expectSameStats(msAllPairsStats(Csr(Surviving)),
                   scalarAllPairsStats(Surviving), "faulted star5 sweep");
 
