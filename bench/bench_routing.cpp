@@ -5,7 +5,8 @@
 // lifted star router (Theorems 1-3) before and after peephole
 // simplification, against the exact shortest paths (BagSolver) and the
 // network diameter. Also reports the insertion-sort rotator router for
-// the rotator graph, where star lifting does not apply.
+// the rotator graph, where star lifting does not apply. Both routers are
+// served by QueryEngine.
 //
 // With --json, prints the permutation-traffic section as one JSON object
 // instead: per network/pattern completion numbers plus the per-step time
@@ -16,11 +17,11 @@
 
 #include "comm/PermutationRouting.h"
 #include "comm/SimObserver.h"
-#include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
 #include "graph/Metrics.h"
 #include "networks/Explicit.h"
 #include "perm/Lehmer.h"
+#include "query/QueryEngine.h"
 #include "routing/BagSolver.h"
 #include "routing/RotatorRouter.h"
 #include "routing/RouteOptimizer.h"
@@ -35,9 +36,17 @@ using namespace scg;
 
 namespace {
 
+/// An engine that routes each query afresh, so the timers measure routing.
+QueryEngine uncachedEngine(const SuperCayleyGraph &Scg) {
+  QueryEngineOptions Opts;
+  Opts.CacheCapacity = 0;
+  return QueryEngine(Scg, Opts);
+}
+
 void addLiftedRow(TextTable &Table, const SuperCayleyGraph &Scg,
                   unsigned Samples) {
   ExplicitScg Net(Scg);
+  QueryEngine Engine(Scg);
   DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
   SplitMix64 Rng(0x5C6);
   uint64_t LiftedSum = 0, SimplifiedSum = 0, OptimalSum = 0;
@@ -46,7 +55,7 @@ void addLiftedRow(TextTable &Table, const SuperCayleyGraph &Scg,
   Permutation Id = Permutation::identity(K);
   for (unsigned S = 0; S != Samples; ++S) {
     Permutation Dst = unrankPermutation(Rng.nextBelow(factorial(K)), K);
-    GeneratorPath Lifted = routeViaStarEmulation(Scg, Id, Dst);
+    GeneratorPath Lifted(Engine.route(Id, Dst).Hops);
     GeneratorPath Simplified = simplifyPath(Scg, Lifted);
     std::optional<GeneratorPath> Optimal = solveBag(Scg, Id, Dst);
     LiftedSum += Lifted.length();
@@ -87,6 +96,7 @@ void printRoutingTable() {
   for (unsigned K : {4u, 5u, 6u}) {
     SuperCayleyGraph Scg = SuperCayleyGraph::rotator(K);
     ExplicitScg Net(Scg);
+    QueryEngine Engine(Scg);
     DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
     SplitMix64 Rng(0x707);
     uint64_t RouteSum = 0, OptSum = 0;
@@ -95,9 +105,9 @@ void printRoutingTable() {
     Permutation Id = Permutation::identity(K);
     for (unsigned S = 0; S != Samples; ++S) {
       Permutation Dst = unrankPermutation(Rng.nextBelow(factorial(K)), K);
-      GeneratorPath Route = routeInRotator(Scg, Id, Dst);
-      RouteSum += Route.length();
-      RouteMax = std::max(RouteMax, Route.length());
+      unsigned Length = Engine.route(Id, Dst).length();
+      RouteSum += Length;
+      RouteMax = std::max(RouteMax, Length);
       OptSum += solveBag(Scg, Id, Dst)->length();
     }
     Rot.addRow({Scg.name(), std::to_string(Stats.Diameter),
@@ -177,12 +187,13 @@ void printPermutationJson() {
 }
 
 void BM_LiftedRoute(benchmark::State &State) {
-  SuperCayleyGraph Ms = SuperCayleyGraph::create(NetworkKind::MacroStar, 4, 3);
+  QueryEngine Engine = uncachedEngine(
+      SuperCayleyGraph::create(NetworkKind::MacroStar, 4, 3));
   SplitMix64 Rng(1);
   Permutation Id = Permutation::identity(13);
   for (auto _ : State) {
     Permutation Dst = unrankPermutation(Rng.nextBelow(factorial(13)), 13);
-    benchmark::DoNotOptimize(routeViaStarEmulation(Ms, Id, Dst).length());
+    benchmark::DoNotOptimize(Engine.route(Id, Dst).length());
   }
 }
 BENCHMARK(BM_LiftedRoute);
@@ -192,20 +203,20 @@ void BM_SimplifyRoute(benchmark::State &State) {
   SplitMix64 Rng(2);
   Permutation Id = Permutation::identity(13);
   Permutation Dst = unrankPermutation(Rng.nextBelow(factorial(13)), 13);
-  GeneratorPath Route = routeViaStarEmulation(Ms, Id, Dst);
+  GeneratorPath Route(QueryEngine(Ms).route(Id, Dst).Hops);
   for (auto _ : State)
     benchmark::DoNotOptimize(simplifyPath(Ms, Route).length());
 }
 BENCHMARK(BM_SimplifyRoute);
 
 void BM_RotatorRoute(benchmark::State &State) {
-  SuperCayleyGraph Rot = SuperCayleyGraph::rotator(State.range(0));
-  unsigned K = Rot.numSymbols();
+  unsigned K = unsigned(State.range(0));
+  QueryEngine Engine = uncachedEngine(SuperCayleyGraph::rotator(K));
   SplitMix64 Rng(3);
   Permutation Id = Permutation::identity(K);
   for (auto _ : State) {
     Permutation Dst = unrankPermutation(Rng.nextBelow(factorial(K)), K);
-    benchmark::DoNotOptimize(routeInRotator(Rot, Id, Dst).length());
+    benchmark::DoNotOptimize(Engine.route(Id, Dst).length());
   }
 }
 BENCHMARK(BM_RotatorRoute)->Arg(8)->Arg(12);

@@ -10,7 +10,7 @@
 
 #include "core/SuperCayleyGraph.h"
 #include "emulation/FigureOne.h"
-#include "emulation/ScgRouter.h"
+#include "query/QueryEngine.h"
 #include "routing/BagSolver.h"
 
 #include <cstdio>
@@ -35,7 +35,9 @@ int main() {
   std::printf("  from  %s\n", Src.strBoxes(3).c_str());
   std::printf("  to    %s\n", Dst.strBoxes(3).c_str());
 
-  GeneratorPath Lifted = routeViaStarEmulation(Net, Src, Dst);
+  // The query engine lifts the optimal star route through the emulation
+  // templates of Theorems 1-3.
+  GeneratorPath Lifted(QueryEngine(Net).route(Src, Dst).Hops);
   std::printf("  lifted star route (%u hops):  %s\n", Lifted.length(),
               Lifted.str(Net).c_str());
 

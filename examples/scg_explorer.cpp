@@ -16,12 +16,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "emulation/FigureOne.h"
-#include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
 #include "graph/Dot.h"
 #include "graph/Metrics.h"
 #include "networks/Explicit.h"
 #include "perm/GroupOrder.h"
+#include "query/QueryEngine.h"
 #include "routing/BagSolver.h"
 #include "routing/RouteOptimizer.h"
 
@@ -92,7 +92,7 @@ int cmdRoute(const SuperCayleyGraph &Net, const char *SrcText,
   std::printf("from  %s\n", Src.strBoxes(Net.ballsPerBox()).c_str());
   std::printf("to    %s\n", Dst.strBoxes(Net.ballsPerBox()).c_str());
   if (supportsStarEmulation(Net)) {
-    GeneratorPath Lifted = routeViaStarEmulation(Net, Src, Dst);
+    GeneratorPath Lifted(QueryEngine(Net).route(Src, Dst).Hops);
     GeneratorPath Simple = simplifyPath(Net, Lifted);
     std::printf("lifted     (%2u hops)  %s\n", Lifted.length(),
                 Lifted.str(Net).c_str());

@@ -2,12 +2,13 @@
 
 #include "comm/PermutationRouting.h"
 
-#include "emulation/ScgRouter.h"
+#include "query/QueryEngine.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
 #include <map>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -42,31 +43,51 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
                                 const TrafficPattern &Pattern,
                                 CommModel Model,
                                 const std::vector<SimObserver *> &Observers) {
-  assert(Pattern.size() == Net.numNodes() && "pattern must cover all nodes");
   const SuperCayleyGraph &Host = Net.network();
+  const NodeId N = Net.numNodes();
+  if (!QueryEngine::supportsTableFree(Host))
+    throw std::invalid_argument("simulatePermutationRouting: " + Host.name() +
+                                " has no table-free route");
+  if (Pattern.size() != N)
+    throw std::invalid_argument(
+        "simulatePermutationRouting: the pattern has " +
+        std::to_string(Pattern.size()) + " entries for " + std::to_string(N) +
+        " nodes");
+
+  // Route every moving node's relative label label(U)^-1 o label(Pattern[U])
+  // in one batch.
+  std::vector<NodeId> Sources;
+  std::vector<Permutation> Rels;
+  for (NodeId U = 0; U != N; ++U) {
+    if (Pattern[U] >= N)
+      throw std::invalid_argument(
+          "simulatePermutationRouting: pattern entry " + std::to_string(U) +
+          " names node " + std::to_string(Pattern[U]) + " of " +
+          std::to_string(N));
+    if (Pattern[U] == U)
+      continue;
+    Sources.push_back(U);
+    Rels.push_back(Net.label(U).inverse().compose(Net.label(Pattern[U])));
+  }
+  QueryEngineOptions Opts;
+  Opts.CacheCapacity = 0; // the engine serves this one batch.
+  RouteArena Routes = QueryEngine(Host, Opts).routeBatchRelative(Rels);
 
   PermutationRoutingResult Result;
   NetworkSimulator Sim(Net, Model);
   for (SimObserver *O : Observers)
     Sim.addObserver(O);
   std::map<std::pair<NodeId, GenIndex>, uint64_t> Load;
-  uint64_t HopTotal = 0;
   unsigned Longest = 0;
-  uint64_t Injected = 0;
-  for (NodeId U = 0; U != Net.numNodes(); ++U) {
-    if (Pattern[U] == U)
-      continue;
-    GeneratorPath Path =
-        routeViaStarEmulation(Host, Net.label(U), Net.label(Pattern[U]));
-    NodeId At = U;
-    for (GenIndex G : Path.hops()) {
+  for (size_t I = 0; I != Sources.size(); ++I) {
+    std::span<const GenIndex> Route = Routes.route(I);
+    NodeId At = Sources[I];
+    for (GenIndex G : Route) {
       Result.MaxLinkLoad = std::max(Result.MaxLinkLoad, ++Load[{At, G}]);
       At = Net.next(At, G);
     }
-    HopTotal += Path.length();
-    Longest = std::max(Longest, Path.length());
-    Sim.injectPacket(U, Path.hops());
-    ++Injected;
+    Longest = std::max(Longest, unsigned(Route.size()));
+    Sim.injectPacket(Sources[I], {Route.begin(), Route.end()});
   }
 
   SimulationResult Run =
@@ -78,7 +99,8 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
                      ? double(Result.Steps) / double(Result.LowerBound)
                      : 0.0;
   Result.AverageRouteLength =
-      Injected ? double(HopTotal) / double(Injected) : 0.0;
+      Sources.empty() ? 0.0
+                      : double(Routes.Hops.size()) / double(Sources.size());
   return Result;
 }
 

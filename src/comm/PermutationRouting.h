@@ -8,8 +8,9 @@
 /// Permutation routing: every node u sends one packet to pi(u) for a
 /// permutation pi of the nodes -- the canonical "hard" unicast pattern
 /// between the single-packet case and the total exchange of Corollary 3.
-/// Routes are the lifted optimal star routes of Theorems 1-3; completion
-/// is reported against max(dilation-bound, per-link-load) lower bounds.
+/// Routes are the lifted optimal star routes of Theorems 1-3, served by the
+/// QueryEngine; completion is reported against max(dilation-bound,
+/// per-link-load) lower bounds.
 /// Includes the two named patterns used in the benches: a pseudo-random
 /// permutation and the "reversal" pattern u -> complement-rank(u), plus
 /// translation traffic u -> u o g (which Cayley symmetry routes with
@@ -49,8 +50,11 @@ struct PermutationRoutingResult {
 
 class SimObserver;
 
-/// Routes \p Pattern on \p Net under \p Model via lifted star routes;
-/// requires supportsStarEmulation(Net.network()). Any \p Observers are
+/// Routes \p Pattern on \p Net under \p Model via the QueryEngine's
+/// table-free routes (lifted star routes on the SCG hosts). Throws
+/// std::invalid_argument when the host has none
+/// (!QueryEngine::supportsTableFree), when \p Pattern does not have one
+/// entry per node, or when an entry is not a node id. Any \p Observers are
 /// attached to the underlying NetworkSimulator for the run (results are
 /// unaffected; see comm/SimObserver.h).
 PermutationRoutingResult

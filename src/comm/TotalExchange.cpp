@@ -2,10 +2,11 @@
 
 #include "comm/TotalExchange.h"
 
-#include "emulation/ScgRouter.h"
 #include "graph/Bfs.h"
+#include "query/QueryEngine.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -22,21 +23,27 @@ TeResult scg::simulateTotalExchange(const ExplicitScg &Net,
   uint64_t N = Net.numNodes();
   assert(N <= 720 && "total exchange is quadratic in N; keep k <= 6");
   const SuperCayleyGraph &Host = Net.network();
-  Permutation Identity = Permutation::identity(Host.numSymbols());
+  if (!QueryEngine::supportsTableFree(Host))
+    throw std::invalid_argument("simulateTotalExchange: " + Host.name() +
+                                " has no table-free route");
 
-  // Routes depend only on the relative permutation: precompute N-1 words.
-  std::vector<std::vector<GenIndex>> RouteByRel(N);
-  uint64_t HopTotal = 0;
-  for (NodeId Rel = 1; Rel != N; ++Rel) {
-    RouteByRel[Rel] =
-        routeViaStarEmulation(Host, Identity, Net.label(Rel)).hops();
-    HopTotal += RouteByRel[Rel].size();
-  }
+  // Routes depend only on the relative permutation: route the N-1
+  // non-identity labels once (node Rel's label is its relative label from
+  // node 0, the identity).
+  std::vector<Permutation> Rels;
+  Rels.reserve(N - 1);
+  for (NodeId Rel = 1; Rel != N; ++Rel)
+    Rels.push_back(Net.label(Rel));
+  QueryEngineOptions Opts;
+  Opts.CacheCapacity = 0; // every label is routed exactly once.
+  RouteArena Routes = QueryEngine(Host, Opts).routeBatchRelative(Rels);
 
   NetworkSimulator Sim(Net, Model);
   for (NodeId S = 0; S != N; ++S)
-    for (NodeId Rel = 1; Rel != N; ++Rel)
-      Sim.injectPacket(S, RouteByRel[Rel]);
+    for (size_t I = 0; I != Routes.size(); ++I) {
+      std::span<const GenIndex> Route = Routes.route(I);
+      Sim.injectPacket(S, {Route.begin(), Route.end()});
+    }
 
   SimulationResult Run = Sim.run(/*MaxSteps=*/N * 64);
   assert(Run.Completed && "total exchange did not complete");
@@ -49,6 +56,6 @@ TeResult scg::simulateTotalExchange(const ExplicitScg &Net,
                      ? double(Result.Steps) / double(Result.LowerBound)
                      : 0.0;
   Result.LinkUtilization = Run.LinkUtilization;
-  Result.AverageRouteLength = double(HopTotal) / double(N - 1);
+  Result.AverageRouteLength = double(Routes.Hops.size()) / double(N - 1);
   return Result;
 }

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The total exchange task: every node sends a distinct packet to every
-/// other node. Packets are source-routed (optimal star routes, lifted
-/// through the emulation templates on super Cayley graph hosts) and run
-/// under the all-port model; completion time is reported against the
-/// bandwidth lower bound ceil(N * avgDistance / degree) from the proof of
-/// Corollary 3.
+/// other node. Packets are source-routed by the QueryEngine (optimal star
+/// routes, lifted through the emulation templates on super Cayley graph
+/// hosts) and run under the all-port model; completion time is reported
+/// against the bandwidth lower bound ceil(N * avgDistance / degree) from
+/// the proof of Corollary 3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +31,12 @@ struct TeResult {
   double AverageRouteLength = 0.0;
 };
 
-/// Simulates the TE on \p Net under \p Model. Routes use the optimal star
-/// route lifted through the host's emulation templates (plain star routes
-/// on the star graph itself); requires supportsStarEmulation(). N <= 720
-/// is asserted (the task is quadratic in N).
+/// Simulates the TE on \p Net under \p Model. Routes are the QueryEngine's
+/// table-free routes: the optimal star route lifted through the host's
+/// emulation templates (plain star routes on the star graph itself).
+/// Throws std::invalid_argument when the host has none
+/// (!QueryEngine::supportsTableFree). N <= 720 is asserted (the task is
+/// quadratic in N).
 TeResult simulateTotalExchange(const ExplicitScg &Net,
                                CommModel Model = CommModel::AllPort);
 

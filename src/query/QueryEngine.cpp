@@ -11,6 +11,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -138,16 +139,12 @@ DistanceReply QueryEngine::distanceRel(const Permutation &Rel) const {
     TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
     return {inversionCount(Rel), /*Exact=*/true, /*FromTable=*/false};
   case FreeRouter::Rotator:
-  case FreeRouter::Lifted: {
-    // No closed-form distance: the route length is a certified upper bound.
-    RouteReply R = routeRel(Rel);
-    return {R.length(), /*Exact=*/false, /*FromTable=*/false};
-  }
-  case FreeRouter::None:
+  case FreeRouter::Lifted:
+  case FreeRouter::None: // freeRouteRel throws.
     break;
   }
-  assert(false && "family needs a table; attachTable() first");
-  return {UnreachableDistance, false, false};
+  // No closed-form distance: the route length is a certified upper bound.
+  return {routeRel(Rel).length(), /*Exact=*/false, /*FromTable=*/false};
 }
 
 RouteReply QueryEngine::routeRel(const Permutation &Rel) const {
@@ -183,8 +180,6 @@ QueryEngine::computeRouteRel(const Permutation &Rel) const {
     // unreachable or strand the greedy walk): serve a closed-form route
     // over the unfaulted network when the family has one.
   }
-  assert(Router != FreeRouter::None &&
-         "family needs a usable table; attachTable() first");
   return freeRouteRel(Rel);
 }
 
@@ -267,8 +262,9 @@ QueryEngine::freeRouteRel(const Permutation &Rel) const {
   case FreeRouter::None:
     break;
   }
-  assert(false && "no table-free router for this family");
-  return Hops;
+  throw std::logic_error(Net.name() + " has no table-free router and no "
+                         "table route; attachTable() a table that reaches "
+                         "every label");
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,9 @@
 /// Every analysis engine in this repository materializes adjacency; the
 /// paper's point is that routing is computable locally from the
 /// permutation label in O(k) -- which is the only thing that scales to
-/// k where the graph cannot exist in memory.
+/// k where the graph cannot exist in memory. It is also the library's only
+/// router: total exchange, permutation routing and the traffic driver
+/// batch their relative labels through routeBatchRelative.
 ///
 /// Cayley symmetry does the heavy lifting: route and distance from U to V
 /// depend only on the relative label R = U^-1 o V (left translation is an
@@ -136,6 +138,12 @@ public:
   const SuperCayleyGraph &network() const { return Net; }
 
   /// d(Src, Dst), Cayley-normalized to the relative label.
+  ///
+  /// Every distance and route entry point (batch forms included) throws
+  /// std::logic_error for a non-identity label when the family has no
+  /// table-free router (supportsTableFree) and no table is attached. The
+  /// route entry points also throw when such a family's table descent
+  /// finds no route (a faulted table).
   DistanceReply distance(const Permutation &Src,
                          const Permutation &Dst) const;
 

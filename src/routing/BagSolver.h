@@ -9,7 +9,7 @@
 /// generator word between two configurations of any super Cayley graph by
 /// bidirectional breadth-first search over the implicit Cayley graph. This
 /// is exact unicast routing for any of the ten network classes and is used
-/// as the ground truth the structured routers (StarRouter, ScgRouter) are
+/// as the ground truth the structured routers (StarRouter, QueryEngine) are
 /// validated against. Exponential in the distance, so intended for
 /// small k (<= 9) or short distances.
 ///

@@ -53,18 +53,6 @@ scg::rotatorWordForPermutation(const Permutation &P) {
   return Dims;
 }
 
-GeneratorPath scg::routeInRotator(const SuperCayleyGraph &Net,
-                                  const Permutation &Src,
-                                  const Permutation &Dst) {
-  assert(Net.kind() == NetworkKind::Rotator && "network must be a rotator");
-  GeneratorPath Path;
-  Permutation Rel = Src.inverse().compose(Dst);
-  for (unsigned Dim : rotatorWordForPermutation(Rel))
-    Path.append(Dim - 2); // generators were added as I_2..I_k in order.
-  assert(Path.connects(Net, Src, Dst) && "rotator route is broken");
-  return Path;
-}
-
 unsigned scg::rotatorRouteBound(unsigned K) {
   // Each of the k-1 fixed positions costs at most its walk (<= k-1 steps)
   // plus the final insertion; the walks telescope to k(k-1)/2 total.

@@ -13,14 +13,16 @@
 /// insertion) and then inserting it home; the route length is at most
 /// k(k-1)/2 + (k-1). Not length-optimal -- the exact solver (BagSolver)
 /// is the optimality reference in tests -- but valid at any k and linear
-/// to compute.
+/// to compute. QueryEngine serves these routes for rotator hosts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_ROUTING_ROTATORROUTER_H
 #define SCG_ROUTING_ROTATORROUTER_H
 
-#include "routing/Path.h"
+#include "perm/Permutation.h"
+
+#include <vector>
 
 namespace scg {
 
@@ -28,10 +30,6 @@ namespace scg {
 /// I_i) of a route realizing the relative permutation \p P:
 /// I_{i1} o I_{i2} o ... = P.
 std::vector<unsigned> rotatorWordForPermutation(const Permutation &P);
-
-/// Routes \p Src -> \p Dst in \p Net, which must be a rotator graph.
-GeneratorPath routeInRotator(const SuperCayleyGraph &Net,
-                             const Permutation &Src, const Permutation &Dst);
 
 /// Upper bound on rotatorWordForPermutation route length for k symbols.
 unsigned rotatorRouteBound(unsigned K);

@@ -4,10 +4,11 @@
 #include "comm/Simulator.h"
 #include "comm/TotalExchange.h"
 
-#include "emulation/ScgRouter.h"
 #include "graph/Metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace scg;
 
@@ -124,26 +125,62 @@ TEST(TotalExchange, LowerBoundUsesAverageDistance) {
   EXPECT_EQ(teLowerBound(Net), (ExpectedHops + 3) / 4);
 }
 
-TEST(TotalExchange, CompletesOnStar5) {
-  ExplicitScg Net(SuperCayleyGraph::star(5));
-  TeResult R = simulateTotalExchange(Net);
-  EXPECT_EQ(R.Packets, Net.numNodes() * (Net.numNodes() - 1));
-  EXPECT_GE(R.Steps, R.LowerBound);
-  EXPECT_LE(R.Ratio, 6.0);
+namespace {
+
+/// A total exchange's pinned outcome: exact completion, bandwidth bound and
+/// total route hops (AverageRouteLength * (N - 1)), plus the ratio ceiling.
+struct TeGolden {
+  SuperCayleyGraph Host;
+  uint64_t Steps, LowerBound, HopTotal;
+  double MaxRatio;
+};
+
+void expectTeGoldens(const std::vector<TeGolden> &Cases) {
+  for (const TeGolden &C : Cases) {
+    ExplicitScg Net(C.Host);
+    TeResult R = simulateTotalExchange(Net);
+    uint64_t N = Net.numNodes();
+    EXPECT_EQ(R.Packets, N * (N - 1)) << C.Host.name();
+    EXPECT_EQ(R.Steps, C.Steps) << C.Host.name();
+    EXPECT_EQ(R.LowerBound, C.LowerBound) << C.Host.name();
+    EXPECT_DOUBLE_EQ(R.AverageRouteLength, double(C.HopTotal) / double(N - 1))
+        << C.Host.name();
+    EXPECT_GE(R.Steps, R.LowerBound) << C.Host.name();
+    EXPECT_LE(R.Ratio, C.MaxRatio) << C.Host.name();
+  }
 }
 
+} // namespace
+
+TEST(TotalExchange, CompletesOnStar5) {
+  expectTeGoldens({{SuperCayleyGraph::star(5), 132, 111, 442, 6.0}});
+}
+
+// The (2,2) hosts with star-emulation templates: MS, complete-RS (same
+// templates, same numbers) and MIS.
 TEST(TotalExchange, CompletesOnMacroStar22) {
-  ExplicitScg Net(SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2));
-  TeResult R = simulateTotalExchange(Net);
-  EXPECT_GE(R.Steps, R.LowerBound);
-  EXPECT_LE(R.Ratio, 8.0);
+  expectTeGoldens(
+      {{SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2), 396, 192, 838,
+        8.0},
+       {SuperCayleyGraph::create(NetworkKind::CompleteRotationStar, 2, 2), 396,
+        192, 838, 8.0},
+       {SuperCayleyGraph::create(NetworkKind::MacroIS, 2, 2), 396, 100, 1046,
+        8.0}});
 }
 
 TEST(TotalExchange, CompletesOnIs5) {
-  ExplicitScg Net(SuperCayleyGraph::insertionSelection(5));
-  TeResult R = simulateTotalExchange(Net);
-  EXPECT_GE(R.Steps, R.LowerBound);
-  EXPECT_LE(R.Ratio, 6.0);
+  expectTeGoldens(
+      {{SuperCayleyGraph::insertionSelection(5), 132, 42, 752, 6.0}});
+}
+
+TEST(TotalExchange, RejectsHostsWithoutTableFreeRoutes) {
+  for (NetworkKind Kind :
+       {NetworkKind::MacroRotator, NetworkKind::RotationRotator,
+        NetworkKind::CompleteRotationRotator}) {
+    ExplicitScg Net(SuperCayleyGraph::create(Kind, 2, 2));
+    EXPECT_THROW(simulateTotalExchange(Net), std::invalid_argument)
+        << Net.network().name();
+  }
 }
 
 TEST(CommModelNames, AreStable) {

@@ -17,10 +17,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Oracles.h"
 #include "SimGolden.h"
 
 #include "comm/PermutationRouting.h"
-#include "emulation/ScgRouter.h"
 #include "emulation/SdcEmulation.h"
 
 #include "support/Format.h"
@@ -104,9 +104,9 @@ TEST(EventCoreDifferential, PermutationRoutingEveryFamilyAndModel) {
     // Precompute the lifted routes once; the fill re-injects them per run.
     std::vector<std::vector<GenIndex>> Routes;
     for (NodeId U = 0; U != Net.numNodes(); ++U)
-      Routes.push_back(
-          routeViaStarEmulation(Family, Net.label(U), Net.label(Pattern[U]))
-              .hops());
+      Routes.push_back(oracle::routeViaStarEmulation(Family, Net.label(U),
+                                                     Net.label(Pattern[U]))
+                           .hops());
     for (CommModel Model : AllModels)
       expectRunGolden("permutation/" + Family.name() + "/" +
                           commModelName(Model),
@@ -140,9 +140,9 @@ TEST(EventCoreDifferential, WorkloadTraceEveryModel) {
                         for (const TrafficEvent &E : Trace) {
                           std::vector<GenIndex> Route;
                           if (E.Src != E.Dst)
-                            Route = routeViaStarEmulation(Net.network(),
-                                                          Net.label(E.Src),
-                                                          Net.label(E.Dst))
+                            Route = oracle::routeViaStarEmulation(
+                                        Net.network(), Net.label(E.Src),
+                                        Net.label(E.Dst))
                                         .hops();
                           Sim.scheduleInjection(E.Step, E.Src, Route,
                                                 E.Src % 5 == 0 ? 2 : 1);

@@ -9,7 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "emulation/ScgRouter.h"
+#include "Oracles.h"
+
 #include "emulation/SdcEmulation.h"
 #include "graph/Bfs.h"
 #include "networks/Explicit.h"
@@ -46,7 +47,7 @@ TEST(ExhaustiveSmall, LiftedRoutesFromIdentityToEveryNode) {
     ExplicitScg X(Net);
     for (NodeId Rank = 0; Rank != X.numNodes(); ++Rank) {
       Permutation Dst = X.label(Rank);
-      GeneratorPath Lifted = routeViaStarEmulation(Net, Id, Dst);
+      GeneratorPath Lifted = oracle::routeViaStarEmulation(Net, Id, Dst);
       ASSERT_TRUE(Lifted.connects(Net, Id, Dst))
           << Net.name() << " -> " << Dst.str();
       EXPECT_LE(Lifted.length(), Slowdown * starDistance(Id, Dst))
@@ -104,8 +105,8 @@ TEST(ExhaustiveSmall, LiftedWorstCaseMatchesSlowdownTimesDiameter) {
     for (NodeId Rank = 0; Rank != X.numNodes(); ++Rank)
       WorstLifted = std::max(
           WorstLifted,
-          routeViaStarEmulation(Net, Id, X.label(Rank)).length());
+          oracle::routeViaStarEmulation(Net, Id, X.label(Rank)).length());
     EXPECT_GE(WorstLifted, R.Eccentricity) << Net.name();
-    EXPECT_LE(WorstLifted, liftedRouteBound(Net)) << Net.name();
+    EXPECT_LE(WorstLifted, oracle::liftedRouteBound(Net)) << Net.name();
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -66,4 +67,28 @@ TEST(PermutationRouting, SinglePortIsSlower) {
   uint64_t OnePort =
       simulatePermutationRouting(Net, P, CommModel::SinglePort).Steps;
   EXPECT_LE(AllPort, OnePort);
+}
+
+TEST(PermutationRouting, RejectsBadHostsAndPatterns) {
+  // A host the engine cannot route without a table.
+  ExplicitScg Mr(SuperCayleyGraph::create(NetworkKind::MacroRotator, 2, 2));
+  EXPECT_THROW(simulatePermutationRouting(Mr, randomTraffic(Mr, 1)),
+               std::invalid_argument);
+
+  ExplicitScg Net(SuperCayleyGraph::star(5));
+  TrafficPattern Short = randomTraffic(Net, 1);
+  Short.pop_back();
+  EXPECT_THROW(simulatePermutationRouting(Net, Short), std::invalid_argument);
+  TrafficPattern Long = randomTraffic(Net, 1);
+  Long.push_back(0);
+  EXPECT_THROW(simulatePermutationRouting(Net, Long), std::invalid_argument);
+
+  // An entry past the last node, also behind entries that route fine.
+  TrafficPattern OutOfRange = reversalTraffic(Net);
+  OutOfRange.back() = NodeId(Net.numNodes());
+  EXPECT_THROW(simulatePermutationRouting(Net, OutOfRange),
+               std::invalid_argument);
+  OutOfRange.back() = ~NodeId(0);
+  EXPECT_THROW(simulatePermutationRouting(Net, OutOfRange),
+               std::invalid_argument);
 }

@@ -2,7 +2,7 @@
 //
 // Pins the query subsystem against the ground-truth engines: table-free
 // rank-space serving must reproduce ExplicitScg BFS distances and
-// StarRouter/ScgRouter path lengths on every supported family, the
+// StarRouter/lifted path lengths on every supported family, the
 // TableStore must round-trip through its binary format (including a
 // cross-process writer/reader split over mmap) and reject corrupt files,
 // and batched parallel serving must be byte-identical to serial.
@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -545,6 +546,31 @@ TEST(QueryEngineTest, FaultedTableFallsBackToTableFreeRoutes) {
   EXPECT_TRUE(DA.FromTable);
   EXPECT_NE(DA.Distance, UnreachableDistance);
   expectValidRoute(Net, Id, Alive, Engine.route(Id, Alive).Hops);
+}
+
+TEST(QueryEngineTest, TableOnlyFamilyWithoutTableThrows) {
+  // MR has no table-free router: without a table every non-identity query
+  // must fail loudly (never an empty route or an "unreachable" distance),
+  // in every build, and the identity label still answers 0.
+  SuperCayleyGraph Net =
+      SuperCayleyGraph::create(NetworkKind::MacroRotator, 2, 2);
+  ASSERT_FALSE(QueryEngine::supportsTableFree(Net));
+  QueryEngine Engine(Net);
+  Permutation Id = Permutation::identity(5);
+  Permutation Dst = unrankPermutation(77, 5);
+
+  EXPECT_THROW(Engine.route(Id, Dst), std::logic_error);
+  EXPECT_THROW(Engine.distance(Id, Dst), std::logic_error);
+  std::vector<Permutation> Rels = {Id, Dst};
+  EXPECT_THROW(Engine.routeBatchRelative(Rels), std::logic_error);
+  std::vector<PairQuery> Queries = {{Id, Id}, {Id, Dst}};
+  EXPECT_THROW(Engine.distanceBatch(Queries), std::logic_error);
+
+  EXPECT_EQ(Engine.distance(Dst, Dst).Distance, 0u);
+  EXPECT_TRUE(Engine.route(Dst, Dst).Hops.empty());
+  RouteArena Identity = Engine.routeBatchRelative(std::span(Rels).first(1));
+  ASSERT_EQ(Identity.size(), 1u);
+  EXPECT_EQ(Identity.length(0), 0u);
 }
 
 //===----------------------------------------------------------------------===//

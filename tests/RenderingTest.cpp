@@ -7,7 +7,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "emulation/FigureOne.h"
-#include "emulation/ScgRouter.h"
 #include "routing/Path.h"
 
 #include <gtest/gtest.h>

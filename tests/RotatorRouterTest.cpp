@@ -2,6 +2,8 @@
 
 #include "routing/RotatorRouter.h"
 
+#include "Oracles.h"
+
 #include "core/Generator.h"
 #include "perm/Lehmer.h"
 #include "routing/BagSolver.h"
@@ -53,7 +55,7 @@ TEST(RotatorRouter, RoutesConnectInTheNetwork) {
   for (int Trial = 0; Trial != 60; ++Trial) {
     Permutation A = unrankPermutation(Rng.nextBelow(factorial(5)), 5);
     Permutation B = unrankPermutation(Rng.nextBelow(factorial(5)), 5);
-    GeneratorPath Path = routeInRotator(Rot, A, B);
+    GeneratorPath Path = oracle::routeInRotator(Rot, A, B);
     EXPECT_TRUE(Path.connects(Rot, A, B));
     // Never shorter than the exact shortest path.
     EXPECT_GE(Path.length(), solveBag(Rot, A, B)->length());

@@ -2,7 +2,7 @@
 
 #include "routing/RouteOptimizer.h"
 
-#include "emulation/ScgRouter.h"
+#include "Oracles.h"
 #include "perm/Lehmer.h"
 #include "support/Format.h"
 
@@ -61,7 +61,7 @@ TEST(RouteOptimizer, PreservesEndpointsOnLiftedRoutes) {
     for (int Trial = 0; Trial != 60; ++Trial) {
       Permutation A = unrankPermutation(Rng.nextBelow(factorial(7)), 7);
       Permutation B = unrankPermutation(Rng.nextBelow(factorial(7)), 7);
-      GeneratorPath Lifted = routeViaStarEmulation(Net, A, B);
+      GeneratorPath Lifted = oracle::routeViaStarEmulation(Net, A, B);
       GeneratorPath Simple = simplifyPath(Net, Lifted);
       EXPECT_TRUE(Simple.connects(Net, A, B)) << Net.name();
       EXPECT_LE(Simple.length(), Lifted.length());
@@ -77,7 +77,7 @@ TEST(RouteOptimizer, ShortensBackToBackBoxVisits) {
   // T_4 then T_5: lifted = S2 T2 S2 S2 T3 S2.
   Permutation Dst = Id.compose(makeTransposition(5, 4).Sigma)
                         .compose(makeTransposition(5, 5).Sigma);
-  GeneratorPath Lifted = routeViaStarEmulation(Ms, Id, Dst);
+  GeneratorPath Lifted = oracle::routeViaStarEmulation(Ms, Id, Dst);
   GeneratorPath Simple = simplifyPath(Ms, Lifted);
   EXPECT_LT(Simple.length(), Lifted.length());
   EXPECT_TRUE(Simple.connects(Ms, Id, Dst));
@@ -90,7 +90,8 @@ TEST(RouteOptimizer, IsIdempotent) {
   for (int Trial = 0; Trial != 40; ++Trial) {
     Permutation A = unrankPermutation(Rng.nextBelow(factorial(7)), 7);
     Permutation B = unrankPermutation(Rng.nextBelow(factorial(7)), 7);
-    GeneratorPath Once = simplifyPath(Net, routeViaStarEmulation(Net, A, B));
+    GeneratorPath Once =
+        simplifyPath(Net, oracle::routeViaStarEmulation(Net, A, B));
     GeneratorPath Twice = simplifyPath(Net, Once);
     EXPECT_EQ(Once.hops(), Twice.hops());
   }

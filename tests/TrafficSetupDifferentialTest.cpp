@@ -3,18 +3,18 @@
 // The traffic driver's route setup dedupes the trace to relative labels
 // and batch-routes them through QueryEngine::routeBatchRelative. For every
 // distinct label of each trace below, the batched route must equal the
-// scalar routeViaStarEmulation route hop for hop, and the driver result
-// must match the golden frozen when the batched and the scalar per-label
-// setups (and the step and event engines) still agreed on it. The
+// scalar oracle::routeViaStarEmulation route hop for hop, and the driver
+// result must match the golden frozen when the batched and the scalar
+// per-label setups (and the step and event engines) still agreed on it. The
 // closed-loop source rides the same harness, and every result must be
 // byte-identical at 1, 2, and 8 threads (the parallel batch chunking is a
 // function of the batch length only, never the thread count).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Oracles.h"
 #include "SimGolden.h"
 
-#include "emulation/ScgRouter.h"
 #include "query/QueryEngine.h"
 #include "support/ThreadPool.h"
 
@@ -78,8 +78,8 @@ TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
     ASSERT_EQ(Arena.size(), Rels.size()) << C.Family.name();
     for (size_t I = 0; I != Rels.size(); ++I) {
       std::vector<GenIndex> Scalar =
-          routeViaStarEmulation(Host, Permutation::identity(Host.numSymbols()),
-                                Rels[I])
+          oracle::routeViaStarEmulation(
+              Host, Permutation::identity(Host.numSymbols()), Rels[I])
               .hops();
       std::span<const GenIndex> Batched = Arena.route(I);
       EXPECT_TRUE(std::equal(Batched.begin(), Batched.end(), Scalar.begin(),
