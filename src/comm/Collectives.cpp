@@ -2,59 +2,32 @@
 
 #include "comm/Collectives.h"
 
+#include "comm/Mnb.h"
+
 #include <cassert>
-#include <deque>
+#include <stdexcept>
 
 using namespace scg;
+
+namespace {
+CollectiveResult collectiveResult(uint64_t Steps, uint64_t LowerBound) {
+  return {Steps, LowerBound,
+          LowerBound ? double(Steps) / double(LowerBound) : 0.0};
+}
+} // namespace
 
 CollectiveResult scg::simulateBroadcast(const ExplicitScg &Net,
                                         const BroadcastTree &Tree,
                                         CommModel Model) {
-  assert(Model != CommModel::SingleDimension &&
-         "SDC broadcast: use simulateMnbSdc for the SDC collective");
-  uint64_t N = Net.numNodes();
-  unsigned Degree = Net.degree();
-
-  // Token queues per (node, link); the source is node 0 = the identity,
-  // so relative and absolute coordinates coincide.
-  std::vector<std::deque<NodeId>> Queues(size_t(N) * Degree);
-  uint64_t Pending = 0;
-  for (GenIndex G : Tree.children(0)) {
-    Queues[G].push_back(0);
-    ++Pending;
-  }
-
-  CollectiveResult Result;
-  Result.LowerBound = Tree.height();
-  struct Arrival {
-    NodeId At;
-  };
-  std::vector<NodeId> Arrivals;
-  while (Pending != 0) {
-    ++Result.Steps;
-    Arrivals.clear();
-    for (NodeId U = 0; U != N; ++U) {
-      unsigned Budget = (Model == CommModel::SinglePort) ? 1 : Degree;
-      for (GenIndex G = 0; G != Degree && Budget != 0; ++G) {
-        auto &Queue = Queues[size_t(U) * Degree + G];
-        if (Queue.empty())
-          continue;
-        Queue.pop_front();
-        --Pending;
-        --Budget;
-        Arrivals.push_back(Net.next(U, G));
-      }
-    }
-    for (NodeId At : Arrivals)
-      for (GenIndex G : Tree.children(At)) {
-        Queues[size_t(At) * Degree + G].push_back(At);
-        ++Pending;
-      }
-  }
-  Result.Ratio = Result.LowerBound
-                     ? double(Result.Steps) / double(Result.LowerBound)
-                     : 0.0;
-  return Result;
+  if (Model == CommModel::SingleDimension)
+    throw std::invalid_argument(
+        "broadcast: no single-dimension model; simulateMnbSdc is the SDC "
+        "collective");
+  return collectiveResult(
+      detail::runTreeCollective(Net, {&Tree, 1}, /*AllSources=*/false, {},
+                                Model == CommModel::SinglePort)
+          .Steps,
+      Tree.height());
 }
 
 CollectiveResult scg::simulateScatter(const ExplicitScg &Net,
@@ -67,14 +40,10 @@ CollectiveResult scg::simulateScatter(const ExplicitScg &Net,
       Sim.run(/*MaxSteps=*/uint64_t(Net.numNodes()) * Net.degree() * 4);
   assert(Run.Completed && "scatter did not complete");
 
-  CollectiveResult Result;
-  Result.Steps = Run.Steps;
-  Result.LowerBound =
-      Model == CommModel::SinglePort
-          ? Net.numNodes() - 1
-          : (Net.numNodes() - 1 + Net.degree() - 1) / Net.degree();
-  Result.Ratio = double(Result.Steps) / double(Result.LowerBound);
-  return Result;
+  return collectiveResult(Run.Steps,
+                          Model == CommModel::SinglePort
+                              ? Net.numNodes() - 1
+                              : mnbLowerBound(Net.numNodes(), Net.degree()));
 }
 
 CollectiveResult scg::simulateAllReduce(const ExplicitScg &Net,
@@ -82,20 +51,16 @@ CollectiveResult scg::simulateAllReduce(const ExplicitScg &Net,
                                         CommModel Model) {
   CollectiveResult Gather = simulateGather(Net, Tree, Model);
   CollectiveResult Broadcast = simulateBroadcast(Net, Tree, Model);
-  CollectiveResult Result;
-  Result.Steps = Gather.Steps + Broadcast.Steps;
-  Result.LowerBound = Gather.LowerBound + Broadcast.LowerBound;
-  Result.Ratio = Result.LowerBound
-                     ? double(Result.Steps) / double(Result.LowerBound)
-                     : 0.0;
-  return Result;
+  return collectiveResult(Gather.Steps + Broadcast.Steps,
+                          Gather.LowerBound + Broadcast.LowerBound);
 }
 
 CollectiveResult scg::simulateGather(const ExplicitScg &Net,
                                      const BroadcastTree &Tree,
                                      CommModel Model) {
-  assert(Net.network().isUndirected() &&
-         "gather reverses tree links; the network must be undirected");
+  if (!Net.network().isUndirected())
+    throw std::invalid_argument(
+        "gather reverses tree links; the network must be undirected");
   const GeneratorSet &Gens = Net.network().generators();
   NetworkSimulator Sim(Net, Model);
   for (NodeId W = 1; W != Net.numNodes(); ++W) {
@@ -110,10 +75,6 @@ CollectiveResult scg::simulateGather(const ExplicitScg &Net,
       Sim.run(/*MaxSteps=*/uint64_t(Net.numNodes()) * Net.degree() * 4);
   assert(Run.Completed && "gather did not complete");
 
-  CollectiveResult Result;
-  Result.Steps = Run.Steps;
-  Result.LowerBound =
-      (Net.numNodes() - 1 + Net.degree() - 1) / Net.degree();
-  Result.Ratio = double(Result.Steps) / double(Result.LowerBound);
-  return Result;
+  return collectiveResult(Run.Steps,
+                          mnbLowerBound(Net.numNodes(), Net.degree()));
 }

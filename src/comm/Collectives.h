@@ -35,7 +35,8 @@ struct CollectiveResult {
 
 /// Broadcast from node 0 along \p Tree under \p Model. Under the all-port
 /// model a node forwards to all children in one step, so completion is
-/// exactly the tree height.
+/// exactly the tree height. Throws std::invalid_argument under
+/// CommModel::SingleDimension (simulateMnbSdc is the SDC collective).
 CollectiveResult simulateBroadcast(const ExplicitScg &Net,
                                    const BroadcastTree &Tree,
                                    CommModel Model = CommModel::AllPort);
@@ -47,14 +48,16 @@ CollectiveResult simulateScatter(const ExplicitScg &Net,
                                  CommModel Model = CommModel::AllPort);
 
 /// Gather to node 0: every node sends one packet to the root along the
-/// reversed tree path. Requires an undirected network (reverse links).
+/// reversed tree path. Requires an undirected network (reverse links);
+/// throws std::invalid_argument on a directed one.
 CollectiveResult simulateGather(const ExplicitScg &Net,
                                 const BroadcastTree &Tree,
                                 CommModel Model = CommModel::AllPort);
 
 /// All-reduce as gather-then-broadcast (the reduction value must reach
 /// the root before redistribution, so the phases are sequential); steps
-/// and bounds are the sums of the two phases.
+/// and bounds are the sums of the two phases. Throws
+/// std::invalid_argument where either phase does.
 CollectiveResult simulateAllReduce(const ExplicitScg &Net,
                                    const BroadcastTree &Tree,
                                    CommModel Model = CommModel::AllPort);

@@ -19,6 +19,8 @@
 
 #include "comm/BroadcastTree.h"
 
+#include <span>
+
 namespace scg {
 
 /// Result of a multinode-broadcast simulation.
@@ -39,7 +41,9 @@ MnbResult simulateMnb(const ExplicitScg &Net, const BroadcastTree &Tree);
 /// (all generators round-robin when \p Cycle is empty). The lower bound
 /// becomes N-1 (one in-link per node per step); [15]'s strictly optimal
 /// star algorithm achieves k!-1, and this tree-based schedule lands within
-/// a small constant of it (DESIGN.md substitution 1).
+/// a small constant of it (DESIGN.md substitution 1). Throws
+/// std::invalid_argument if \p Cycle names a generator >= degree or omits
+/// one that labels a tree edge (those tokens would never move).
 MnbResult simulateMnbSdc(const ExplicitScg &Net, const BroadcastTree &Tree,
                          std::vector<GenIndex> Cycle = {});
 
@@ -47,7 +51,8 @@ MnbResult simulateMnbSdc(const ExplicitScg &Net, const BroadcastTree &Tree,
 /// (source s broadcasts along Trees[s mod Trees.size()]) under the
 /// all-port model: the multi-spanning-tree load-balancing idea behind the
 /// optimal algorithms of [8]. With diverse trees the per-link load
-/// flattens and the completion ratio drops toward 1.
+/// flattens and the completion ratio drops toward 1; with one tree this
+/// is simulateMnb. Throws std::invalid_argument if \p Trees is empty.
 MnbResult simulateMnbStriped(const ExplicitScg &Net,
                              const std::vector<BroadcastTree> &Trees);
 
@@ -56,6 +61,30 @@ uint64_t mnbLowerBound(uint64_t NumNodes, unsigned Degree);
 
 /// The SDC receive-bound: N - 1.
 uint64_t mnbSdcLowerBound(uint64_t NumNodes);
+
+namespace detail {
+
+/// Counters of one runTreeCollective run.
+struct TreeRun {
+  uint64_t Steps = 0;
+  uint64_t Deliveries = 0; ///< token arrivals = link transmissions.
+};
+
+/// The one step loop behind every tree collective (MNB, SDC-MNB, striped
+/// MNB, broadcast). Source s broadcasts along Trees[s % Trees.size()];
+/// the sources are every node when \p AllSources, else node 0 alone. At
+/// step t every link fires, or only generator Cycle[t % Cycle.size()]
+/// when \p Cycle is non-empty; under \p SinglePort a node sends on its
+/// lowest non-empty generator only. Links transmit generator-major and a
+/// token moves one hop per step (DESIGN.md section 15). Throws
+/// std::invalid_argument on an empty \p Trees, or on a \p Cycle that names
+/// a generator >= degree or omits one that labels a tree edge.
+TreeRun runTreeCollective(const ExplicitScg &Net,
+                          std::span<const BroadcastTree> Trees,
+                          bool AllSources, std::span<const GenIndex> Cycle,
+                          bool SinglePort);
+
+} // namespace detail
 
 } // namespace scg
 

@@ -35,14 +35,3 @@ uint64_t scg::bfsReachableCount(const Graph &G, NodeId Source) {
   }
   return Reached;
 }
-
-BfsResult scg::bfsImplicit(uint64_t NumNodes, NodeId Source,
-                           const NeighborFn &Neighbors) {
-  // The legacy type-erased form: the enumerator stays a std::function, but
-  // the sink handed to it must also be type-erased to match NeighborFn.
-  return bfsCore(NumNodes, Source,
-                 [&Neighbors](NodeId Node, auto &&Sink) {
-                   std::function<void(NodeId)> ErasedSink = Sink;
-                   Neighbors(Node, ErasedSink);
-                 });
-}

@@ -5,19 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// BFS over explicit graphs and over implicit neighbor functions. The
-/// implicit form is how distances are computed in super Cayley graphs
-/// without materializing adjacency: the caller supplies a neighbor callback
-/// over dense node ids (typically Lehmer ranks).
+/// Single-source BFS over any graph whose out-neighbors a functor can
+/// enumerate over dense node ids (typically Lehmer ranks).
 ///
 /// The engine is bfsCore, a neighbor-functor template: the enumeration
 /// callback and the visit sink are inlined at the call site (no
 /// std::function dispatch per edge), and the FIFO is a flat vector with a
 /// head cursor -- every node is enqueued at most once, so the queue never
-/// wraps and one reservation serves the whole traversal. bfs() and the
-/// legacy bfsImplicit() are thin adapters over it; hot paths that know
-/// their neighbor structure statically (Metrics via bfs, ExplicitScg via
-/// bfsExplicit) get fully devirtualized loops.
+/// wraps and one reservation serves the whole traversal. bfs() over an
+/// explicit Graph and bfsExplicit() over ExplicitScg's Next table are thin
+/// adapters over it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +23,6 @@
 
 #include "graph/Graph.h"
 
-#include <functional>
 #include <limits>
 
 namespace scg {
@@ -99,25 +95,6 @@ BfsResult bfs(const Graph &G, NodeId Source);
 /// (isConnectedFromZero, sweep guards) should take; a full bfs() for a
 /// reachability answer pays for state nobody reads.
 uint64_t bfsReachableCount(const Graph &G, NodeId Source);
-
-/// Callback enumerating out-neighbors of a node: invoked with the node id,
-/// must call the sink for each neighbor.
-///
-/// COMPATIBILITY SHIM. This type-erased form predates the bfsCore template
-/// and survives only as an API for out-of-tree callers and as the shape of
-/// the reference BFS in tests/KernelDifferentialTest.cpp; an audit (PR 5)
-/// found no remaining in-tree hot-path users. New code should hand bfsCore
-/// a concrete functor (or use bfs/bfsExplicit), and multi-source sweeps
-/// should batch through graph/MsBfs.h instead of looping single sources.
-using NeighborFn =
-    std::function<void(NodeId, const std::function<void(NodeId)> &)>;
-
-/// BFS from \p Source over an implicit graph on \p NumNodes nodes.
-/// Adapter over bfsCore for callers holding a type-erased NeighborFn; pays
-/// a std::function dispatch per edge. See the NeighborFn note: this is a
-/// compatibility shim, not a hot-path entry point.
-BfsResult bfsImplicit(uint64_t NumNodes, NodeId Source,
-                      const NeighborFn &Neighbors);
 
 } // namespace scg
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 using namespace scg;
 
 namespace {
@@ -85,6 +88,51 @@ TEST(Collectives, AllReduceSumsPhases) {
   EXPECT_EQ(AllReduce.Steps, Gather.Steps + Broadcast.Steps);
   EXPECT_GE(AllReduce.Steps, AllReduce.LowerBound);
   EXPECT_LE(AllReduce.Ratio, 3.5);
+}
+
+TEST(Collectives, PinnedBroadcastAndAllReduceSteps) {
+  struct Pin {
+    SuperCayleyGraph Host;
+    unsigned Rotation;
+    uint64_t AllPort, SinglePort, AllReduce;
+  };
+  auto MS22 = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
+  for (const Pin &P : {Pin{SuperCayleyGraph::star(5), 0, 6, 11, 66},
+                       Pin{SuperCayleyGraph::star(5), 1, 6, 13, 66},
+                       Pin{SuperCayleyGraph::star(5), 2, 6, 13, 66},
+                       Pin{SuperCayleyGraph::star(6), 0, 7, 18, 367},
+                       Pin{SuperCayleyGraph::star(6), 1, 7, 19, 367},
+                       Pin{SuperCayleyGraph::star(6), 2, 7, 19, 367},
+                       Pin{MS22, 0, 8, 12, 60},
+                       Pin{MS22, 1, 8, 11, 60},
+                       Pin{MS22, 2, 8, 11, 54}}) {
+    ExplicitScg Net(P.Host);
+    BroadcastTree Tree(Net, P.Rotation);
+    std::string Case = P.Host.name() + " rotation " +
+                       std::to_string(P.Rotation);
+    EXPECT_EQ(simulateBroadcast(Net, Tree).Steps, P.AllPort) << Case;
+    EXPECT_EQ(simulateBroadcast(Net, Tree, CommModel::SinglePort).Steps,
+              P.SinglePort)
+        << Case;
+    EXPECT_EQ(simulateAllReduce(Net, Tree).Steps, P.AllReduce) << Case;
+  }
+}
+
+TEST(Collectives, SingleDimensionBroadcastThrows) {
+  Fixture F(SuperCayleyGraph::star(4));
+  EXPECT_THROW(simulateBroadcast(F.Net, F.Tree, CommModel::SingleDimension),
+               std::invalid_argument);
+}
+
+TEST(Collectives, SingleDimensionAllReduceThrows) {
+  Fixture F(SuperCayleyGraph::star(4));
+  EXPECT_THROW(simulateAllReduce(F.Net, F.Tree, CommModel::SingleDimension),
+               std::invalid_argument);
+}
+
+TEST(Collectives, GatherOnDirectedNetworkThrows) {
+  Fixture F(SuperCayleyGraph::rotator(4));
+  EXPECT_THROW(simulateGather(F.Net, F.Tree), std::invalid_argument);
 }
 
 TEST(Collectives, SinglePortScatterBoundIsNMinusOne) {

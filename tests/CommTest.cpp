@@ -117,6 +117,41 @@ TEST(Mnb, CompletesOnInsertionSelection5) {
   EXPECT_LE(R.Ratio, 4.0);
 }
 
+TEST(Mnb, PinnedStepsOn120NodeNetworks) {
+  // The bench_mnb E6 (all-port) and E6b (single-dimension) rows of the
+  // 120-node networks.
+  struct Pin {
+    SuperCayleyGraph Host;
+    uint64_t AllPort, SingleDimension;
+  };
+  for (const Pin &P :
+       {Pin{SuperCayleyGraph::star(5), 36, 141},
+        Pin{SuperCayleyGraph::insertionSelection(5), 26, 208},
+        Pin{SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2), 46,
+            138}}) {
+    ExplicitScg Net(P.Host);
+    BroadcastTree Tree(Net);
+    EXPECT_EQ(simulateMnb(Net, Tree).Steps, P.AllPort) << P.Host.name();
+    MnbResult Sdc = simulateMnbSdc(Net, Tree);
+    EXPECT_EQ(Sdc.Steps, P.SingleDimension) << P.Host.name();
+    EXPECT_EQ(Sdc.LowerBound, Net.numNodes() - 1) << P.Host.name();
+  }
+}
+
+TEST(Mnb, SdcCycleNamingNoGeneratorThrows) {
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  BroadcastTree Tree(Net);
+  EXPECT_THROW(simulateMnbSdc(Net, Tree, {0, 1, 2, Net.degree()}),
+               std::invalid_argument);
+}
+
+TEST(Mnb, SdcCycleOmittingATreeGeneratorThrows) {
+  // Tokens bound for the omitted generator's links would never move.
+  ExplicitScg Net(SuperCayleyGraph::star(4));
+  BroadcastTree Tree(Net);
+  EXPECT_THROW(simulateMnbSdc(Net, Tree, {0, 1}), std::invalid_argument);
+}
+
 TEST(TotalExchange, LowerBoundUsesAverageDistance) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
   DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
