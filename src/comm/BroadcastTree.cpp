@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
 
 using namespace scg;
@@ -13,12 +12,14 @@ BroadcastTree::BroadcastTree(const ExplicitScg &Net, unsigned Rotation)
     : Depth(Net.numNodes(), std::numeric_limits<uint32_t>::max()),
       Children(Net.numNodes()), Parent(Net.numNodes(), 0),
       ParentLink(Net.numNodes(), 0) {
-  std::deque<NodeId> Queue;
+  // BFS queue: every node enters once, so a vector read from a head index
+  // is the whole FIFO.
+  std::vector<NodeId> Queue;
+  Queue.reserve(Net.numNodes());
   Depth[0] = 0;
   Queue.push_back(0);
-  while (!Queue.empty()) {
-    NodeId W = Queue.front();
-    Queue.pop_front();
+  for (size_t Head = 0; Head != Queue.size(); ++Head) {
+    NodeId W = Queue[Head];
     // Rotate the generator order per node so tree-edge labels spread evenly
     // across the links; the per-link MNB load is the number of tree edges
     // with a given label, so balance here is completion time there.

@@ -1,11 +1,11 @@
 //===- comm/Simulator.cpp - Packet-level simulator -----------------------===//
 //
-// One globally synchronous step loop that touches only active work: a
-// bitmap of non-empty link queues and a bitmap of in-flight multi-flit
-// links, both scanned in ascending id, and a jump over every step at which
-// nothing is due. Why each skipped step could not have changed a result
-// is spelled out at the jump (NextDueStep) and at the cap. Link queues are
-// the intrusive FIFOs of Simulator.h (pushQueue/popQueue). Within a step,
+// One synchronous step loop that touches only active work: a bitmap of
+// non-empty link queues and a bitmap of in-flight multi-flit links, both
+// scanned in ascending id, and a jump over every step at which nothing is
+// due. Why each skipped step could not have changed a result is spelled
+// out at the jump (NextDueStep) and at the cap. Link queues are the
+// intrusive FIFOs of Simulator.h (pushQueue/popQueue). Within a step,
 // every transmitting link is picked from the bitmaps before any packet
 // record is read, so the transmit pass can prefetch the head packets of
 // links picked further ahead; why that order gives the interleaved
@@ -13,6 +13,32 @@
 // its deferred injections in a FIFO of its own, retried only after the
 // node transmitted; why that admits what one global FIFO retried every
 // step would is spelled out at the retry.
+//
+// A step runs over fixed node chunks on the ThreadPool, in two regions
+// with a barrier between them:
+//
+//   A (per source chunk)       retry and admit the chunk's injections,
+//                              sample, phase 0, pick (1a) and transmit
+//                              (1b) at its nodes; deliver every packet
+//                              whose hop ends its route, and bucket every
+//                              other moved packet by destination chunk,
+//                              phase 0 landings apart from 1b hops
+//   B (per destination chunk)  queue the chunk's arrivals, draining all
+//                              phase 0 buckets in source-chunk order, then
+//                              all 1b buckets in source-chunk order
+//
+// Every phase of region A reads and writes only its own nodes' queues,
+// ports, deferred injections and bitmap words (a chunk is a multiple of
+// 64 nodes, so no bitmap word straddles two chunks): the models let a
+// node decide from its own state alone. The serial loop's Moved order is
+// every chunk's phase 0 landings in node order, then every chunk's 1b
+// hops in pick order, which is exactly the order region B drains the
+// buckets in, so every link FIFO sees the serial push order. Counters
+// are per chunk and merged in chunk order after region B; observed runs
+// rebuild StepEvents in the serial order (zero-hop admissions by
+// injection index, then Moved order) and fire onStep on the calling
+// thread. The chunks depend on the node count only, and a small step
+// runs the same chunks inline, so no result depends on the thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -174,12 +200,13 @@ SimulationResult NetworkSimulator::run(uint64_t MaxSteps) {
 
 namespace {
 
-/// Calls \p F(I) for every set bit I of \p Bits in ascending order. Each
-/// word is read once, so \p F may clear bits (its own or later ones)
-/// without disturbing the scan.
+/// Calls \p F(I) for every set bit I in words [\p WordBegin, \p WordEnd)
+/// of \p Bits, in ascending order. Each word is read once, so \p F may
+/// clear bits (its own or later ones) without disturbing the scan.
 template <typename Fn>
-void forEachSetBit(const std::vector<uint64_t> &Bits, Fn F) {
-  for (size_t W = 0; W != Bits.size(); ++W)
+void forEachSetBit(const std::vector<uint64_t> &Bits, size_t WordBegin,
+                   size_t WordEnd, Fn F) {
+  for (size_t W = WordBegin; W != WordEnd; ++W)
     for (uint64_t Word = Bits[W]; Word; Word &= Word - 1)
       F(W * 64 + size_t(std::countr_zero(Word)));
 }
@@ -197,17 +224,74 @@ constexpr size_t PrefetchAhead = 16;
 /// prefetch trails it by half that distance and finds the entry landed.
 constexpr size_t RetryPacketAhead = PrefetchAhead / 2;
 
+/// At most this many node chunks (fewer on networks under 16 * 64 nodes).
+constexpr NodeId MaxStepChunks = 16;
+
+/// Nodes per step chunk: a multiple of 64, so a chunk's links fill whole
+/// words of the Queued and Flying bitmaps at any degree, and a function of
+/// the node count only, so the chunks -- and with them every result --
+/// are the same at every thread count. star(5) gets two chunks of 64,
+/// star(8) sixteen of 2560.
+NodeId stepChunkNodes(NodeId NumNodes) {
+  const NodeId PerChunk = (NumNodes + MaxStepChunks - 1) / MaxStepChunks;
+  return std::max<NodeId>(64, (PerChunk + 63) / 64 * 64);
+}
+
+/// A step with fewer packets in play (pending, deferred and due for
+/// injection) runs its chunks inline on the calling thread: below this the
+/// two pool dispatches of a step cost more than the chunks save
+/// (EXPERIMENTS.md E34).
+constexpr uint64_t InlineStepWork = 512;
+
+/// A moved packet on its way into region B: the link queue it joins, at a
+/// node of the bucket's destination chunk.
+struct Arrival {
+  uint32_t Queue;
+  uint32_t Id;
+};
+
+/// One node chunk's share of a step. Region A (sources) writes only this
+/// record and the chunk's own nodes, links and bitmap words; region B
+/// (arrivals) writes only the destination chunk's. Aligned so that no two
+/// chunks' counters share a cache line.
+struct alignas(64) StepChunk {
+  size_t WordBegin = 0, WordEnd = 0; ///< its words of Queued and Flying.
+  /// Its next and end position in the run's injections bucketed by
+  /// source chunk.
+  size_t InjCursor = 0, InjEnd = 0;
+  std::vector<NodeId> ActiveNodes; ///< nodes with queued packets, ascending.
+  std::vector<NodeId> Retry;       ///< closed loop: nodes to retry next.
+  std::vector<uint32_t> Picked;    ///< links transmitting, in pick order.
+  std::vector<uint32_t> Landed;    ///< links whose message arrived.
+  /// Packets that completed a hop from its nodes: Moved[0] the phase 0
+  /// landings in link order, Moved[1] the phase 1b hops in pick order.
+  std::vector<uint32_t> Moved[2];
+  /// The moved packets that go on from a node of chunk D, in Moved order:
+  /// Out[D] for phase 0 landings, Out[NumChunks + D] for phase 1b.
+  std::vector<std::vector<Arrival>> Out;
+  /// Changes this step, folded into the run's totals by the merge.
+  int64_t PendingDelta = 0, InFlightDelta = 0, DeferredDelta = 0;
+  std::vector<int64_t> QueuedOnGenDelta; ///< single-dimension only.
+  uint64_t Queued = 0, Longest = 0; ///< this step's start-of-step sample.
+  /// Run totals of the additive fields (Delivered, Transmissions,
+  /// BusyLinkSteps, deferral counts, QueuedPacketSteps) and the max
+  /// MaxQueueLength of this chunk's links.
+  SimulationResult Sums;
+  // Observed runs only: this step's events, by phase (0, 1b).
+  std::vector<LinkActivity> Active[2];
+  std::vector<uint32_t> Done[2];
+  std::vector<uint32_t> ZeroHop; ///< injection indices delivered on admit.
+};
+
 } // namespace
 
 template <bool Collect>
 SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
-  SimulationResult Result;
-  Result.Delivered = DeliveredAtInject;
   const unsigned Degree = Net.degree();
+  const NodeId NumNodes = Net.numNodes();
   const uint64_t CycleLen = DimensionCycle.size();
-  std::vector<uint32_t> Moved;
-  std::vector<size_t> Landed;   ///< links whose message arrived this step.
-  std::vector<uint32_t> Picked; ///< links transmitting this step, in order.
+  const bool PerGen = Model == CommModel::SingleDimension;
+  ThreadPool &Pool = ThreadPool::global();
 
   // Collection is a compile-time parameter: with no observer attached the
   // dispatch selects the Collect = false instantiation, whose hot loop
@@ -230,7 +314,6 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   std::vector<uint64_t> Queued((QueueLen.size() + 63) / 64, 0);
   std::vector<uint64_t> Flying(Queued.size(), 0);
   uint64_t InFlightLinks = 0;
-  const bool PerGen = Model == CommModel::SingleDimension;
   std::vector<uint64_t> QueuedOnGen(PerGen ? Degree : 0, 0);
   auto SetBit = [](std::vector<uint64_t> &Bits, size_t I) {
     Bits[I / 64] |= uint64_t(1) << (I % 64);
@@ -241,19 +324,6 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
   auto TestBit = [](const std::vector<uint64_t> &Bits, size_t I) {
     return (Bits[I / 64] >> (I % 64)) & 1;
   };
-  auto Push = [&](size_t Q, uint32_t Id) {
-    pushQueue(Q, Id);
-    SetBit(Queued, Q);
-    if (PerGen)
-      ++QueuedOnGen[Q % Degree];
-  };
-  auto PopFront = [&](size_t Q) {
-    popQueue(Q);
-    if (QueueLen[Q] == 0)
-      ClearBit(Queued, Q);
-    if (PerGen)
-      --QueuedOnGen[Q % Degree];
-  };
   // Packets injected before run() sit in their queues already: one pass
   // over every queue length seeds the active sets.
   for (size_t Q = 0; Q != QueueLen.size(); ++Q)
@@ -263,23 +333,85 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         QueuedOnGen[Q % Degree] += QueueLen[Q];
     }
 
+  // The node chunks.
+  const NodeId ChunkNodes = stepChunkNodes(NumNodes);
+  const size_t NumChunks = (NumNodes + ChunkNodes - 1) / ChunkNodes;
+  std::vector<StepChunk> Chunks(NumChunks);
+  for (size_t C = 0; C != NumChunks; ++C) {
+    StepChunk &S = Chunks[C];
+    const size_t End = std::min<size_t>(NumNodes, (C + 1) * ChunkNodes);
+    S.WordBegin = C * ChunkNodes * Degree / 64;
+    S.WordEnd = (End * Degree + 63) / 64;
+    S.Out.resize(2 * NumChunks);
+    S.QueuedOnGenDelta.assign(QueuedOnGen.size(), 0);
+  }
+
+  // The injections, bucketed by source chunk with a stable counting pass
+  // (count per span and chunk, prefix-sum in chunk-then-span order, fill),
+  // so each chunk admits its own in (step, call) order and scans no other
+  // chunk's. Neither array is zeroed: the passes write every entry.
+  std::vector<uint32_t, UninitAllocator<uint32_t>> ChunkInjections(
+      Injections.size());
+  {
+    static_assert(MaxStepChunks <= 256, "source chunks are stored as bytes");
+    std::vector<uint8_t, UninitAllocator<uint8_t>> SourceChunk(
+        Injections.size());
+    const uint64_t Span = ThreadPool::defaultChunkSize(Injections.size());
+    const size_t NumSpans = (Injections.size() + Span - 1) / Span;
+    std::vector<uint32_t> Slots(NumSpans * NumChunks, 0);
+    Pool.parallelForChunks(
+        0, Injections.size(), Span, [&](uint64_t B, uint64_t E) {
+          uint32_t *Row = &Slots[B / Span * NumChunks];
+          for (uint64_t I = B; I != E; ++I)
+            ++Row[SourceChunk[I] =
+                      uint8_t(Packets[Injections[I].Id].At / ChunkNodes)];
+        });
+    uint32_t Next = 0;
+    for (size_t C = 0; C != NumChunks; ++C) {
+      Chunks[C].InjCursor = Next;
+      for (size_t Sp = 0; Sp != NumSpans; ++Sp)
+        Next += std::exchange(Slots[Sp * NumChunks + C], Next);
+      Chunks[C].InjEnd = Next;
+    }
+    Pool.parallelForChunks(0, Injections.size(), Span,
+                           [&](uint64_t B, uint64_t E) {
+                             uint32_t *Row = &Slots[B / Span * NumChunks];
+                             for (uint64_t I = B; I != E; ++I)
+                               ChunkInjections[Row[SourceChunk[I]]++] =
+                                   uint32_t(I);
+                           });
+  }
+
+  auto Push = [&](StepChunk &C, size_t Q, uint32_t Id) {
+    pushQueue(Q, Id);
+    SetBit(Queued, Q);
+    if (PerGen)
+      ++C.QueuedOnGenDelta[Q % Degree];
+  };
+  auto PopFront = [&](StepChunk &C, size_t Q) {
+    popQueue(Q);
+    if (QueueLen[Q] == 0)
+      ClearBit(Queued, Q);
+    if (PerGen)
+      --C.QueuedOnGenDelta[Q % Degree];
+  };
+
   // Closed-loop admission state. Each node keeps its deferred injections
   // in a FIFO of Injections indices (DeferHead, DeferTail), chained
   // through TimedInjection::NextDeferred, so deferring allocates nothing.
-  // Retry lists the nodes to retry at the next executed step.
+  // A chunk's Retry lists its nodes to retry at the next executed step.
   const uint64_t Limit = ClosedLoopMaxQueue;
-  std::vector<uint32_t> DeferHead(Limit ? Net.numNodes() : 0, NoInjection);
+  std::vector<uint32_t> DeferHead(Limit ? NumNodes : 0, NoInjection);
   std::vector<uint32_t> DeferTail(DeferHead.size(), NoInjection);
   uint64_t DeferredCount = 0;
-  std::vector<NodeId> Retry;
-  auto Defer = [&](uint32_t I, NodeId U) {
+  auto Defer = [&](StepChunk &C, uint32_t I, NodeId U) {
     Injections[I].NextDeferred = NoInjection;
     if (DeferHead[U] == NoInjection)
       DeferHead[U] = I;
     else
       Injections[DeferTail[U]].NextDeferred = I;
     DeferTail[U] = I;
-    ++DeferredCount;
+    ++C.DeferredDelta;
   };
   auto NodeQueueDepth = [&](NodeId U) {
     size_t Depth = 0;
@@ -287,7 +419,16 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       Depth += QueueLen[queueIndex(U, G)];
     return Depth;
   };
+  // The first injection not yet due, over the whole run's injections.
   size_t InjCursor = 0;
+  auto DueEnd = [&](uint64_t S) {
+    return size_t(std::upper_bound(Injections.begin() + InjCursor,
+                                   Injections.end(), S,
+                                   [](uint64_t V, const TimedInjection &T) {
+                                     return V < T.Step;
+                                   }) -
+                  Injections.begin());
+  };
 
   // The first step >= From at which anything can happen. A skipped step
   // would have changed nothing: no link is in flight, no queue may
@@ -312,70 +453,60 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     return Next;
   };
 
-  // Start-of-step queue sample: MaxQueueLength, and the occupancy fields;
-  // returns the queued total. A skipped step's sample equals the one taken
-  // at the next executed step minus that step's injections, so skipping it
-  // loses nothing. The same pass lists the nodes with queued packets, in
-  // ascending id, for phase 1.
-  std::vector<NodeId> ActiveNodes;
-  auto Sample = [&] {
+  // Start-of-step queue sample of one chunk: its longest queue and queued
+  // total, and its nodes with queued packets, in ascending id, for phase
+  // 1. A skipped step's sample equals the one taken at the next executed
+  // step minus that step's injections, so skipping it loses nothing.
+  auto Sample = [&](StepChunk &C) {
     uint64_t Longest = 0, Total = 0;
     size_t NodeEnd = 0; ///< one past the last listed node's queues.
-    ActiveNodes.clear();
-    forEachSetBit(Queued, [&](size_t Q) {
+    C.ActiveNodes.clear();
+    forEachSetBit(Queued, C.WordBegin, C.WordEnd, [&](size_t Q) {
       uint64_t Len = QueueLen[Q];
       Longest = std::max(Longest, Len);
       Total += Len;
       if (Q >= NodeEnd) {
-        ActiveNodes.push_back(NodeId(Q / Degree));
-        NodeEnd = queueIndex(ActiveNodes.back() + 1, 0);
+        C.ActiveNodes.push_back(NodeId(Q / Degree));
+        NodeEnd = queueIndex(C.ActiveNodes.back() + 1, 0);
       }
     });
-    Result.MaxQueueLength = std::max(Result.MaxQueueLength, Longest);
-    if constexpr (Collect) {
-      Events.QueuedPackets = Total;
-      Events.MaxQueueDepth = Longest;
-    }
-    return Total;
+    C.Sums.MaxQueueLength = std::max(C.Sums.MaxQueueLength, Longest);
+    C.Queued = Total;
+    C.Longest = Longest;
   };
 
   uint64_t Step = NextDueStep(0, false);
-  uint64_t ExecutedEnd = 0; ///< one past the last executed step.
-  bool Capped = false;
-  while (Pending != 0 || InjCursor != Injections.size() ||
-         DeferredCount != 0) {
-    if (Step >= MaxSteps) {
-      Capped = true;
-      break;
-    }
-    Moved.clear();
-    if constexpr (Collect) {
-      Events.clear();
-      Events.Step = Step;
-    }
+  GenIndex Scheduled = 0; ///< single-dimension: this step's generator.
 
-    // Scheduled injections enter their queues at the start of their step,
-    // before the occupancy sample, so they are visible exactly like pre-run
-    // injections are at step 0. Zero-hop injections deliver on the spot.
-    // Under closed loop an injection whose source node is at the queue
-    // depth limit is deferred instead; deferred injections retry first
-    // (they were scheduled earliest), each node's in FIFO order.
-    auto Admit = [&](const TimedInjection &Inj) {
-      Packet &P = Packets[Inj.Id];
-      if (Step != Inj.Step) {
-        ++Result.DeferredInjections;
-        Result.DeferredSteps += Step - Inj.Step;
-      }
-      if (P.RouteLen == 0) {
-        P.DeliveredAt = Step;
-        ++Result.Delivered;
-        if constexpr (Collect)
-          Events.Deliveries.push_back(Inj.Id);
-        return;
-      }
-      Push(queueIndex(P.At, routeHop(P, 0)), Inj.Id);
-      ++Pending;
-    };
+  // Scheduled injections enter their queues at the start of their step,
+  // before the occupancy sample, so they are visible exactly like pre-run
+  // injections are at step 0. Zero-hop injections deliver on the spot.
+  // Under closed loop an injection whose source node is at the queue
+  // depth limit is deferred instead; deferred injections retry first
+  // (they were scheduled earliest), each node's in FIFO order.
+  auto Admit = [&](StepChunk &C, uint32_t I) {
+    const TimedInjection &Inj = Injections[I];
+    Packet &P = Packets[Inj.Id];
+    if (Step != Inj.Step) {
+      ++C.Sums.DeferredInjections;
+      C.Sums.DeferredSteps += Step - Inj.Step;
+    }
+    if (P.RouteLen == 0) {
+      P.DeliveredAt = Step;
+      ++C.Sums.Delivered;
+      if constexpr (Collect)
+        C.ZeroHop.push_back(I);
+      return;
+    }
+    Push(C, queueIndex(P.At, routeHop(P, 0)), Inj.Id);
+    ++C.PendingDelta;
+  };
+
+  // Region A: everything a step does at one chunk's nodes, which read and
+  // write only their own queues, ports and deferred injections.
+  auto StepSources = [&](StepChunk &C) {
+    C.Moved[0].clear();
+    C.Moved[1].clear();
     // The retry. Per-node FIFOs admit what one global FIFO of every
     // deferred injection would: admitting reads and writes only its own
     // node's queues, so the admitted set and each link queue's push order
@@ -387,53 +518,56 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     // transmit would fail again. Those that did are filtered on depth
     // first, so the admission pass prefetches only for nodes that admit.
     size_t Kept = 0;
-    for (NodeId U : Retry)
+    for (NodeId U : C.Retry)
       if (NodeQueueDepth(U) < Limit)
-        Retry[Kept++] = U;
-    Retry.resize(Kept);
+        C.Retry[Kept++] = U;
+    C.Retry.resize(Kept);
     for (size_t I = 0; I != Kept; ++I) {
       if (I + PrefetchAhead < Kept)
-        __builtin_prefetch(&Injections[DeferHead[Retry[I + PrefetchAhead]]]);
+        __builtin_prefetch(
+            &Injections[DeferHead[C.Retry[I + PrefetchAhead]]]);
       if (I + RetryPacketAhead < Kept)
         __builtin_prefetch(
-            &Packets[Injections[DeferHead[Retry[I + RetryPacketAhead]]].Id]);
-      const NodeId U = Retry[I];
+            &Packets[Injections[DeferHead[C.Retry[I + RetryPacketAhead]]]
+                         .Id]);
+      const NodeId U = C.Retry[I];
       for (size_t Depth = NodeQueueDepth(U);
            Depth < Limit && DeferHead[U] != NoInjection; ++Depth) {
-        const TimedInjection &Inj = Injections[DeferHead[U]];
-        DeferHead[U] = Inj.NextDeferred;
-        --DeferredCount;
-        Admit(Inj);
+        const uint32_t Head = DeferHead[U];
+        DeferHead[U] = Injections[Head].NextDeferred;
+        --C.DeferredDelta;
+        Admit(C, Head);
       }
     }
     // A node whose FIFO is still non-empty is at the limit, so new
     // injections queue behind its deferred ones.
-    while (InjCursor != Injections.size() &&
-           Injections[InjCursor].Step <= Step) {
-      const uint32_t I = uint32_t(InjCursor++);
+    for (; C.InjCursor != C.InjEnd; ++C.InjCursor) {
+      const uint32_t I = ChunkInjections[C.InjCursor];
+      if (Injections[I].Step > Step)
+        break;
       const Packet &P = Packets[Injections[I].Id];
       if (Limit && P.RouteLen != 0 &&
           (DeferHead[P.At] != NoInjection || NodeQueueDepth(P.At) >= Limit))
-        Defer(I, P.At);
+        Defer(C, I, P.At);
       else
-        Admit(Injections[I]);
+        Admit(C, I);
     }
 
-    Result.QueuedPacketSteps += Sample();
-    ++Result.ExecutedSteps;
+    Sample(C);
+    C.Sums.QueuedPacketSteps += C.Queued;
 
     // Phase 0: account in-flight multi-flit occupancy and complete the
     // transmissions whose last flit lands this step.
-    Landed.clear();
+    C.Landed.clear();
     if (InFlightLinks != 0)
-      forEachSetBit(Flying, [&](size_t Q) {
+      forEachSetBit(Flying, C.WordBegin, C.WordEnd, [&](size_t Q) {
         const InFlight &F = Busy[Q];
         // The link is occupied this step by a transmission selected at an
         // earlier step (its selection step was counted at selection time).
-        ++Result.BusyLinkSteps;
+        ++C.Sums.BusyLinkSteps;
         if constexpr (Collect)
-          Events.Active.push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
-                                   F.Id, Packets[F.Id].Flits, false});
+          C.Active[0].push_back({NodeId(Q / Degree), GenIndex(Q % Degree),
+                                 F.Id, Packets[F.Id].Flits, false});
         if (F.DoneStep != Step)
           return;
         // The link stays occupied through this arrival step: it leaves
@@ -441,9 +575,8 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
         Packet &P = Packets[F.Id];
         P.At = Net.next(P.At, routeHop(P, P.NextHop));
         ++P.NextHop;
-        Moved.push_back(F.Id);
-        ++Result.Transmissions;
-        Landed.push_back(Q);
+        C.Landed.push_back(uint32_t(Q));
+        C.Moved[0].push_back(F.Id);
       });
 
     // Phase 1a, pick: list every permitted, idle link with a queued
@@ -456,20 +589,14 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     // transmission changes nothing another link's pick reads (it pops
     // only its own queue, and the single-port busy window it opens is
     // tested once per node, before the node picks).
-    const GenIndex Scheduled =
-        PerGen ? DimensionCycle[Step % CycleLen] : GenIndex(0);
-    if constexpr (Collect) {
-      Events.ScheduledLink = Scheduled;
-      Events.HasScheduledLink = PerGen;
-    }
     auto Pick = [&](size_t Q) {
       if (TestBit(Flying, Q) || !TestBit(Queued, Q))
         return false; // mid-message, or nothing to send.
-      Picked.push_back(uint32_t(Q));
+      C.Picked.push_back(uint32_t(Q));
       return true;
     };
-    Picked.clear();
-    for (NodeId Node : ActiveNodes) {
+    C.Picked.clear();
+    for (NodeId Node : C.ActiveNodes) {
       switch (Model) {
       case CommModel::AllPort:
         for (GenIndex G = 0; G != Degree; ++G)
@@ -500,6 +627,7 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     // than the caches; prefetching the head of the link PrefetchAhead
     // picks on overlaps those misses instead of paying them one after
     // another.
+    const std::vector<uint32_t> &Picked = C.Picked;
     for (size_t I = 0, E = Picked.size(); I != E; ++I) {
       if (I + PrefetchAhead < E)
         __builtin_prefetch(&Packets[QueueHead[Picked[I + PrefetchAhead]]]);
@@ -512,60 +640,157 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
              "queue corruption");
       // The link is occupied from this step on (one step for a unit
       // packet, Flits steps for a store-and-forward message).
-      ++Result.BusyLinkSteps;
+      ++C.Sums.BusyLinkSteps;
       if constexpr (Collect)
-        Events.Active.push_back({Node, Link, Id, P.Flits, true});
-      PopFront(Q);
+        C.Active[1].push_back({Node, Link, Id, P.Flits, true});
+      PopFront(C, Q);
       if (P.Flits > 1) {
         // Occupy the link for Flits steps; arrival in phase 0 of step
         // Step + Flits - 1, node port free again at Step + Flits.
         Busy[Q] = {Id, Step + P.Flits - 1};
         NodeBusyUntil[Node] = Step + P.Flits;
         SetBit(Flying, Q);
-        ++InFlightLinks;
+        ++C.InFlightDelta;
         continue;
       }
       P.At = Net.next(Node, Link);
       ++P.NextHop;
-      Moved.push_back(Id);
-      ++Result.Transmissions;
+      C.Moved[1].push_back(Id);
     }
-    const bool Transmitted = !Picked.empty();
 
     // Closed loop: the nodes to retry at the next executed step are the
     // ones that transmitted and still hold deferred injections. Picks come
     // node by node in ascending order, so comparing with the last listed
     // node dedupes.
     if (Limit) {
-      Retry.clear();
+      C.Retry.clear();
       for (uint32_t Q : Picked) {
         const NodeId U = NodeId(Q / Degree);
-        if (DeferHead[U] != NoInjection && (Retry.empty() || Retry.back() != U))
-          Retry.push_back(U);
+        if (DeferHead[U] != NoInjection &&
+            (C.Retry.empty() || C.Retry.back() != U))
+          C.Retry.push_back(U);
       }
     }
 
-    for (size_t Q : Landed)
+    for (uint32_t Q : C.Landed)
       ClearBit(Flying, Q);
-    InFlightLinks -= Landed.size();
+    C.InFlightDelta -= int64_t(C.Landed.size());
 
-    // Phase 2: re-enqueue or deliver the moved packets. Two-phase keeps a
-    // packet from hopping twice in one step.
-    for (uint32_t Id : Moved) {
-      Packet &P = Packets[Id];
-      if (P.NextHop != P.RouteLen) {
-        Push(queueIndex(P.At, routeHop(P, P.NextHop)), Id);
-        continue;
+    // Deliver every moved packet whose hop ended its route, here, by the
+    // chunk it left; bucket every other one, with the queue it joins, for
+    // its destination chunk to push in region B. The packet records are
+    // still cached from the hop, so region B reads no moved packet. A pass of
+    // its own, as the serial loop's phase 2 was: folded into the transmit
+    // pass, the same work costs about a third more there (EXPERIMENTS.md
+    // E34).
+    for (size_t Phase = 0; Phase != 2; ++Phase) {
+      for (uint32_t Id : C.Moved[Phase]) {
+        Packet &P = Packets[Id];
+        if (P.NextHop != P.RouteLen) {
+          C.Out[Phase * NumChunks + P.At / ChunkNodes].push_back(
+              {uint32_t(queueIndex(P.At, routeHop(P, P.NextHop))), Id});
+          continue;
+        }
+        P.DeliveredAt = Step;
+        ++C.Sums.Delivered;
+        --C.PendingDelta;
+        if constexpr (Collect)
+          C.Done[Phase].push_back(Id);
       }
-      P.DeliveredAt = Step;
-      ++Result.Delivered;
-      --Pending;
-      if constexpr (Collect)
-        Events.Deliveries.push_back(Id);
+      C.Sums.Transmissions += C.Moved[Phase].size();
+    }
+  };
+
+  // Region B: queue the packets that reached chunk D on their next link.
+  // The serial order of every moved packet (Moved order) is every chunk's
+  // phase 0 landings in chunk order, then every chunk's phase 1b
+  // transmissions in chunk order, each chunk's in its own order. Draining
+  // the buckets in that order pushes onto every link queue of D in
+  // exactly that order, so each FIFO matches the serial loop's.
+  auto StepArrivals = [&](size_t D) {
+    StepChunk &Dst = Chunks[D];
+    for (size_t Phase = 0; Phase != 2; ++Phase)
+      for (StepChunk &Src : Chunks) {
+        std::vector<Arrival> &Bucket = Src.Out[Phase * NumChunks + D];
+        for (const Arrival &A : Bucket)
+          Push(Dst, A.Queue, A.Id);
+        Bucket.clear();
+      }
+  };
+
+  // Runs Body over every chunk: on the pool, or inline on the calling
+  // thread when the step is small. Either way each chunk runs the same
+  // code over the same state, so the result does not depend on which.
+  auto ForEachChunk = [&](bool Inline, auto &&Body) {
+    if (Inline) {
+      for (size_t C = 0; C != NumChunks; ++C)
+        Body(C);
+      return;
+    }
+    Pool.parallelForChunks(0, NumChunks, 1, [&](uint64_t B, uint64_t E) {
+      for (uint64_t C = B; C != E; ++C)
+        Body(size_t(C));
+    });
+  };
+
+  uint64_t ExecutedSteps = 0;
+  uint64_t ExecutedEnd = 0; ///< one past the last executed step.
+  bool Capped = false;
+  while (Pending != 0 || InjCursor != Injections.size() ||
+         DeferredCount != 0) {
+    if (Step >= MaxSteps) {
+      Capped = true;
+      break;
+    }
+    ++ExecutedSteps;
+    if (PerGen)
+      Scheduled = DimensionCycle[Step % CycleLen];
+    const size_t Due = DueEnd(Step);
+    const bool Inline =
+        Pending + DeferredCount + (Due - InjCursor) < InlineStepWork;
+    ForEachChunk(Inline, [&](size_t C) { StepSources(Chunks[C]); });
+    ForEachChunk(Inline, StepArrivals);
+    InjCursor = Due;
+
+    // The merge, in chunk order.
+    bool Transmitted = false;
+    for (StepChunk &C : Chunks) {
+      Pending += uint64_t(C.PendingDelta);
+      InFlightLinks += uint64_t(C.InFlightDelta);
+      DeferredCount += uint64_t(C.DeferredDelta);
+      C.PendingDelta = C.InFlightDelta = C.DeferredDelta = 0;
+      for (size_t G = 0; G != QueuedOnGen.size(); ++G)
+        QueuedOnGen[G] += uint64_t(std::exchange(C.QueuedOnGenDelta[G], 0));
+      Transmitted |= !C.Picked.empty();
     }
 
+    // Observers see the serial loop's event order: zero-hop admissions in
+    // injection order, then every list in Moved order.
     if constexpr (Collect) {
-      Events.Arrivals = Moved;
+      Events.clear();
+      Events.Step = Step;
+      Events.ScheduledLink = Scheduled;
+      Events.HasScheduledLink = PerGen;
+      auto Drain = [](auto &To, auto &From) {
+        To.insert(To.end(), From.begin(), From.end());
+        From.clear();
+      };
+      std::vector<uint32_t> ZeroHop;
+      for (StepChunk &C : Chunks) {
+        Events.QueuedPackets += C.Queued;
+        Events.MaxQueueDepth = std::max(Events.MaxQueueDepth, C.Longest);
+        Drain(ZeroHop, C.ZeroHop);
+      }
+      std::sort(ZeroHop.begin(), ZeroHop.end());
+      for (uint32_t I : ZeroHop)
+        Events.Deliveries.push_back(Injections[I].Id);
+      for (size_t Phase = 0; Phase != 2; ++Phase)
+        for (StepChunk &C : Chunks) {
+          Drain(Events.Active, C.Active[Phase]);
+          Events.Arrivals.insert(Events.Arrivals.end(), C.Moved[Phase].begin(),
+                                 C.Moved[Phase].end());
+          Drain(Events.Deliveries, C.Done[Phase]);
+        }
       for (SimObserver *O : Observers)
         O->onStep(*this, Events);
     }
@@ -573,17 +798,28 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     Step = NextDueStep(Step + 1, Transmitted);
   }
 
-  if (Capped) {
-    // Steps in [ExecutedEnd, MaxSteps) were skipped, not run; any of them
-    // would have sampled the queues as the last executed step left them.
-    if (ExecutedEnd < MaxSteps)
-      Sample();
-    Result.Steps = MaxSteps;
-  } else {
-    Result.Steps = ExecutedEnd;
+  // Steps in [ExecutedEnd, MaxSteps) were skipped, not run; any of them
+  // would have sampled the queues as the last executed step left them.
+  if (Capped && ExecutedEnd < MaxSteps)
+    for (StepChunk &C : Chunks)
+      Sample(C);
+
+  SimulationResult Result;
+  Result.Delivered = DeliveredAtInject;
+  for (const StepChunk &C : Chunks) {
+    const SimulationResult &S = C.Sums;
+    Result.Delivered += S.Delivered;
+    Result.Transmissions += S.Transmissions;
+    Result.BusyLinkSteps += S.BusyLinkSteps;
+    Result.MaxQueueLength = std::max(Result.MaxQueueLength, S.MaxQueueLength);
+    Result.DeferredInjections += S.DeferredInjections;
+    Result.DeferredSteps += S.DeferredSteps;
+    Result.QueuedPacketSteps += S.QueuedPacketSteps;
   }
+  Result.ExecutedSteps = ExecutedSteps;
+  Result.Steps = Capped ? MaxSteps : ExecutedEnd;
   Result.Completed = !Capped;
-  double LinkSteps = double(Net.numNodes()) * Degree * double(Result.Steps);
+  double LinkSteps = double(NumNodes) * Degree * double(Result.Steps);
   Result.LinkUtilization =
       LinkSteps != 0.0 ? double(Result.BusyLinkSteps) / LinkSteps : 0.0;
   if constexpr (Collect) {

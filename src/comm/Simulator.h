@@ -27,16 +27,28 @@
 /// gets, and constructing the simulator makes a fixed number of
 /// allocations, independent of the network size.
 ///
-/// The engine is one globally synchronous step loop that touches only
-/// active work: it keeps a bitmap of non-empty link queues and one of
-/// links carrying a multi-flit message, scans both in ascending id (the
-/// order of a full sweep, so results do not depend on the sparsity), and
-/// jumps over every step at which nothing is due -- no link in flight, no
-/// queue allowed to transmit, no injection. A step costs a pass over the
-/// bitmaps plus O(active links), and an idle stretch costs nothing, which
-/// is what makes both saturated and sparse steady-state load sweeps
-/// (comm/Workload.h) affordable.
-/// Results are pinned by tests/EventCoreDifferentialTest.cpp.
+/// The engine is one synchronous step loop that touches only active work:
+/// it keeps a bitmap of non-empty link queues and one of links carrying a
+/// multi-flit message, scans both in ascending id (the order of a full
+/// sweep, so results do not depend on the sparsity), and jumps over every
+/// step at which nothing is due -- no link in flight, no queue allowed to
+/// transmit, no injection. A step costs a pass over the bitmaps plus
+/// O(active links), and an idle stretch costs nothing, which is what makes
+/// both saturated and sparse steady-state load sweeps (comm/Workload.h)
+/// affordable.
+///
+/// Each step runs over fixed node chunks (at most 16, each a multiple of
+/// 64 nodes, sized from the node count alone) on the global ThreadPool, in
+/// two regions. In the first, every chunk admits its own injections and
+/// samples, picks and transmits at its own nodes, which is all the models
+/// let a node decide from; each moved packet goes into a bucket keyed by
+/// (source chunk, destination chunk). In the second, every destination
+/// chunk queues its arrivals, draining the buckets in the order of the
+/// serial loop. Per-chunk counters and event lists merge in chunk order
+/// on the calling thread, so results and the observer stream are the same
+/// at every thread count; small steps run the same chunks inline.
+/// Results are pinned by tests/EventCoreDifferentialTest.cpp and, across
+/// chunks and thread counts, tests/SimulatorChunkTest.cpp.
 ///
 /// Traffic can be injected up front (injectPacket) or scheduled for a
 /// future step (scheduleInjection, or scheduleRoutedInjections for a whole
@@ -271,11 +283,12 @@ private:
     return size_t(Node) * Net.degree() + Link;
   }
 
-  /// The step loop. Instantiated twice: Collect = false is the pristine
-  /// hot loop (no event collection, no hook checks, selected whenever no
-  /// observer is attached); Collect = true adds the observer machinery.
-  /// run() dispatches once on entry, so zero-overhead observability is
-  /// structural.
+  /// The chunked step loop. Instantiated twice: Collect = false is the
+  /// pristine hot loop (no event collection, no hook checks, selected
+  /// whenever no observer is attached); Collect = true adds the observer
+  /// machinery, with per-chunk event lists merged before onStep fires on
+  /// the calling thread. run() dispatches once on entry, so zero-overhead
+  /// observability is structural.
   template <bool Collect> SimulationResult runImpl(uint64_t MaxSteps);
 
   /// Appends \p Route to RoutePool and returns (begin, length).

@@ -16,7 +16,7 @@ using namespace scg;
 
 namespace {
 
-std::vector<GenIndex> straightRoute(const ExplicitScg &Net, unsigned Hops) {
+std::vector<GenIndex> straightRoute(unsigned Hops) {
   // Alternate two involutions so the walk never backtracks to a queue
   // conflict: T2 T3 T2 T3 ... on a star graph.
   std::vector<GenIndex> Route;
@@ -32,7 +32,7 @@ TEST(FlitMessage, StoreAndForwardTakesDistanceTimesFlits) {
   for (unsigned Flits : {1u, 2u, 4u, 7u})
     for (unsigned Hops : {1u, 3u, 5u}) {
       NetworkSimulator Sim(Net, CommModel::AllPort);
-      Sim.injectPacket(0, straightRoute(Net, Hops), Flits);
+      Sim.injectPacket(0, straightRoute(Hops), Flits);
       SimulationResult R = Sim.run(1000);
       ASSERT_TRUE(R.Completed);
       EXPECT_EQ(R.Steps, uint64_t(Hops) * Flits)
@@ -45,12 +45,12 @@ TEST(FlitMessage, PipelinedBeatsStoreAndForward) {
   unsigned Hops = 5, Flits = 6;
 
   NetworkSimulator Saf(Net, CommModel::AllPort);
-  Saf.injectPacket(0, straightRoute(Net, Hops), Flits);
+  Saf.injectPacket(0, straightRoute(Hops), Flits);
   uint64_t SafSteps = Saf.run(1000).Steps;
 
   NetworkSimulator Pipe(Net, CommModel::AllPort);
   for (unsigned F = 0; F != Flits; ++F)
-    Pipe.injectPacket(0, straightRoute(Net, Hops));
+    Pipe.injectPacket(0, straightRoute(Hops));
   uint64_t PipeSteps = Pipe.run(1000).Steps;
 
   EXPECT_EQ(SafSteps, uint64_t(Hops) * Flits);
@@ -139,7 +139,7 @@ TEST(FlitMessage, MixedTrafficConserves) {
   NetworkSimulator Sim(Net, CommModel::AllPort);
   unsigned Injected = 0;
   for (NodeId U = 0; U < Net.numNodes(); U += 7) {
-    Sim.injectPacket(U, straightRoute(Net, 3), 1 + (U % 4));
+    Sim.injectPacket(U, straightRoute(3), 1 + (U % 4));
     ++Injected;
   }
   SimulationResult R = Sim.run(10000);

@@ -143,8 +143,9 @@ TEST(KernelDifferential, BfsAgreesWithReferenceOnEveryFamily) {
       // set reach all k! nodes, and parents sit one level up.
       EXPECT_EQ(Ref.NumReached, Net.numNodes()) << Scg.name();
       for (NodeId V = 0; V != Net.numNodes(); ++V)
-        if (V != Source)
+        if (V != Source) {
           EXPECT_EQ(Ref.Distance[Ref.Parent[V]] + 1, Ref.Distance[V]);
+        }
     }
   }
 }

@@ -118,8 +118,9 @@ TEST_P(QueryEngineFamilyTest, TableFreeMatchesBfs) {
     expectValidRoute(Net, Id, Dst, Route.Hops);
     EXPECT_EQ(D.Distance, Route.length());
     EXPECT_GE(D.Distance, FromId.Distance[R]);
-    if (D.Exact)
+    if (D.Exact) {
       EXPECT_EQ(D.Distance, FromId.Distance[R]);
+    }
     EXPECT_EQ(D.Exact, Route.Exact);
   }
 }
@@ -142,8 +143,9 @@ TEST_P(QueryEngineFamilyTest, TableFreeArbitrarySources) {
     RouteReply Route = Engine.route(Src, Dst);
     expectValidRoute(Net, Src, Dst, Route.Hops);
     EXPECT_GE(D.Distance, FromSrc.Distance[R]);
-    if (D.Exact)
+    if (D.Exact) {
       EXPECT_EQ(D.Distance, FromSrc.Distance[R]);
+    }
   }
 }
 

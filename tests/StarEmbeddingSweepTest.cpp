@@ -81,8 +81,9 @@ TEST_P(StarEmbeddingSweep, PerDimensionCongestionIsTwoOrOne) {
     // those two uses over R^{-j1} and R^{j1} and do one better (1)
     // whenever the two rotations are distinct links.
     EXPECT_LE(C, 2u) << Host.name() << " dim " << Dim;
-    if (SwapHost)
+    if (SwapHost) {
       EXPECT_EQ(C, 2u) << Host.name() << " dim " << Dim;
+    }
   }
 }
 

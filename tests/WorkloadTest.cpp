@@ -47,10 +47,11 @@ TEST(Workload, TraceIsSortedAndInRange) {
     EXPECT_LT(Trace[I].Src, Net.numNodes());
     EXPECT_LT(Trace[I].Dst, Net.numNodes());
     EXPECT_NE(Trace[I].Src, Trace[I].Dst) << "uniform excludes self";
-    if (I)
+    if (I) {
       EXPECT_TRUE(Trace[I - 1].Step < Trace[I].Step ||
                   (Trace[I - 1].Step == Trace[I].Step &&
                    Trace[I - 1].Src < Trace[I].Src));
+    }
   }
 }
 
