@@ -37,8 +37,8 @@
 // are per chunk and merged in chunk order after region B; observed runs
 // rebuild StepEvents in the serial order (zero-hop admissions by
 // injection index, then Moved order) and fire onStep on the calling
-// thread. The chunks depend on the node count only, and a small step
-// runs the same chunks inline, so no result depends on the thread count.
+// thread. The chunks depend on the node count only, so no result depends
+// on the thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -236,12 +236,6 @@ NodeId stepChunkNodes(NodeId NumNodes) {
   const NodeId PerChunk = (NumNodes + MaxStepChunks - 1) / MaxStepChunks;
   return std::max<NodeId>(64, (PerChunk + 63) / 64 * 64);
 }
-
-/// A step with fewer packets in play (pending, deferred and due for
-/// injection) runs its chunks inline on the calling thread: below this the
-/// two pool dispatches of a step cost more than the chunks save
-/// (EXPERIMENTS.md E34).
-constexpr uint64_t InlineStepWork = 512;
 
 /// A moved packet on its way into region B: the link queue it joins, at a
 /// node of the bucket's destination chunk.
@@ -718,15 +712,10 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
       }
   };
 
-  // Runs Body over every chunk: on the pool, or inline on the calling
-  // thread when the step is small. Either way each chunk runs the same
-  // code over the same state, so the result does not depend on which.
-  auto ForEachChunk = [&](bool Inline, auto &&Body) {
-    if (Inline) {
-      for (size_t C = 0; C != NumChunks; ++C)
-        Body(C);
-      return;
-    }
+  // Runs Body over every chunk on the pool, small steps too: on star(8)
+  // two dispatches cost less than the chunks save down to a few packets
+  // per step (EXPERIMENTS.md E35).
+  auto ForEachChunk = [&](auto &&Body) {
     Pool.parallelForChunks(0, NumChunks, 1, [&](uint64_t B, uint64_t E) {
       for (uint64_t C = B; C != E; ++C)
         Body(size_t(C));
@@ -746,10 +735,8 @@ SimulationResult NetworkSimulator::runImpl(uint64_t MaxSteps) {
     if (PerGen)
       Scheduled = DimensionCycle[Step % CycleLen];
     const size_t Due = DueEnd(Step);
-    const bool Inline =
-        Pending + DeferredCount + (Due - InjCursor) < InlineStepWork;
-    ForEachChunk(Inline, [&](size_t C) { StepSources(Chunks[C]); });
-    ForEachChunk(Inline, StepArrivals);
+    ForEachChunk([&](size_t C) { StepSources(Chunks[C]); });
+    ForEachChunk(StepArrivals);
     InjCursor = Due;
 
     // The merge, in chunk order.

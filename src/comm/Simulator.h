@@ -46,7 +46,7 @@
 /// chunk queues its arrivals, draining the buckets in the order of the
 /// serial loop. Per-chunk counters and event lists merge in chunk order
 /// on the calling thread, so results and the observer stream are the same
-/// at every thread count; small steps run the same chunks inline.
+/// at every thread count.
 /// Results are pinned by tests/EventCoreDifferentialTest.cpp and, across
 /// chunks and thread counts, tests/SimulatorChunkTest.cpp.
 ///

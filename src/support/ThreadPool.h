@@ -23,16 +23,31 @@
 /// Nested parallel regions (submissions from inside a worker) run inline
 /// serially on the submitting thread, so nesting can never deadlock.
 ///
+/// Dispatch. The pool owns one reusable job slot (bounds, chunk size and
+/// count, body pointer, claim and done counters, error state), so a
+/// dispatch allocates nothing and takes no lock. Between jobs the slot is
+/// closed: a 64-bit epoch is odd. The submitter waits for any worker still
+/// inside the previous job to leave (all it can still do there is fail a
+/// chunk claim), rewrites the slot, publishes it by making the epoch even,
+/// and closes it again once the last chunk is done. An idle worker spins
+/// on the epoch for about 30 us, then parks on a word of its own with
+/// std::atomic::wait. The submitter wakes at most min(chunks - 1,
+/// threads - 1) workers, counting the ones still awake, and wakes only
+/// parked ones; then it runs chunks itself and waits for the done count
+/// the same way, spinning and then parking. A worker joins a job by
+/// registering and then re-reading the epoch, so it can never claim a
+/// chunk of one job with the bounds of another. Two non-pool threads may
+/// submit at once: the first takes the slot, and the other runs its
+/// region inline over the same chunks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_SUPPORT_THREADPOOL_H
 #define SCG_SUPPORT_THREADPOOL_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -130,19 +145,13 @@ public:
   static ThreadPool &global();
 
 private:
-  struct Job;
+  struct Slot;
 
-  void workerMain();
-  void runChunks(Job &J);
+  void workerMain(unsigned Index);
 
   unsigned Count;
+  std::unique_ptr<Slot> Job; ///< the job slot, made once with the pool.
   std::vector<std::thread> Workers;
-  std::mutex Mu;
-  std::condition_variable WorkCv;
-  std::condition_variable DoneCv;
-  std::shared_ptr<Job> Current; ///< job being drained, null when idle.
-  uint64_t Generation = 0;      ///< bumped per job so workers join it once.
-  bool Stop = false;
 };
 
 } // namespace scg

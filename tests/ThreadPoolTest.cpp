@@ -6,6 +6,22 @@
 // submissions without deadlock, and parallelMapReduce == serial fold --
 // byte-identical, including for floating-point reductions.
 //
+// The dispatch itself (one reused job slot, an epoch, spinning and parked
+// workers) is held at pool sizes 2, 4 and 8; 8 oversubscribes a 4-core
+// host, which is where a lost wake-up or a stale job shows:
+//
+//   back to back     10,000 dispatches of 2..64 chunks run every index
+//                    once, and no chunk runs after its dispatch returned
+//   error reset      a clean dispatch right after a throwing one does not
+//                    rethrow
+//   parked submitter the last chunk wakes a submitter that parked
+//   two submitters   two non-pool threads share one pool
+//   pool lifetime    pools destroyed while workers spin and while parked
+//   no allocation    a warm dispatch allocates nothing on the heap
+//
+// The allocation count comes from replacing the global operator new in
+// this test binary.
+//
 //===----------------------------------------------------------------------===//
 
 #include "support/ThreadPool.h"
@@ -16,12 +32,48 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 using namespace scg;
+
+static std::atomic<uint64_t> GHeapAllocations{0};
+
+void *operator new(std::size_t Size) {
+  ++GHeapAllocations;
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t Size) { return ::operator new(Size); }
+// The nothrow forms too, so every allocation is counted and freed by the
+// matching replacement.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  ++GHeapAllocations;
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return ::operator new(Size, std::nothrow);
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// operator new call it can see and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P) noexcept { ::operator delete(P); }
+void operator delete[](void *P, std::size_t) noexcept { ::operator delete(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}
 
 namespace {
 
@@ -245,4 +297,158 @@ TEST(BatchRunner, ResultsComeBackInSubmissionOrder) {
   EXPECT_EQ(Batch.size(), 0u); // queue cleared; reusable.
   Batch.add([] { return uint64_t(7); });
   EXPECT_EQ(Batch.run().at(0), 7u);
+}
+
+namespace {
+
+const unsigned DispatchPoolSizes[] = {2, 4, 8};
+
+/// Long enough for every idle worker to give up spinning and park.
+void letWorkersPark() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+}
+
+} // namespace
+
+TEST(ThreadPoolDispatch, BackToBackDispatchesRunEveryIndexOnceBeforeReturning) {
+  constexpr uint64_t MaxChunks = 64, MaxChunk = 3, MaxBegin = 100;
+  for (unsigned Threads : DispatchPoolSizes) {
+    ThreadPool Pool(Threads);
+    std::vector<std::atomic<uint32_t>> Hits(MaxBegin + MaxChunks * MaxChunk);
+    std::atomic<uint64_t> Returned{0}; ///< dispatches that have returned.
+    std::atomic<uint64_t> LateChunks{0};
+    for (uint64_t D = 1; D <= 10000; ++D) {
+      const uint64_t NumChunks = 2 + D % (MaxChunks - 1); // 2..64.
+      const uint64_t ChunkSize = 1 + D % MaxChunk;
+      const uint64_t Begin = (D * 7) % MaxBegin;
+      // The last chunk is short on every other dispatch.
+      const uint64_t End = Begin + NumChunks * ChunkSize - (D % 2) *
+                                                             (ChunkSize - 1);
+      Pool.parallelForChunks(Begin, End, ChunkSize,
+                             [&](uint64_t B, uint64_t E) {
+                               for (uint64_t I = B; I != E; ++I)
+                                 Hits[I].fetch_add(1,
+                                                   std::memory_order_relaxed);
+                               if (Returned.load() >= D)
+                                 LateChunks.fetch_add(1);
+                             });
+      Returned.store(D);
+      for (uint64_t I = 0; I != Hits.size(); ++I) {
+        uint32_t Want = I >= Begin && I < End;
+        ASSERT_EQ(Hits[I].exchange(0), Want)
+            << Threads << " threads, dispatch " << D << ", index " << I;
+      }
+    }
+    // A chunk of an earlier dispatch still running now would count late.
+    letWorkersPark();
+    EXPECT_EQ(LateChunks.load(), 0u) << Threads << " threads";
+  }
+}
+
+TEST(ThreadPoolDispatch, CleanDispatchAfterAThrowingOneDoesNotRethrow) {
+  for (unsigned Threads : DispatchPoolSizes) {
+    ThreadPool Pool(Threads);
+    for (unsigned Round = 0; Round != 200; ++Round) {
+      EXPECT_THROW(Pool.parallelForChunks(0, 32, 1,
+                                          [&](uint64_t B, uint64_t) {
+                                            if (B == Round % 32)
+                                              throw std::runtime_error("boom");
+                                          }),
+                   std::runtime_error)
+          << Threads << " threads, round " << Round;
+      if (Round % 50 == 49)
+        letWorkersPark();
+      std::atomic<uint64_t> Ran{0};
+      EXPECT_NO_THROW(Pool.parallelForChunks(
+          0, 32, 1, [&](uint64_t, uint64_t) { Ran.fetch_add(1); }))
+          << Threads << " threads, round " << Round;
+      EXPECT_EQ(Ran.load(), 32u) << Threads << " threads, round " << Round;
+    }
+  }
+}
+
+TEST(ThreadPoolDispatch, SubmitterParksUntilTheLastChunkIsDone) {
+  // Chunks on workers outlast the submitter's spin, so the submitter
+  // parks on the done count and must be woken by the last chunk.
+  for (unsigned Threads : DispatchPoolSizes) {
+    ThreadPool Pool(Threads);
+    const std::thread::id Submitter = std::this_thread::get_id();
+    for (unsigned D = 0; D != 20; ++D) {
+      std::atomic<uint64_t> Ran{0};
+      Pool.parallelForChunks(0, 16, 1, [&](uint64_t, uint64_t) {
+        if (std::this_thread::get_id() != Submitter)
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        Ran.fetch_add(1);
+      });
+      EXPECT_EQ(Ran.load(), 16u) << Threads << " threads, dispatch " << D;
+    }
+  }
+}
+
+TEST(ThreadPoolDispatch, TwoSubmittingThreadsShareOnePool) {
+  for (unsigned Threads : DispatchPoolSizes) {
+    ThreadPool Pool(Threads);
+    std::atomic<uint64_t> Wrong{0};
+    auto Submit = [&](uint64_t Salt) {
+      for (uint64_t D = 0; D != 1000; ++D) {
+        const uint64_t Begin = (D + Salt) % 37;
+        const uint64_t End = Begin + 16 + (D * Salt) % 200;
+        const uint64_t Sum = Pool.parallelMapReduce<uint64_t>(
+            Begin, End, 0, [&](uint64_t I) { return I * Salt; },
+            [](uint64_t A, uint64_t B) { return A + B; }, 1 + D % 8);
+        // Salt * (sum of Begin..End-1).
+        const uint64_t Want = Salt * ((End - 1) * End / 2 -
+                                      (Begin ? (Begin - 1) * Begin / 2 : 0));
+        Wrong.fetch_add(Sum != Want);
+      }
+    };
+    std::thread A(Submit, 3), B(Submit, 5);
+    A.join();
+    B.join();
+    EXPECT_EQ(Wrong.load(), 0u) << Threads << " threads";
+  }
+}
+
+TEST(ThreadPoolDispatch, PoolsDieCleanlyWhetherWorkersSpinOrPark) {
+  for (unsigned Threads : DispatchPoolSizes) {
+    for (unsigned I = 0; I != 50; ++I) {
+      ThreadPool Pool(Threads);
+      std::atomic<uint64_t> Ran{0};
+      switch (I % 3) {
+      case 0: // destroyed right after construction.
+        break;
+      case 1: // destroyed right after a dispatch, workers still spinning.
+        Pool.parallelFor(0, 64, [&](uint64_t) { Ran.fetch_add(1); }, 1);
+        EXPECT_EQ(Ran.load(), 64u);
+        break;
+      case 2: // a dispatch that wakes parked workers, then parked again.
+        letWorkersPark();
+        Pool.parallelFor(0, 64, [&](uint64_t) { Ran.fetch_add(1); }, 1);
+        EXPECT_EQ(Ran.load(), 64u);
+        letWorkersPark();
+        break;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolDispatch, WarmDispatchAllocatesNothing) {
+  for (unsigned Threads : DispatchPoolSizes) {
+    ThreadPool Pool(Threads);
+    std::vector<uint64_t> Sink(64, 0);
+    const std::function<void(uint64_t, uint64_t)> Body =
+        [&](uint64_t B, uint64_t E) {
+          for (uint64_t I = B; I != E; ++I)
+            ++Sink[I];
+        };
+    Pool.parallelForChunks(0, 64, 1, Body); // warm.
+    const uint64_t Before = GHeapAllocations.load();
+    for (unsigned D = 0; D != 100; ++D)
+      Pool.parallelForChunks(0, 64, 1 + D % 4, Body); // workers spinning.
+    letWorkersPark();
+    Pool.parallelForChunks(0, 64, 1, Body); // workers parked.
+    EXPECT_EQ(GHeapAllocations.load() - Before, 0u) << Threads << " threads";
+    for (uint64_t Count : Sink)
+      EXPECT_EQ(Count, 102u);
+  }
 }
