@@ -2,19 +2,21 @@
 //
 // A small CLI over the library:
 //
-//   scg_explorer info <kind> <l> <n>       properties + generator list
-//   scg_explorer route <kind> <l> <n> "<src>" "<dst>"
+//   scg_explorer info <spec>               properties + generator list
+//   scg_explorer route <spec> "<src>" "<dst>"
 //                                          lifted + optimal routes
-//   scg_explorer schedule <kind> <l> <n>   the Theorem 4/5 all-port grid
-//   scg_explorer dot <kind> <l> <n>        Graphviz DOT of the network
-//   scg_explorer certify <kind> <l> <n>    Schreier-Sims connectivity
+//   scg_explorer schedule <spec>           the Theorem 4/5 all-port grid
+//   scg_explorer dot <spec>                Graphviz DOT of the network
+//   scg_explorer certify <spec>            Schreier-Sims connectivity
 //
-// <kind>: MS | RS | complete-RS | MR | RR | complete-RR | MIS | RIS |
-//         complete-RIS; labels are 1-based one-line permutations like
-//         "3 1 2 5 4".
+// <spec> is a network name as SuperCayleyGraph::name() prints it (see
+// core/NetworkSpec.h): "MS(2,3)", "complete-RIS(3,2)", "star(7)", ...;
+// labels are 1-based one-line permutations like "3 1 2 5 4". Bad input
+// prints usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/NetworkSpec.h"
 #include "emulation/FigureOne.h"
 #include "emulation/SdcEmulation.h"
 #include "graph/Dot.h"
@@ -26,41 +28,21 @@
 #include "routing/RouteOptimizer.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace scg;
 
 namespace {
 
-NetworkKind parseKind(const char *Name) {
-  struct Entry {
-    const char *Name;
-    NetworkKind Kind;
-  };
-  static const Entry Table[] = {
-      {"MS", NetworkKind::MacroStar},
-      {"RS", NetworkKind::RotationStar},
-      {"complete-RS", NetworkKind::CompleteRotationStar},
-      {"MR", NetworkKind::MacroRotator},
-      {"RR", NetworkKind::RotationRotator},
-      {"complete-RR", NetworkKind::CompleteRotationRotator},
-      {"MIS", NetworkKind::MacroIS},
-      {"RIS", NetworkKind::RotationIS},
-      {"complete-RIS", NetworkKind::CompleteRotationIS},
-  };
-  for (const Entry &E : Table)
-    if (!std::strcmp(Name, E.Name))
-      return E.Kind;
-  std::fprintf(stderr, "unknown network kind '%s'\n", Name);
-  std::exit(2);
-}
-
 int cmdInfo(const SuperCayleyGraph &Net) {
   std::printf("network   %s\n", Net.name().c_str());
   std::printf("symbols   %u (l = %u boxes of n = %u balls + 1)\n",
               Net.numSymbols(), Net.numBoxes(), Net.ballsPerBox());
-  std::printf("nodes     %llu\n", (unsigned long long)Net.numNodes());
+  // k! fits 64 bits up to k = 20; beyond, only the formula is printed.
+  if (Net.numSymbols() <= 20)
+    std::printf("nodes     %llu\n", (unsigned long long)Net.numNodes());
+  else
+    std::printf("nodes     %u!\n", Net.numSymbols());
   std::printf("degree    %u (%s)\n", Net.degree(),
               Net.isUndirected() ? "undirected" : "directed");
   std::printf("links     ");
@@ -82,6 +64,11 @@ int cmdInfo(const SuperCayleyGraph &Net) {
 
 int cmdRoute(const SuperCayleyGraph &Net, const char *SrcText,
              const char *DstText) {
+  if (Net.numSymbols() > Permutation::InlineCapacity) {
+    std::fprintf(stderr, "routes are served for k <= %u symbols\n",
+                 Permutation::InlineCapacity);
+    return 2;
+  }
   Permutation Src = Permutation::parseOneBased(SrcText);
   Permutation Dst = Permutation::parseOneBased(DstText);
   if (Src.size() != Net.numSymbols() || Dst.size() != Net.numSymbols()) {
@@ -152,23 +139,26 @@ int cmdCertify(const SuperCayleyGraph &Net) {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: scg_explorer info|route|schedule|dot|certify "
-               "<kind> <l> <n> [args...]\n");
+               "usage: scg_explorer info|schedule|dot|certify <spec>\n"
+               "       scg_explorer route <spec> \"<src>\" \"<dst>\"\n"
+               "<spec> names a network, e.g. 'MS(2,3)' or 'star(6)'\n");
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc < 5) {
+  std::optional<SuperCayleyGraph> Parsed;
+  if (Argc >= 3)
+    Parsed = parseNetworkSpec(Argv[2]);
+  if (!Parsed) {
     usage();
     return 2;
   }
-  SuperCayleyGraph Net = SuperCayleyGraph::create(
-      parseKind(Argv[2]), std::atoi(Argv[3]), std::atoi(Argv[4]));
+  const SuperCayleyGraph &Net = *Parsed;
   if (!std::strcmp(Argv[1], "info"))
     return cmdInfo(Net);
-  if (!std::strcmp(Argv[1], "route") && Argc >= 7)
-    return cmdRoute(Net, Argv[5], Argv[6]);
+  if (!std::strcmp(Argv[1], "route") && Argc >= 5)
+    return cmdRoute(Net, Argv[3], Argv[4]);
   if (!std::strcmp(Argv[1], "schedule"))
     return cmdSchedule(Net);
   if (!std::strcmp(Argv[1], "dot"))

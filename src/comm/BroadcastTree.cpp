@@ -10,8 +10,7 @@ using namespace scg;
 
 BroadcastTree::BroadcastTree(const ExplicitScg &Net, unsigned Rotation)
     : Depth(Net.numNodes(), std::numeric_limits<uint32_t>::max()),
-      Children(Net.numNodes()), Parent(Net.numNodes(), 0),
-      ParentLink(Net.numNodes(), 0) {
+      Children(Net.numNodes()) {
   // BFS queue: every node enters once, so a vector read from a head index
   // is the whole FIFO.
   std::vector<NodeId> Queue;
@@ -31,20 +30,9 @@ BroadcastTree::BroadcastTree(const ExplicitScg &Net, unsigned Rotation)
       Depth[V] = Depth[W] + 1;
       Height = std::max(Height, Depth[V]);
       Children[W].push_back(G);
-      Parent[V] = W;
-      ParentLink[V] = G;
       ++EdgeCount;
       Queue.push_back(V);
     }
   }
   assert(EdgeCount + 1 == Net.numNodes() && "network is disconnected");
-}
-
-std::vector<GenIndex> BroadcastTree::pathFromRoot(NodeId W) const {
-  std::vector<GenIndex> Reversed;
-  while (Depth[W] != 0) {
-    Reversed.push_back(ParentLink[W]);
-    W = Parent[W];
-  }
-  return {Reversed.rbegin(), Reversed.rend()};
 }

@@ -43,18 +43,12 @@ public:
     return Children[W];
   }
 
-  /// The tree path (generator indices) from the root to relative node
-  /// \p W; empty for the root itself.
-  std::vector<GenIndex> pathFromRoot(NodeId W) const;
-
   /// Total tree edges (numNodes - 1 when connected).
   uint64_t numEdges() const { return EdgeCount; }
 
 private:
   std::vector<uint32_t> Depth;
   std::vector<std::vector<GenIndex>> Children;
-  std::vector<NodeId> Parent;
-  std::vector<GenIndex> ParentLink;
   uint32_t Height = 0;
   uint64_t EdgeCount = 0;
 };

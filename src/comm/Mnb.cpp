@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 using namespace scg;
 
@@ -75,34 +75,22 @@ private:
   std::vector<uint32_t> Free;
 };
 
-/// Runs an MNB (every node a source) and reports it against \p LowerBound.
-MnbResult runAllSources(const ExplicitScg &Net,
-                        std::span<const BroadcastTree> Trees,
-                        std::span<const GenIndex> Cycle, uint64_t LowerBound) {
-  detail::TreeRun Run = detail::runTreeCollective(
-      Net, Trees, /*AllSources=*/true, Cycle, /*SinglePort=*/false);
-  uint64_t N = Net.numNodes();
-  assert(Run.Deliveries == N * (N - 1) && "MNB did not reach everyone");
-  return {Run.Steps, Run.Deliveries, LowerBound,
-          LowerBound ? double(Run.Steps) / double(LowerBound) : 0.0,
-          Run.Steps ? double(Run.Deliveries) /
-                          double(N * Net.degree() * Run.Steps)
-                    : 0.0};
-}
-
-} // namespace
-
-detail::TreeRun detail::runTreeCollective(const ExplicitScg &Net,
-                                          std::span<const BroadcastTree> Trees,
-                                          bool AllSources,
-                                          std::span<const GenIndex> Cycle,
-                                          bool SinglePort) {
+/// The one step loop behind every MNB (plain, SDC and striped): every
+/// node s broadcasts along Trees[s % Trees.size()]. At step t every link
+/// fires, or only generator Cycle[t % Cycle.size()] when \p Cycle is
+/// non-empty. Links transmit generator-major and a token moves one hop per
+/// step (DESIGN.md section 15). The run is reported against \p LowerBound.
+/// Throws std::invalid_argument on an empty \p Trees, or on a \p Cycle that
+/// names a generator >= degree or omits one that labels a tree edge.
+MnbResult runTreeCollective(const ExplicitScg &Net,
+                            std::span<const BroadcastTree> Trees,
+                            std::span<const GenIndex> Cycle,
+                            uint64_t LowerBound) {
   if (Trees.empty())
     throw std::invalid_argument("tree collective: no broadcast tree");
   uint64_t N = Net.numNodes();
   unsigned Degree = Net.degree();
-  uint64_t NumSources = AllSources ? N : 1;
-  uint64_t UsedTrees = std::min<uint64_t>(Trees.size(), NumSources);
+  uint64_t UsedTrees = std::min<uint64_t>(Trees.size(), N);
 
   std::vector<bool> Fires(Degree, Cycle.empty());
   for (GenIndex G : Cycle) {
@@ -129,7 +117,7 @@ detail::TreeRun detail::runTreeCollective(const ExplicitScg &Net,
   // generator's links is sequential.
   TokenQueues Queues(size_t(N) * Degree);
   uint64_t Pending = 0;
-  for (NodeId S = 0; S != NumSources; ++S) {
+  for (NodeId S = 0; S != N; ++S) {
     uint32_t T = uint32_t(S % Trees.size());
     for (GenIndex G : Trees[T].children(0)) {
       Queues.push(size_t(G) * N + S, uint32_t(uint64_t(T) << RelBits));
@@ -138,24 +126,21 @@ detail::TreeRun detail::runTreeCollective(const ExplicitScg &Net,
   }
 
   const NodeId *Next = Net.nextTable().data();
-  std::vector<uint64_t> LastSend(SinglePort ? N : 0, ~uint64_t(0));
   struct Arrival {
     NodeId At;
     uint32_t Token;
   };
   std::vector<Arrival> Arrivals;
-  TreeRun Run;
+  uint64_t Steps = 0, Deliveries = 0;
   while (Pending != 0) {
-    uint64_t Step = Run.Steps++;
+    uint64_t Step = Steps++;
     GenIndex First = Cycle.empty() ? 0 : Cycle[Step % Cycle.size()];
     GenIndex Last = Cycle.empty() ? Degree : First + 1;
     Arrivals.clear();
     for (GenIndex G = First; G != Last; ++G) {
       size_t Row = size_t(G) * N;
       for (NodeId U = 0; U != N; ++U) {
-        // Single-port: the first non-empty link claims the node's port.
-        if (Queues.empty(Row + U) ||
-            (SinglePort && std::exchange(LastSend[U], Step) == Step))
+        if (Queues.empty(Row + U))
           continue;
         uint32_t Token = Queues.pop(Row + U);
         NodeId Rel = Next[size_t(Token & RelMask) * Degree + G];
@@ -166,7 +151,7 @@ detail::TreeRun detail::runTreeCollective(const ExplicitScg &Net,
     // Deliver and replicate after the transmission phase so a token moves
     // at most one hop per step.
     Pending -= Arrivals.size();
-    Run.Deliveries += Arrivals.size();
+    Deliveries += Arrivals.size();
     for (const Arrival &A : Arrivals) {
       const BroadcastTree &Tree = Trees[uint64_t(A.Token) >> RelBits];
       for (GenIndex G : Tree.children(A.Token & RelMask)) {
@@ -175,19 +160,24 @@ detail::TreeRun detail::runTreeCollective(const ExplicitScg &Net,
       }
     }
   }
-  return Run;
+  assert(Deliveries == N * (N - 1) && "MNB did not reach everyone");
+  return {Steps, Deliveries, LowerBound,
+          LowerBound ? double(Steps) / double(LowerBound) : 0.0,
+          Steps ? double(Deliveries) / double(N * Degree * Steps) : 0.0};
 }
+
+} // namespace
 
 MnbResult scg::simulateMnb(const ExplicitScg &Net,
                            const BroadcastTree &Tree) {
-  return runAllSources(Net, {&Tree, 1}, {},
-                       mnbLowerBound(Net.numNodes(), Net.degree()));
+  return runTreeCollective(Net, {&Tree, 1}, {},
+                           mnbLowerBound(Net.numNodes(), Net.degree()));
 }
 
 MnbResult scg::simulateMnbStriped(const ExplicitScg &Net,
                                   const std::vector<BroadcastTree> &Trees) {
-  return runAllSources(Net, Trees, {},
-                       mnbLowerBound(Net.numNodes(), Net.degree()));
+  return runTreeCollective(Net, Trees, {},
+                           mnbLowerBound(Net.numNodes(), Net.degree()));
 }
 
 MnbResult scg::simulateMnbSdc(const ExplicitScg &Net,
@@ -196,6 +186,6 @@ MnbResult scg::simulateMnbSdc(const ExplicitScg &Net,
   if (Cycle.empty())
     for (GenIndex G = 0; G != Net.degree(); ++G)
       Cycle.push_back(G);
-  return runAllSources(Net, {&Tree, 1}, Cycle,
-                       mnbSdcLowerBound(Net.numNodes()));
+  return runTreeCollective(Net, {&Tree, 1}, Cycle,
+                           mnbSdcLowerBound(Net.numNodes()));
 }

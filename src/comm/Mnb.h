@@ -19,8 +19,6 @@
 
 #include "comm/BroadcastTree.h"
 
-#include <span>
-
 namespace scg {
 
 /// Result of a multinode-broadcast simulation.
@@ -61,30 +59,6 @@ uint64_t mnbLowerBound(uint64_t NumNodes, unsigned Degree);
 
 /// The SDC receive-bound: N - 1.
 uint64_t mnbSdcLowerBound(uint64_t NumNodes);
-
-namespace detail {
-
-/// Counters of one runTreeCollective run.
-struct TreeRun {
-  uint64_t Steps = 0;
-  uint64_t Deliveries = 0; ///< token arrivals = link transmissions.
-};
-
-/// The one step loop behind every tree collective (MNB, SDC-MNB, striped
-/// MNB, broadcast). Source s broadcasts along Trees[s % Trees.size()];
-/// the sources are every node when \p AllSources, else node 0 alone. At
-/// step t every link fires, or only generator Cycle[t % Cycle.size()]
-/// when \p Cycle is non-empty; under \p SinglePort a node sends on its
-/// lowest non-empty generator only. Links transmit generator-major and a
-/// token moves one hop per step (DESIGN.md section 15). Throws
-/// std::invalid_argument on an empty \p Trees, or on a \p Cycle that names
-/// a generator >= degree or omits one that labels a tree edge.
-TreeRun runTreeCollective(const ExplicitScg &Net,
-                          std::span<const BroadcastTree> Trees,
-                          bool AllSources, std::span<const GenIndex> Cycle,
-                          bool SinglePort);
-
-} // namespace detail
 
 } // namespace scg
 

@@ -4,7 +4,6 @@
 
 #include "query/QueryEngine.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <map>
@@ -102,21 +101,4 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
       Sources.empty() ? 0.0
                       : double(Routes.Hops.size()) / double(Sources.size());
   return Result;
-}
-
-std::vector<PermutationRoutingResult>
-scg::simulatePermutationRoutingBatch(const ExplicitScg &Net,
-                                     const std::vector<TrafficPattern> &Patterns,
-                                     CommModel Model) {
-  // Each pattern gets its own NetworkSimulator and load map; the shared
-  // ExplicitScg is read-only after construction, so instances are
-  // independent. One chunk per pattern: a whole simulation is coarse work.
-  std::vector<PermutationRoutingResult> Results(Patterns.size());
-  ThreadPool::global().parallelFor(
-      0, Patterns.size(),
-      [&](uint64_t I) {
-        Results[I] = simulatePermutationRouting(Net, Patterns[I], Model);
-      },
-      /*ChunkSize=*/1);
-  return Results;
 }

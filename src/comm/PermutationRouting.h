@@ -63,15 +63,6 @@ simulatePermutationRouting(const ExplicitScg &Net,
                            CommModel Model = CommModel::AllPort,
                            const std::vector<SimObserver *> &Observers = {});
 
-/// Routes many independent traffic patterns over the same network, one
-/// simulator instance per pattern, in parallel on the global ThreadPool
-/// (SCG_THREADS=1 forces serial). Results[i] corresponds to Patterns[i] and
-/// is identical to calling simulatePermutationRouting on it alone.
-std::vector<PermutationRoutingResult>
-simulatePermutationRoutingBatch(const ExplicitScg &Net,
-                                const std::vector<TrafficPattern> &Patterns,
-                                CommModel Model = CommModel::AllPort);
-
 } // namespace scg
 
 #endif // SCG_COMM_PERMUTATIONROUTING_H

@@ -54,19 +54,6 @@
 
 using namespace scg;
 
-std::string scg::commModelName(CommModel Model) {
-  switch (Model) {
-  case CommModel::AllPort:
-    return "all-port";
-  case CommModel::SinglePort:
-    return "single-port";
-  case CommModel::SingleDimension:
-    return "single-dimension";
-  }
-  assert(false && "unknown model");
-  return "?";
-}
-
 NetworkSimulator::NetworkSimulator(const ExplicitScg &Net, CommModel Model)
     : Net(Net), Model(Model),
       QueueHead(size_t(Net.numNodes()) * Net.degree()),

@@ -76,9 +76,6 @@ namespace scg {
 /// The communication models of Sections 3 and 4.
 enum class CommModel { AllPort, SinglePort, SingleDimension };
 
-/// Returns a display name ("all-port", ...).
-std::string commModelName(CommModel Model);
-
 /// One timed injection: node Src sends one message to Dst at step Step.
 struct TrafficEvent {
   uint64_t Step;

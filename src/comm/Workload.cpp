@@ -20,23 +20,6 @@
 
 using namespace scg;
 
-std::string scg::workloadKindName(WorkloadKind Kind) {
-  switch (Kind) {
-  case WorkloadKind::UniformRandom:
-    return "uniform";
-  case WorkloadKind::Hotspot:
-    return "hotspot";
-  case WorkloadKind::Transpose:
-    return "transpose";
-  case WorkloadKind::BitReversal:
-    return "bit-reversal";
-  case WorkloadKind::BurstyUniform:
-    return "bursty";
-  }
-  assert(false && "unknown workload kind");
-  return "?";
-}
-
 NodeId WorkloadGenerator::transposeDestination(const ExplicitScg &Net,
                                                NodeId U) {
   return Net.rankOf(Net.label(U).inverse());
@@ -58,10 +41,21 @@ WorkloadGenerator::WorkloadGenerator(const ExplicitScg &Net,
                                      const WorkloadSpec &Spec)
     : Net(Net), Spec(Spec) {
   assert(Net.numNodes() >= 2 && "workloads need at least two nodes");
-  assert(Spec.InjectionRate >= 0.0 && "negative injection rate");
-  assert((Spec.Kind != WorkloadKind::Hotspot ||
-          Spec.HotspotNode < Net.numNodes()) &&
-         "hotspot node out of range");
+  // Negated compares so that NaN fails them too.
+  if (!(Spec.InjectionRate >= 0.0))
+    throw std::invalid_argument("workload: injection rate is negative or NaN");
+  if (Spec.Kind == WorkloadKind::Hotspot &&
+      Spec.HotspotNode >= Net.numNodes())
+    throw std::invalid_argument("workload: hotspot node " +
+                                std::to_string(Spec.HotspotNode) +
+                                " out of range");
+  if (Spec.Kind == WorkloadKind::BurstyUniform) {
+    if (!(Spec.BurstDutyCycle > 0.0 && Spec.BurstDutyCycle <= 1.0))
+      throw std::invalid_argument("workload: burst duty cycle outside (0, 1]");
+    if (!(Spec.MeanBurstLength >= 1.0))
+      throw std::invalid_argument(
+          "workload: mean burst length below one step or NaN");
+  }
   if (Spec.Kind == WorkloadKind::Transpose) {
     for (NodeId U = 0; U != Net.numNodes(); ++U)
       FixedDest.push_back(transposeDestination(Net, U));
@@ -184,8 +178,6 @@ std::vector<TrafficEvent> WorkloadGenerator::generate(uint64_t Steps) const {
   const double Duty = Spec.BurstDutyCycle;
   double OnExit = 0.0, OffExit = 0.0, OnRate = 0.0;
   if (Bursty) {
-    assert(Duty > 0.0 && Duty <= 1.0 && "duty cycle out of range");
-    assert(Spec.MeanBurstLength >= 1.0 && "mean burst below one step");
     OnExit = 1.0 / Spec.MeanBurstLength;
     double MeanOff = Spec.MeanBurstLength * (1.0 - Duty) / Duty;
     OffExit = MeanOff > 0.0 ? 1.0 / MeanOff : 1.0;
@@ -399,23 +391,4 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
         .add(Result.Sim.DeferredSteps);
   }
   return Result;
-}
-
-std::vector<std::string> scg::trafficMetricNames() {
-  return {"traffic.offered",
-          "traffic.delivered",
-          "traffic.offered_rate",
-          "traffic.delivered_rate",
-          "traffic.mean_latency",
-          "traffic.p50_latency",
-          "traffic.p99_latency",
-          "traffic.mean_queued",
-          "traffic.max_queue_length",
-          "traffic.setup.events",
-          "traffic.setup.distinct_labels",
-          "traffic.setup.route_hops",
-          "traffic.setup.dedup_factor",
-          "traffic.closedloop.max_queue",
-          "traffic.closedloop.deferred_injections",
-          "traffic.closedloop.deferred_steps"};
 }

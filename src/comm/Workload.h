@@ -43,9 +43,6 @@ enum class WorkloadKind {
   BurstyUniform, ///< uniform destinations, on/off (Markov) arrivals.
 };
 
-/// Returns a display name ("uniform", "hotspot", ...).
-std::string workloadKindName(WorkloadKind Kind);
-
 /// Parameters of a workload. InjectionRate is the per-node packet
 /// injection probability per step (offered load in packets/node/step);
 /// under BurstyUniform it is still the *long-run* rate -- bursts inject at
@@ -64,6 +61,10 @@ struct WorkloadSpec {
 /// Deterministic generator of TrafficEvent traces.
 class WorkloadGenerator {
 public:
+  /// Throws std::invalid_argument on a malformed \p Spec: a negative or
+  /// NaN InjectionRate, a Hotspot HotspotNode that is not a node, or, for
+  /// BurstyUniform, a BurstDutyCycle outside (0, 1] or a MeanBurstLength
+  /// below 1 or NaN.
   WorkloadGenerator(const ExplicitScg &Net, const WorkloadSpec &Spec);
 
   /// Generates the trace for steps [0, Steps), sorted by (Step, Src).
@@ -146,11 +147,6 @@ TrafficLoadResult simulateTrafficLoad(const ExplicitScg &Net, CommModel Model,
                                       const WorkloadSpec &Spec,
                                       uint64_t Steps,
                                       const TrafficLoadOptions &Options = {});
-
-/// Every metric name simulateTrafficLoad publishes, in publication order.
-/// Pins the names against silent renames: MetricsTest round-trips each
-/// through a registry and the JSON writer.
-std::vector<std::string> trafficMetricNames();
 
 } // namespace scg
 

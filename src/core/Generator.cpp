@@ -6,22 +6,6 @@
 
 using namespace scg;
 
-Generator Generator::inverted() const {
-  Generator Result;
-  Result.Sigma = Sigma.inverse();
-  Result.Kind = Kind;
-  // Name convention: a trailing prime marks the inverse action.
-  if (!Name.empty() && Name.back() == '\'')
-    Result.Name = Name.substr(0, Name.size() - 1);
-  else
-    Result.Name = Name + "'";
-  return Result;
-}
-
-bool Generator::isInvolution() const {
-  return Sigma.compose(Sigma).isIdentity();
-}
-
 /// Builds the one-line word of the identity on \p K positions.
 static std::vector<uint8_t> identityWord(unsigned K) {
   std::vector<uint8_t> Word(K);
@@ -104,13 +88,4 @@ Generator scg::makeRotation(unsigned K, unsigned N, int I) {
   std::string Name = (E == 1) ? "R" : ("R^" + std::to_string(E));
   return {std::move(Name), Permutation::fromOneLine(std::move(Word)),
           GeneratorKind::Super};
-}
-
-Generator scg::makeBringBoxSwap(unsigned K, unsigned N, unsigned I) {
-  return makeSwap(K, N, I);
-}
-
-Generator scg::makeBringBoxRotation(unsigned K, unsigned N, unsigned I) {
-  assert(I >= 2 && "box 1 is already leftmost");
-  return makeRotation(K, N, -static_cast<int>(I - 1));
 }

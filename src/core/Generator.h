@@ -36,13 +36,6 @@ struct Generator {
   std::string Name;  ///< Display name, e.g. "T3", "S2", "R^2", "I4", "I4'".
   Permutation Sigma; ///< Action on positions (right composition).
   GeneratorKind Kind = GeneratorKind::Nucleus;
-
-  /// Returns the generator applying the inverse action (name decorated).
-  Generator inverted() const;
-
-  /// True if the action is an involution (its own inverse), in which case
-  /// this generator and its inverse are the same physical link.
-  bool isInvolution() const;
 };
 
 /// Star-graph transposition generator T_i (paper Def. in [21]): swaps the
@@ -73,12 +66,6 @@ Generator makeSelection(unsigned K, unsigned I);
 /// K-1 symbols right by n*i positions; exponent \p I is taken mod l where
 /// K = l*n + 1. R^0 is the identity and is rejected (asserted).
 Generator makeRotation(unsigned K, unsigned N, int I);
-
-/// Returns the super generator B_i that brings super-symbol \p I to the
-/// leftmost box position (Theorem 4): S_i for swap-based networks and
-/// R^{-(i-1)} for rotation-based ones.
-Generator makeBringBoxSwap(unsigned K, unsigned N, unsigned I);
-Generator makeBringBoxRotation(unsigned K, unsigned N, unsigned I);
 
 } // namespace scg
 

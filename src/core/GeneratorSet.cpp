@@ -19,14 +19,6 @@ GenIndex GeneratorSet::add(Generator G) {
 }
 
 std::optional<GenIndex>
-GeneratorSet::findByName(const std::string &Name) const {
-  for (GenIndex I = 0; I != Gens.size(); ++I)
-    if (Gens[I].Name == Name)
-      return I;
-  return std::nullopt;
-}
-
-std::optional<GenIndex>
 GeneratorSet::findByAction(const Permutation &Sigma) const {
   auto Range = ByAction.equal_range(Sigma);
   if (Range.first == Range.second)

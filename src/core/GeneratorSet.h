@@ -46,9 +46,6 @@ public:
     return Gens[I];
   }
 
-  /// Finds a generator by display name.
-  std::optional<GenIndex> findByName(const std::string &Name) const;
-
   /// Finds a generator by its action; when parallel links share the action,
   /// the first added one is returned.
   std::optional<GenIndex> findByAction(const Permutation &Sigma) const;

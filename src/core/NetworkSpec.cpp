@@ -8,6 +8,9 @@ using namespace scg;
 
 namespace {
 
+/// Labels store one symbol per byte, so k = l * n + 1 is at most 255.
+constexpr uint64_t MaxSymbols = 255;
+
 /// Parses "name(a)" or "name(a,b)"; returns false on malformed input.
 bool splitSpec(const std::string &Spec, std::string &Name, unsigned &A,
                bool &HasB, unsigned &B) {
@@ -51,7 +54,7 @@ scg::parseNetworkSpec(const std::string &Spec) {
     return std::nullopt;
 
   if (!HasB) {
-    if (A < 2)
+    if (A < 2 || A > MaxSymbols)
       return std::nullopt;
     if (Name == "star")
       return SuperCayleyGraph::star(A);
@@ -66,7 +69,8 @@ scg::parseNetworkSpec(const std::string &Spec) {
     return std::nullopt;
   }
 
-  if (A < 2 || B < 1)
+  // Both factors are at most 10^6, so the 64-bit product cannot overflow.
+  if (A < 2 || B < 1 || uint64_t(A) * B + 1 > MaxSymbols)
     return std::nullopt;
   struct Entry {
     const char *Name;

@@ -24,8 +24,9 @@ namespace scg {
 
 /// Parses \p Spec ("<kind>(<k>)" for single-level networks,
 /// "<kind>(<l>,<n>)" for the box classes); returns nullopt on malformed
-/// input. Accepts every name networkKindName produces except
-/// "T-tree" (which needs its edge list).
+/// input and on networks the library cannot build (k < 2, l < 2, n < 1,
+/// or k = l * n + 1 above 255). Accepts every name networkKindName
+/// produces except "T-tree" (which needs its edge list).
 std::optional<SuperCayleyGraph> parseNetworkSpec(const std::string &Spec);
 
 } // namespace scg

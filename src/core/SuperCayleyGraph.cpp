@@ -45,18 +45,6 @@ std::string scg::networkKindName(NetworkKind Kind) {
   return "?";
 }
 
-bool scg::isDirectedKind(NetworkKind Kind) {
-  switch (Kind) {
-  case NetworkKind::Rotator:
-  case NetworkKind::MacroRotator:
-  case NetworkKind::RotationRotator:
-  case NetworkKind::CompleteRotationRotator:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Adds the nucleus generators of \p Kind for boxes of size \p N, acting on
 /// \p K symbols: T_i for the star-nucleus classes, I_i (and I_i^-1 for the
 /// IS-nucleus classes) for the rotator/IS classes, i = 2..n+1.
@@ -212,14 +200,4 @@ std::string SuperCayleyGraph::name() const {
     return networkKindName(Kind) + "(" + std::to_string(L) + "," +
            std::to_string(N) + ")";
   }
-}
-
-std::vector<Permutation>
-SuperCayleyGraph::neighbors(const Permutation &U) const {
-  assert(U.size() == K && "label size must match the network");
-  std::vector<Permutation> Result;
-  Result.reserve(Gens.size());
-  for (GenIndex I = 0; I != Gens.size(); ++I)
-    Result.push_back(neighbor(U, I));
-  return Result;
 }

@@ -54,10 +54,6 @@ enum class NetworkKind {
 /// Returns the display name of \p Kind ("MS", "complete-RS", ...).
 std::string networkKindName(NetworkKind Kind);
 
-/// True for the three rotator-style classes whose generator sets are not
-/// closed under inverses (directed Cayley graphs).
-bool isDirectedKind(NetworkKind Kind);
-
 /// A super Cayley graph (or classic permutation network) descriptor.
 class SuperCayleyGraph {
 public:
@@ -97,9 +93,10 @@ public:
   uint64_t numNodes() const;
   /// Out-degree = number of distinct generators.
   unsigned degree() const { return Gens.size(); }
-  /// True if the generator set is closed under inverses. Usually
-  /// !isDirectedKind(kind()), except that the rotator classes with n = 1
-  /// happen to be symmetric (their only insertion I_2 is an involution).
+  /// True if the generator set is closed under inverses: false for the
+  /// rotator-style classes (directed Cayley graphs), except that those
+  /// with n = 1 happen to be symmetric (their only insertion I_2 is an
+  /// involution).
   bool isUndirected() const { return Symmetric; }
 
   /// Display name including parameters, e.g. "MS(4,3)" or "star(7)".
@@ -118,9 +115,6 @@ public:
   void neighborInto(const Permutation &U, GenIndex I, Permutation &V) const {
     U.composeInto(Gens[I].Sigma, V);
   }
-
-  /// Returns all out-neighbors of \p U in generator order.
-  std::vector<Permutation> neighbors(const Permutation &U) const;
 
 private:
   SuperCayleyGraph(NetworkKind Kind, unsigned L, unsigned N, GeneratorSet G)

@@ -10,8 +10,3 @@ DimensionParts scg::decomposeDimension(unsigned J, unsigned N) {
   assert(J >= 2 && N >= 1 && "dimension must be >= 2");
   return {(J - 2) % N, (J - 2) / N};
 }
-
-unsigned scg::composeDimension(DimensionParts Parts, unsigned N) {
-  assert(Parts.J0 < N && "ball slot out of range");
-  return Parts.J1 * N + Parts.J0 + 2;
-}

@@ -28,9 +28,6 @@ struct DimensionParts {
 /// Decomposes star dimension \p J (2 <= J <= ln+1) for box size \p N.
 DimensionParts decomposeDimension(unsigned J, unsigned N);
 
-/// Recomposes: returns j1 * n + j0 + 2.
-unsigned composeDimension(DimensionParts Parts, unsigned N);
-
 } // namespace scg
 
 #endif // SCG_EMULATION_DIMENSIONMAP_H

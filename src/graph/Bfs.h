@@ -88,14 +88,6 @@ BfsResult bfsCore(uint64_t NumNodes, NodeId Source,
 /// BFS from \p Source over the explicit graph \p G.
 BfsResult bfs(const Graph &G, NodeId Source);
 
-/// Number of nodes reachable from \p Source (including it), with none of
-/// BfsResult's bookkeeping: no parent tree, no distances, no sums -- just a
-/// visited bitmap and a flat queue -- and an early exit the moment every
-/// node has been reached. This is the path connectivity probes
-/// (isConnectedFromZero, sweep guards) should take; a full bfs() for a
-/// reachability answer pays for state nobody reads.
-uint64_t bfsReachableCount(const Graph &G, NodeId Source);
-
 } // namespace scg
 
 #endif // SCG_GRAPH_BFS_H

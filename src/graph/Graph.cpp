@@ -6,30 +6,7 @@
 
 using namespace scg;
 
-bool Graph::isRegular() const {
-  if (numNodes() == 0)
-    return true;
-  unsigned Degree = outDegree(0);
-  for (NodeId Node = 1; Node != numNodes(); ++Node)
-    if (outDegree(Node) != Degree)
-      return false;
-  return true;
-}
-
-bool Graph::isUndirected() const {
-  for (NodeId From = 0; From != numNodes(); ++From)
-    for (NodeId To : neighbors(From))
-      if (!hasEdge(To, From))
-        return false;
-  return true;
-}
-
 bool Graph::hasEdge(NodeId From, NodeId To) const {
   auto Span = neighbors(From);
   return std::find(Span.begin(), Span.end(), To) != Span.end();
-}
-
-void Graph::sortAdjacency() {
-  for (auto &List : Adjacency)
-    std::sort(List.begin(), List.end());
 }

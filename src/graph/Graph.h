@@ -59,18 +59,8 @@ public:
 
   unsigned outDegree(NodeId Node) const { return neighbors(Node).size(); }
 
-  /// True if every node has the same out-degree.
-  bool isRegular() const;
-
-  /// True if for every directed edge u->v the edge v->u is present.
-  bool isUndirected() const;
-
   /// True if \p From -> \p To is an edge (linear scan of From's list).
   bool hasEdge(NodeId From, NodeId To) const;
-
-  /// Sorts every adjacency list (for deterministic iteration and binary
-  /// search in hasEdge-heavy algorithms).
-  void sortAdjacency();
 
 private:
   std::vector<std::vector<NodeId>> Adjacency;

@@ -86,9 +86,3 @@ DistanceStats scg::vertexTransitiveStats(const Graph &G,
                               : 0.0;
   return Stats;
 }
-
-bool scg::isConnectedFromZero(const Graph &G) {
-  if (G.numNodes() == 0)
-    return true;
-  return bfsReachableCount(G, 0) == G.numNodes();
-}

@@ -52,13 +52,6 @@ DistanceStats scalarAllPairsStats(const Graph &G);
 /// graphs; \p Representative defaults to node 0.
 DistanceStats vertexTransitiveStats(const Graph &G, NodeId Representative = 0);
 
-/// True if all nodes are reachable from node 0 (for undirected or strongly
-/// regular directed graphs this implies connectivity of interest here).
-/// Runs the lean reachability-only BFS (no parent/distance bookkeeping,
-/// early exit once every node is reached), so connectivity probes inside
-/// sweeps cost a fraction of a full BFS.
-bool isConnectedFromZero(const Graph &G);
-
 } // namespace scg
 
 #endif // SCG_GRAPH_METRICS_H

@@ -11,20 +11,6 @@
 
 using namespace scg;
 
-std::vector<std::vector<uint32_t>>
-scg::msBfsDistances(const Csr &G, std::span<const NodeId> Sources) {
-  std::vector<std::vector<uint32_t>> Rows(
-      Sources.size(),
-      std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
-  msBfsCore(G, Sources, [&Rows](NodeId Node, uint64_t NewMask, uint32_t Level) {
-    do {
-      Rows[unsigned(std::countr_zero(NewMask))][Node] = Level;
-      NewMask &= NewMask - 1;
-    } while (NewMask);
-  });
-  return Rows;
-}
-
 std::vector<uint8_t> scg::msBfsDistanceRow(const Csr &G, NodeId Source) {
   std::vector<uint8_t> Row(G.numNodes(), MsBfsUnreachableByte);
   NodeId Sources[1] = {Source};

@@ -165,14 +165,6 @@ void msBfsCore(const Csr &G, std::span<const NodeId> Sources, OnVisit &&Visit,
   }
 }
 
-/// Full distance vectors per source (UnreachableDistance where a lane
-/// never arrives). Row i is the distance vector of Sources[i]; byte-equal
-/// to bfs(G, Sources[i]).Distance. Mainly for differential tests and
-/// dilation-style consumers that need the whole matrix slice.
-std::vector<std::vector<uint32_t>> msBfsDistances(const Csr &G,
-                                                  std::span<const NodeId>
-                                                      Sources);
-
 /// Sentinel byte for "no path" in compact one-byte distance rows.
 constexpr uint8_t MsBfsUnreachableByte = 0xFF;
 

@@ -6,11 +6,10 @@
 
 #include <bit>
 #include <cassert>
-#include <set>
 
 using namespace scg;
 
-ClusterStructure::ClusterStructure(const ExplicitScg &Net) : Net(Net) {
+ClusterStructure::ClusterStructure(const ExplicitScg &Net) {
   const SuperCayleyGraph &Scg = Net.network();
   assert(Scg.numBoxes() >= 2 && "single-level networks are one cluster");
   unsigned N = Scg.ballsPerBox();
@@ -45,25 +44,4 @@ ClusterStructure::ClusterStructure(const ExplicitScg &Net) : Net(Net) {
   Size = Net.numNodes() / Count;
   assert(Count * Size == Net.numNodes() && "uneven clusters");
   assert(Size == factorial(N + 1) && "cluster is not a nucleus network");
-}
-
-bool ClusterStructure::isIntraCluster(GenIndex G) const {
-  return Net.network().generators()[G].Kind == GeneratorKind::Nucleus;
-}
-
-Graph ClusterStructure::clusterGraph() const {
-  std::set<std::pair<uint32_t, uint32_t>> Edges;
-  for (NodeId U = 0; U != Net.numNodes(); ++U)
-    for (GenIndex G = 0; G != Net.degree(); ++G) {
-      if (isIntraCluster(G))
-        continue;
-      uint32_t A = Labels[U];
-      uint32_t B = Labels[Net.next(U, G)];
-      assert(A != B && "super link stayed inside a cluster");
-      Edges.insert({A, B});
-    }
-  Graph G(static_cast<NodeId>(Count));
-  for (auto [A, B] : Edges)
-    G.addEdge(A, B);
-  return G;
 }

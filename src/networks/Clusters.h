@@ -12,8 +12,7 @@
 /// positions n+2..k form a cluster -- a copy of the (n+1)-symbol nucleus
 /// network ((n+1)-star for MS/RS/complete-RS, (n+1)-IS for the IS
 /// classes). Super generators connect clusters. This module labels nodes
-/// with cluster ids, classifies links, and builds the quotient cluster
-/// graph.
+/// with cluster ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +39,7 @@ public:
   /// The cluster id of node \p U (dense, 0-based).
   uint32_t clusterOf(NodeId U) const { return Labels[U]; }
 
-  /// True if generator \p G keeps every node inside its cluster (nucleus
-  /// links do; super links never do).
-  bool isIntraCluster(GenIndex G) const;
-
-  /// Quotient graph: one node per cluster, an edge per pair of clusters
-  /// joined by at least one super link (deduplicated, undirected form for
-  /// symmetric networks).
-  Graph clusterGraph() const;
-
 private:
-  const ExplicitScg &Net;
   std::vector<uint32_t> Labels;
   uint64_t Count = 0;
   uint64_t Size = 0;

@@ -134,14 +134,6 @@ std::vector<size_t> StabilizerChain::orbitSizes() const {
   return Sizes;
 }
 
-uint64_t StabilizerChain::order() const {
-  assert(Degree <= 20 && "order may overflow uint64_t beyond degree 20");
-  uint64_t Order = 1;
-  for (const Level &L : Levels)
-    Order *= L.Transversal.size();
-  return Order;
-}
-
 bool StabilizerChain::contains(const Permutation &P) const {
   assert(P.size() == Degree || Degree == 0);
   if (P.isIdentity())
@@ -149,11 +141,6 @@ bool StabilizerChain::contains(const Permutation &P) const {
   auto [Residue, LevelIdx] = strip(P, 0);
   (void)LevelIdx;
   return Residue.isIdentity();
-}
-
-uint64_t
-scg::permutationGroupOrder(const std::vector<Permutation> &Generators) {
-  return StabilizerChain(Generators).order();
 }
 
 bool scg::generatesSymmetricGroup(

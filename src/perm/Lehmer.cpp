@@ -35,20 +35,6 @@ uint64_t scg::factorial(unsigned K) {
   return Factorials[K];
 }
 
-std::vector<uint8_t> scg::lehmerCode(const Permutation &P) {
-  // Generic any-k form: c_i = |{j > i : P[j] < P[i]}|. Quadratic, but this
-  // is the symbolic-analysis entry point (k up to 255), not the rank kernel.
-  unsigned K = P.size();
-  std::vector<uint8_t> Code(K, 0);
-  for (unsigned I = 0; I != K; ++I) {
-    unsigned Count = 0;
-    for (unsigned J = I + 1; J != K; ++J)
-      Count += P[J] < P[I];
-    Code[I] = static_cast<uint8_t>(Count);
-  }
-  return Code;
-}
-
 Permutation scg::fromLehmerCode(const std::vector<uint8_t> &Code) {
   unsigned K = Code.size();
   assert(K <= 255 && "symbols are stored as uint8_t");

@@ -33,12 +33,9 @@ namespace scg {
 /// A table lookup, valid in constant expressions.
 uint64_t factorial(unsigned K);
 
-/// Returns the Lehmer code (c_0, ..., c_{k-1}) of \p P, where c_i counts the
-/// entries to the right of position i that are smaller than P[i]. Always
-/// c_i < k - i, and c_{k-1} = 0.
-std::vector<uint8_t> lehmerCode(const Permutation &P);
-
-/// Inverse of lehmerCode.
+/// The permutation with Lehmer code (c_0, ..., c_{k-1}) \p Code, where c_i
+/// counts the entries to the right of position i that are smaller than
+/// P[i]. Requires c_i < k - i (so c_{k-1} = 0).
 Permutation fromLehmerCode(const std::vector<uint8_t> &Code);
 
 /// Ranks \p P into [0, k!) lexicographically (identity has rank 0).

@@ -97,15 +97,6 @@ Permutation Permutation::inverse() const {
   return Result;
 }
 
-unsigned Permutation::positionOf(uint8_t Symbol) const {
-  const uint8_t *Word = data();
-  for (unsigned P = 0; P != Size; ++P)
-    if (Word[P] == Symbol)
-      return P;
-  assert(false && "symbol not present");
-  return Size;
-}
-
 bool Permutation::isIdentity() const { return *this == identity(Size); }
 
 std::vector<std::vector<uint8_t>> Permutation::nontrivialCycles() const {
@@ -134,24 +125,6 @@ unsigned Permutation::numDisplaced() const {
     if (Word[P] != P)
       ++Count;
   return Count;
-}
-
-int Permutation::sign() const {
-  // Parity = (-1)^(k - number of cycles including fixed points).
-  const uint8_t *Word = data();
-  unsigned NumCycles = 0;
-  std::bitset<256> Visited;
-  for (unsigned Start = 0; Start != Size; ++Start) {
-    if (Visited[Start])
-      continue;
-    ++NumCycles;
-    unsigned Cur = Start;
-    while (!Visited[Cur]) {
-      Visited[Cur] = true;
-      Cur = Word[Cur];
-    }
-  }
-  return ((Size - NumCycles) % 2 == 0) ? 1 : -1;
 }
 
 std::string Permutation::str() const {

@@ -126,9 +126,6 @@ public:
     return compose(Sigma);
   }
 
-  /// Returns the position of symbol \p Symbol (the inverse image).
-  unsigned positionOf(uint8_t Symbol) const;
-
   /// Returns true if this is the identity.
   bool isIdentity() const;
 
@@ -139,9 +136,6 @@ public:
 
   /// Returns the number of symbols s with perm[s] != s.
   unsigned numDisplaced() const;
-
-  /// Returns +1 or -1, the sign of the permutation.
-  int sign() const;
 
   /// Renders 1-based one-line notation, e.g. "3 1 2".
   std::string str() const;

@@ -289,13 +289,6 @@ QueryEngine::routeBatch(std::span<const PairQuery> Queries) const {
   return Replies;
 }
 
-RouteReply QueryEngine::routeRelative(const Permutation &Rel) const {
-  assert(Rel.size() == Net.numSymbols() &&
-         "relative label must be on the engine's k symbols");
-  RouteQueries.fetch_add(1, std::memory_order_relaxed);
-  return routeRel(Rel);
-}
-
 RouteArena
 QueryEngine::routeBatchRelative(std::span<const Permutation> Rels) const {
   const uint64_t N = Rels.size();

@@ -151,15 +151,13 @@ public:
   /// reply says so, a valid bounded-slowdown route otherwise.
   RouteReply route(const Permutation &Src, const Permutation &Dst) const;
 
-  /// A route for the relative label \p Rel = Src^-1 o Dst directly -- the
-  /// normalization route() performs internally. Vertex-transitive callers
-  /// that already dedupe pairs by relative label (the traffic driver's
-  /// batched setup) enter here and skip the per-pair inverse + compose.
-  RouteReply routeRelative(const Permutation &Rel) const;
-
-  /// Batched routeRelative into one flat arena: chunked over the global
-  /// ThreadPool (chunk boundaries depend only on the batch length), routes
-  /// indexed like \p Rels and byte-identical at every thread count.
+  /// Routes for relative labels \p Rel = Src^-1 o Dst directly -- the
+  /// normalization route() performs internally -- into one flat arena.
+  /// Vertex-transitive callers that already dedupe pairs by relative label
+  /// (the traffic driver's batched setup) enter here and skip the per-pair
+  /// inverse + compose. Chunked over the global ThreadPool (chunk
+  /// boundaries depend only on the batch length), routes indexed like
+  /// \p Rels and byte-identical at every thread count.
   RouteArena routeBatchRelative(std::span<const Permutation> Rels) const;
 
   /// Batched forms: chunked over the global ThreadPool (SCG_THREADS=1

@@ -193,13 +193,3 @@ std::optional<GeneratorPath> scg::solveBag(const SuperCayleyGraph &Net,
     return solveBagImpl<DenseMarks>(Net, Src, Dst, MaxDepth);
   return solveBagImpl<HashMarks>(Net, Src, Dst, MaxDepth);
 }
-
-std::optional<unsigned> scg::bagDistance(const SuperCayleyGraph &Net,
-                                         const Permutation &Src,
-                                         const Permutation &Dst,
-                                         unsigned MaxDepth) {
-  std::optional<GeneratorPath> Path = solveBag(Net, Src, Dst, MaxDepth);
-  if (!Path)
-    return std::nullopt;
-  return Path->length();
-}

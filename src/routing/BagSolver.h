@@ -33,12 +33,6 @@ std::optional<GeneratorPath> solveBag(const SuperCayleyGraph &Net,
                                       const Permutation &Dst,
                                       unsigned MaxDepth = 0);
 
-/// Shortest-path distance, or nullopt if unreachable within \p MaxDepth.
-std::optional<unsigned> bagDistance(const SuperCayleyGraph &Net,
-                                    const Permutation &Src,
-                                    const Permutation &Dst,
-                                    unsigned MaxDepth = 0);
-
 } // namespace scg
 
 #endif // SCG_ROUTING_BAGSOLVER_H

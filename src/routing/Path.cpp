@@ -21,17 +21,6 @@ Permutation GeneratorPath::endpoint(const SuperCayleyGraph &Net,
   return Cur;
 }
 
-std::vector<Permutation>
-GeneratorPath::trace(const SuperCayleyGraph &Net,
-                     const Permutation &Start) const {
-  std::vector<Permutation> Nodes;
-  Nodes.reserve(Hops.size() + 1);
-  Nodes.push_back(Start);
-  for (GenIndex G : Hops)
-    Nodes.push_back(Net.neighbor(Nodes.back(), G));
-  return Nodes;
-}
-
 bool GeneratorPath::connects(const SuperCayleyGraph &Net,
                              const Permutation &Start,
                              const Permutation &End) const {

@@ -43,10 +43,6 @@ public:
   Permutation endpoint(const SuperCayleyGraph &Net,
                        const Permutation &Start) const;
 
-  /// Every node visited, starting with \p Start (length() + 1 entries).
-  std::vector<Permutation> trace(const SuperCayleyGraph &Net,
-                                 const Permutation &Start) const;
-
   /// True if traversing from \p Start ends at \p End.
   bool connects(const SuperCayleyGraph &Net, const Permutation &Start,
                 const Permutation &End) const;

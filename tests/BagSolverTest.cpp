@@ -7,6 +7,8 @@
 #include "perm/Lehmer.h"
 #include "support/Format.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -92,7 +94,7 @@ TEST(BagSolver, DistanceHelperAgrees) {
   SuperCayleyGraph Is = SuperCayleyGraph::insertionSelection(5);
   Permutation Id = Permutation::identity(5);
   Permutation Dst = Permutation::parseOneBased("2 3 4 5 1");
-  std::optional<unsigned> Dist = bagDistance(Is, Id, Dst);
+  std::optional<unsigned> Dist = oracle::bagDistance(Is, Id, Dst);
   ASSERT_TRUE(Dist);
   EXPECT_EQ(*Dist, 1u); // I_5 in one hop.
 }

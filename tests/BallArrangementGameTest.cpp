@@ -2,6 +2,8 @@
 
 #include "core/BallArrangementGame.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -42,7 +44,7 @@ TEST(BallArrangementGame, MisplacedCount) {
 TEST(BallArrangementGame, PlayFollowsLinks) {
   SuperCayleyGraph Net = ms22();
   BallArrangementGame Game(Net, Permutation::identity(5));
-  GenIndex T2 = *Net.generators().findByName("T2");
+  GenIndex T2 = *oracle::findByName(Net.generators(), "T2");
   Game.play(T2); // exchange outside ball with first ball of box 1.
   EXPECT_EQ(Game.configuration().str(), "2 1 3 4 5");
   EXPECT_EQ(Game.history().size(), 1u);
@@ -53,7 +55,7 @@ TEST(BallArrangementGame, PlaySolvesSimpleInstance) {
   SuperCayleyGraph Net = ms22();
   // One move from solved: boxes exchanged.
   BallArrangementGame Game(Net, Permutation::parseOneBased("1 4 5 2 3"));
-  GenIndex S2 = *Net.generators().findByName("S2");
+  GenIndex S2 = *oracle::findByName(Net.generators(), "S2");
   Game.play(S2);
   EXPECT_TRUE(Game.isSolved());
 }
@@ -62,8 +64,8 @@ TEST(BallArrangementGame, UndoRestoresConfiguration) {
   SuperCayleyGraph Net = ms22();
   BallArrangementGame Game(Net, Permutation::identity(5));
   Permutation Before = Game.configuration();
-  Game.play(*Net.generators().findByName("T3"));
-  Game.play(*Net.generators().findByName("S2"));
+  Game.play(*oracle::findByName(Net.generators(), "T3"));
+  Game.play(*oracle::findByName(Net.generators(), "S2"));
   EXPECT_TRUE(Game.undo());
   EXPECT_TRUE(Game.undo());
   EXPECT_EQ(Game.configuration(), Before);

@@ -6,11 +6,15 @@
 
 #include "graph/Metrics.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 using namespace scg;
+using oracle::commModelName;
 
 TEST(Simulator, SinglePacketTravelsItsRoute) {
   ExplicitScg Net(SuperCayleyGraph::star(4));
@@ -84,6 +88,39 @@ TEST(BroadcastTreeTest, CoversNetworkAtBfsDepth) {
   DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
   EXPECT_EQ(Tree.height(), Stats.Diameter);
   EXPECT_EQ(Tree.depth(0), 0u);
+}
+
+// The broadcast tree's shape on classes CoversNetworkAtBfsDepth does not
+// build.
+TEST(Collectives, BroadcastHeightEqualsDiameter) {
+  ExplicitScg Net(SuperCayleyGraph::insertionSelection(5));
+  BroadcastTree Tree(Net);
+  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  EXPECT_EQ(Tree.height(), Stats.Diameter);
+}
+
+TEST(Collectives, TreePathsReachTheirNodes) {
+  // Walking the child links from the root reaches every node exactly once,
+  // one level deeper per hop.
+  ExplicitScg Net(SuperCayleyGraph::create(NetworkKind::MacroIS, 2, 2));
+  BroadcastTree Tree(Net);
+  std::vector<bool> Reached(Net.numNodes(), false);
+  std::vector<NodeId> Frontier = {0};
+  Reached[0] = true;
+  uint64_t Count = 1;
+  while (!Frontier.empty()) {
+    NodeId W = Frontier.back();
+    Frontier.pop_back();
+    for (GenIndex G : Tree.children(W)) {
+      NodeId V = Net.next(W, G);
+      ASSERT_FALSE(Reached[V]) << V;
+      EXPECT_EQ(Tree.depth(V), Tree.depth(W) + 1) << V;
+      Reached[V] = true;
+      ++Count;
+      Frontier.push_back(V);
+    }
+  }
+  EXPECT_EQ(Count, Net.numNodes());
 }
 
 TEST(Mnb, LowerBoundFormula) {

@@ -28,6 +28,8 @@
 #include <chrono>
 
 using namespace scg;
+using oracle::commModelName;
+using oracle::workloadKindName;
 
 namespace {
 

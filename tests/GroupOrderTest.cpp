@@ -12,6 +12,8 @@
 #include "core/SuperCayleyGraph.h"
 #include "perm/Lehmer.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -28,18 +30,18 @@ std::vector<Permutation> actionsOf(const SuperCayleyGraph &Net) {
 } // namespace
 
 TEST(GroupOrder, TrivialGroup) {
-  EXPECT_EQ(permutationGroupOrder({}), 1u);
+  EXPECT_EQ(oracle::permutationGroupOrder({}), 1u);
 }
 
 TEST(GroupOrder, SingleTransposition) {
-  EXPECT_EQ(permutationGroupOrder({makeTransposition(5, 2).Sigma}), 2u);
+  EXPECT_EQ(oracle::permutationGroupOrder({makeTransposition(5, 2).Sigma}), 2u);
 }
 
 TEST(GroupOrder, CyclicRotationGroup) {
   // R alone generates the cyclic group of box rotations: order l.
   for (unsigned L : {3u, 4u, 5u}) {
     Permutation R = makeRotation(2 * L + 1, 2, 1).Sigma;
-    EXPECT_EQ(permutationGroupOrder({R}), L) << "l=" << L;
+    EXPECT_EQ(oracle::permutationGroupOrder({R}), L) << "l=" << L;
   }
 }
 
@@ -50,13 +52,13 @@ TEST(GroupOrder, SwapsAloneGenerateBoxSymmetries) {
   std::vector<Permutation> Swaps;
   for (unsigned I = 2; I <= L; ++I)
     Swaps.push_back(makeSwap(K, N, I).Sigma);
-  EXPECT_EQ(permutationGroupOrder(Swaps), factorial(L));
+  EXPECT_EQ(oracle::permutationGroupOrder(Swaps), factorial(L));
 }
 
 TEST(GroupOrder, StarGeneratorsGiveFullSymmetricGroup) {
   for (unsigned K = 3; K <= 9; ++K) {
     SuperCayleyGraph Star = SuperCayleyGraph::star(K);
-    EXPECT_EQ(permutationGroupOrder(actionsOf(Star)), factorial(K));
+    EXPECT_EQ(oracle::permutationGroupOrder(actionsOf(Star)), factorial(K));
     EXPECT_TRUE(generatesSymmetricGroup(actionsOf(Star)));
   }
 }
@@ -70,7 +72,7 @@ TEST(GroupOrder, EvenSubgroupHasHalfOrder) {
   // Two disjoint 3-cycles generate only even permutations.
   Permutation A = Permutation::fromOneLine({1, 2, 0, 3, 4, 5});
   Permutation B = Permutation::fromOneLine({0, 1, 2, 4, 5, 3});
-  uint64_t Order = permutationGroupOrder({A, B});
+  uint64_t Order = oracle::permutationGroupOrder({A, B});
   EXPECT_LE(Order, factorial(6) / 2);
   EXPECT_FALSE(generatesSymmetricGroup({A, B}));
 }
@@ -127,5 +129,5 @@ TEST(GroupOrder, OrderMatchesBfsReachability) {
       }
     Frontier = std::move(Next);
   }
-  EXPECT_EQ(permutationGroupOrder(Gens), Seen.size());
+  EXPECT_EQ(oracle::permutationGroupOrder(Gens), Seen.size());
 }

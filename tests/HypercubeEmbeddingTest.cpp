@@ -4,6 +4,8 @@
 
 #include "networks/Classic.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -45,6 +47,6 @@ TEST(HypercubeEmbedding, EvenPermutationsOnly) {
   Embedding E = embedHypercubeIntoStar(Star);
   for (NodeId B = 0; B != E.NodeMap.size(); ++B) {
     int Expected = (__builtin_popcount(B) % 2 == 0) ? 1 : -1;
-    EXPECT_EQ(E.NodeMap[B].sign(), Expected);
+    EXPECT_EQ(oracle::sign(E.NodeMap[B]), Expected);
   }
 }

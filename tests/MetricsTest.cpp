@@ -11,6 +11,8 @@
 #include "support/Format.h"
 #include "support/Metrics.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,7 +117,7 @@ TEST(MetricsRegistryTest, TrafficMetricNamesRoundTripThroughJson) {
   // survive registry -> JSON verbatim, at value zero -- a closed-loop
   // counter that never fired still has to be visible in the export, and
   // the dotted names must need no escaping.
-  std::vector<std::string> Names = trafficMetricNames();
+  std::vector<std::string> Names = oracle::trafficMetricNames();
   ASSERT_FALSE(Names.empty());
   MetricsRegistry M;
   for (const std::string &Name : Names)

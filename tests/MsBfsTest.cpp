@@ -16,8 +16,8 @@
 //    rotator included (the determinism contract, under the `parallel`
 //    ctest label; the CSR sweep's cases live in the MsBfsHybrid suite).
 //  * Allocation reuse: with a warm scratch, a whole sweep's worth of
-//    batches performs zero heap allocations (the operator-new interposer
-//    below counts every allocation in this binary).
+//    batches performs zero heap allocations (tests/AllocCounter.cpp
+//    counts every allocation in this binary).
 //  * Csr::transpose on a directed graph: the true reverse edge set, and
 //    transposing twice restores every adjacency set.
 //
@@ -30,61 +30,18 @@
 #include "networks/Explicit.h"
 #include "support/ThreadPool.h"
 
+#include "AllocCounter.h"
 #include "Oracles.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <numeric>
 #include <utility>
 
 using namespace scg;
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter (same pattern as SimulatorQueueTest.cpp):
-// replacing operator new in this TU intercepts every heap allocation in
-// the test binary, so snapshotting the counter around a batch loop proves
-// the engine reuses warm scratch instead of reallocating per batch.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GHeapAllocations{0};
-
-// Out of line (with the deletes below), so the compiler does not pair an
-// inlined malloc() or free() with a call it can see and warn about a
-// mismatch.
-[[gnu::noinline]] void *operator new(std::size_t Size) {
-  ++GHeapAllocations;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-// The nothrow forms too, so every allocation is counted and freed by the
-// matching replacement.
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  ++GHeapAllocations;
-  return std::malloc(Size ? Size : 1);
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  return ::operator new(Size, std::nothrow);
-}
-[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
-[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P) noexcept { ::operator delete(P); }
-void operator delete[](void *P, std::size_t) noexcept { ::operator delete(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
 
 namespace {
 
@@ -115,7 +72,7 @@ void expectBatchMatchesScalar(const Graph &G, const Csr &C,
                               std::span<const NodeId> Sources,
                               const std::string &What) {
   oracle::MsBfsBatch Batch = oracle::msBfs(C, Sources);
-  std::vector<std::vector<uint32_t>> Rows = msBfsDistances(C, Sources);
+  std::vector<std::vector<uint32_t>> Rows = oracle::msBfsDistances(C, Sources);
   ASSERT_EQ(Batch.Eccentricity.size(), Sources.size()) << What;
   ASSERT_EQ(Rows.size(), Sources.size()) << What;
   for (size_t Lane = 0; Lane != Sources.size(); ++Lane) {
@@ -344,9 +301,9 @@ TEST(MsBfs, WarmBatchesAreAllocationFree) {
   uint64_t ColdSum = 0, ColdVisits = 0;
   RunAll(ColdSum, ColdVisits); // cold: buffers grow once.
   uint64_t WarmSum = 0, WarmVisits = 0;
-  uint64_t Before = GHeapAllocations.load();
+  uint64_t Before = test::heapAllocations();
   RunAll(WarmSum, WarmVisits);
-  uint64_t After = GHeapAllocations.load();
+  uint64_t After = test::heapAllocations();
   EXPECT_EQ(After, Before) << "warm MS-BFS batches touched the heap";
   EXPECT_EQ(ColdSum, WarmSum);
   EXPECT_EQ(ColdVisits, WarmVisits);
@@ -393,12 +350,14 @@ TEST(MsBfs, LeanReachabilityAgreesWithBfs) {
   Graph Disconnected(6);
   Disconnected.addUndirectedEdge(0, 1);
   Disconnected.addUndirectedEdge(2, 3);
-  EXPECT_EQ(bfsReachableCount(Disconnected, 0), bfs(Disconnected, 0).NumReached);
-  EXPECT_FALSE(isConnectedFromZero(Disconnected));
+  EXPECT_EQ(oracle::bfsReachableCount(Disconnected, 0),
+            bfs(Disconnected, 0).NumReached);
+  EXPECT_FALSE(oracle::isConnectedFromZero(Disconnected));
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
     Graph G = ExplicitScg(Scg).toGraph();
-    EXPECT_EQ(bfsReachableCount(G, 0), bfs(G, 0).NumReached) << Scg.name();
-    EXPECT_TRUE(isConnectedFromZero(G)) << Scg.name();
+    EXPECT_EQ(oracle::bfsReachableCount(G, 0), bfs(G, 0).NumReached)
+        << Scg.name();
+    EXPECT_TRUE(oracle::isConnectedFromZero(G)) << Scg.name();
   }
 }
 

@@ -38,6 +38,20 @@ TEST(NetworkSpec, RejectsMalformed) {
     EXPECT_FALSE(parseNetworkSpec(Bad)) << Bad;
 }
 
+TEST(NetworkSpec, RejectsMoreThan255Symbols) {
+  // A label stores one symbol per byte: k = l * n + 1 <= 255. 65536 * 65536
+  // wraps a 32-bit product to 0, so it also checks the product is exact.
+  for (const char *Bad : {"star(256)", "IS(1000)", "MS(200,2)", "MS(2,128)",
+                          "RS(128,2)", "MS(1000000,1000000)",
+                          "complete-RIS(65536,65536)"})
+    EXPECT_FALSE(parseNetworkSpec(Bad)) << Bad;
+  for (const char *Largest : {"star(255)", "MS(2,127)", "RS(127,2)"}) {
+    auto Net = parseNetworkSpec(Largest);
+    ASSERT_TRUE(Net) << Largest;
+    EXPECT_EQ(Net->numSymbols(), 255u) << Largest;
+  }
+}
+
 TEST(NetworkSpec, ParsesSingleLevel) {
   auto Star = parseNetworkSpec("star(7)");
   ASSERT_TRUE(Star);

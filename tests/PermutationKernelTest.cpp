@@ -12,36 +12,16 @@
 #include "perm/Lehmer.h"
 #include "perm/Permutation.h"
 
+#include "AllocCounter.h"
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <numeric>
 #include <set>
 
 using namespace scg;
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter. Replacing operator new in this TU intercepts
-// every heap allocation in the test binary; the kernel tests snapshot the
-// counter around hot-path loops to prove they never touch the heap.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GHeapAllocations{0};
-
-void *operator new(std::size_t Size) {
-  ++GHeapAllocations;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
@@ -157,8 +137,8 @@ TEST(PermutationKernel, SignMatchesInversionParity) {
       for (unsigned I = 0; I != K; ++I)
         for (unsigned J = I + 1; J != K; ++J)
           Inversions += P[J] < P[I];
-      EXPECT_EQ(P.sign(), Inversions % 2 == 0 ? 1 : -1) << P.str();
-      EXPECT_EQ(P.sign() * P.inverse().sign(), 1);
+      EXPECT_EQ(oracle::sign(P), Inversions % 2 == 0 ? 1 : -1) << P.str();
+      EXPECT_EQ(oracle::sign(P) * oracle::sign(P.inverse()), 1);
     }
   }
 }
@@ -253,7 +233,7 @@ TEST(PermutationKernel, LehmerCodeAgreesWithRank) {
   for (unsigned K : {4u, 7u, 12u}) {
     for (uint64_t R : sampleRanks(K, 10)) {
       Permutation P = unrankPermutation(R, K);
-      std::vector<uint8_t> Code = lehmerCode(P);
+      std::vector<uint8_t> Code = oracle::lehmerCode(P);
       uint64_t Rank = 0;
       for (unsigned I = 0; I != K; ++I)
         Rank += uint64_t(Code[I]) * factorial(K - 1 - I);
@@ -297,11 +277,11 @@ TEST(PermutationKernel, SpilledStorageBehavesLikeInline) {
   // A k-cycle: one nontrivial cycle of length k, sign (-1)^(k-1).
   EXPECT_EQ(P.nontrivialCycles().size(), 1u);
   EXPECT_EQ(P.nontrivialCycles()[0].size(), size_t(K));
-  EXPECT_EQ(P.sign(), K % 2 == 1 ? 1 : -1);
+  EXPECT_EQ(oracle::sign(P), K % 2 == 1 ? 1 : -1);
   EXPECT_EQ(P.numDisplaced(), K);
 
   // Lehmer code round trip in the generic (any-k) form.
-  EXPECT_EQ(fromLehmerCode(lehmerCode(P)), P);
+  EXPECT_EQ(fromLehmerCode(oracle::lehmerCode(P)), P);
 
   // Mixed-size inequality against an inline value.
   EXPECT_FALSE(P == Permutation::identity(9));
@@ -319,14 +299,14 @@ TEST(PermutationKernel, HotKernelsAreAllocationFree) {
   Permutation V;
   uint64_t Acc = 0;
 
-  uint64_t Before = GHeapAllocations.load();
+  uint64_t Before = test::heapAllocations();
   for (unsigned Round = 0; Round != 1000; ++Round) {
     Net.neighborInto(U, Round % Degree, V);     // compose via generator.
     Acc += rankPermutation(V);                  // rank.
     U = unrankPermutation(Acc % factorial(K), K); // unrank + move-assign.
     U.composeInto(V, V);                        // aliased compose.
   }
-  uint64_t After = GHeapAllocations.load();
+  uint64_t After = test::heapAllocations();
 
   EXPECT_EQ(After, Before) << "hot kernels allocated on k = " << K;
   EXPECT_NE(Acc, 0u); // keep the loop observable.
@@ -334,12 +314,12 @@ TEST(PermutationKernel, HotKernelsAreAllocationFree) {
 
 TEST(PermutationKernel, CopyAndHashAreAllocationFreeInline) {
   Permutation P = unrankPermutation(362879, 9);
-  uint64_t Before = GHeapAllocations.load();
+  uint64_t Before = test::heapAllocations();
   Permutation Q = P;
   Permutation R = std::move(Q);
   size_t H = Hash(R);
   bool Eq = R == P;
-  uint64_t After = GHeapAllocations.load();
+  uint64_t After = test::heapAllocations();
   EXPECT_EQ(After, Before);
   EXPECT_TRUE(Eq);
   EXPECT_NE(H, 0u);

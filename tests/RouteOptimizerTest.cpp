@@ -17,8 +17,8 @@ TEST(RouteOptimizer, EmptyPathStaysEmpty) {
 
 TEST(RouteOptimizer, CancelsAdjacentInvolutions) {
   SuperCayleyGraph Ms = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
-  GenIndex S2 = *Ms.generators().findByName("S2");
-  GenIndex T2 = *Ms.generators().findByName("T2");
+  GenIndex S2 = *oracle::findByName(Ms.generators(), "S2");
+  GenIndex T2 = *oracle::findByName(Ms.generators(), "T2");
   GeneratorPath Path(std::vector<GenIndex>{T2, S2, S2, T2});
   GeneratorPath Simple = simplifyPath(Ms, Path);
   EXPECT_EQ(Simple.length(), 0u); // T2 S2 S2 T2 collapses entirely.
@@ -26,8 +26,8 @@ TEST(RouteOptimizer, CancelsAdjacentInvolutions) {
 
 TEST(RouteOptimizer, CancelsInsertionSelectionPairs) {
   SuperCayleyGraph Is = SuperCayleyGraph::insertionSelection(5);
-  GenIndex I4 = *Is.generators().findByName("I4");
-  GenIndex I4inv = *Is.generators().findByName("I4'");
+  GenIndex I4 = *oracle::findByName(Is.generators(), "I4");
+  GenIndex I4inv = *oracle::findByName(Is.generators(), "I4'");
   GeneratorPath Path(std::vector<GenIndex>{I4, I4inv});
   EXPECT_EQ(simplifyPath(Is, Path).length(), 0u);
 }
@@ -36,7 +36,7 @@ TEST(RouteOptimizer, FoldsRotations) {
   // R R = R^2 on a complete-rotation network.
   SuperCayleyGraph Net =
       SuperCayleyGraph::create(NetworkKind::CompleteRotationStar, 4, 2);
-  GenIndex R = *Net.generators().findByName("R");
+  GenIndex R = *oracle::findByName(Net.generators(), "R");
   GeneratorPath Path(std::vector<GenIndex>{R, R});
   GeneratorPath Simple = simplifyPath(Net, Path);
   ASSERT_EQ(Simple.length(), 1u);
@@ -47,7 +47,7 @@ TEST(RouteOptimizer, FoldCascades) {
   // R R R R = identity when l = 4.
   SuperCayleyGraph Net =
       SuperCayleyGraph::create(NetworkKind::CompleteRotationStar, 4, 2);
-  GenIndex R = *Net.generators().findByName("R");
+  GenIndex R = *oracle::findByName(Net.generators(), "R");
   GeneratorPath Path(std::vector<GenIndex>{R, R, R, R});
   EXPECT_EQ(simplifyPath(Net, Path).length(), 0u);
 }

@@ -154,7 +154,7 @@ TEST(ScgRouter, EngineMatchesScalarOraclesOnEveryNode) {
           (IsRotator ? oracle::routeInRotator(Net, Id, Rels[I])
                      : oracle::routeViaStarEmulation(Net, Id, Rels[I]))
               .hops();
-      ASSERT_EQ(Engine.routeRelative(Rels[I]).Hops, Want)
+      ASSERT_EQ(Engine.route(Id, Rels[I]).Hops, Want)
           << Net.name() << " label " << Rels[I].str();
       std::span<const GenIndex> Got = Batch.route(I);
       ASSERT_TRUE(std::equal(Got.begin(), Got.end(), Want.begin(), Want.end()))

@@ -4,6 +4,8 @@
 
 #include "emulation/DimensionMap.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -27,7 +29,7 @@ TEST(DimensionMap, DecomposeCompose) {
     for (unsigned J = 2; J <= 4 * N + 1; ++J) {
       DimensionParts P = decomposeDimension(J, N);
       EXPECT_LT(P.J0, N);
-      EXPECT_EQ(composeDimension(P, N), J);
+      EXPECT_EQ(oracle::composeDimension(P, N), J);
     }
 }
 

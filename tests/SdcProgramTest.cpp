@@ -1,6 +1,6 @@
 //===- tests/SdcProgramTest.cpp - Algorithm-level emulation tests --------===//
 
-#include "comm/SdcProgram.h"
+#include "SdcProgram.h"
 
 #include "emulation/SdcEmulation.h"
 

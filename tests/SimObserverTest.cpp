@@ -13,9 +13,12 @@
 
 #include "support/Format.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
+using oracle::commModelName;
 
 namespace {
 

@@ -24,9 +24,12 @@
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
+using oracle::commModelName;
 
 namespace {
 

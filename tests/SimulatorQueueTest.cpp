@@ -20,55 +20,22 @@
 //                     from where their packets ended up corrupted the
 //                     queues
 //
-// The allocation count comes from replacing the global operator new in
-// this test binary, which is why these checks live in a binary of their
-// own.
+// The allocation count comes from tests/AllocCounter.cpp, which replaces
+// the global operator new in this test binary, which is why these checks
+// live in a binary of their own.
 //
 //===----------------------------------------------------------------------===//
 
 #include "comm/SimObserver.h"
 #include "support/Format.h"
 
+#include "AllocCounter.h"
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 using namespace scg;
-
-static std::atomic<uint64_t> GHeapAllocations{0};
-
-void *operator new(std::size_t Size) {
-  ++GHeapAllocations;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
-// every allocation is counted and freed by the matching replacement.
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  ++GHeapAllocations;
-  return std::malloc(Size ? Size : 1);
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  return ::operator new(Size, std::nothrow);
-}
-// Out of line, so the compiler does not pair an inlined free() with the
-// operator new call it can see and warn about a mismatch.
-[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
-[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P) noexcept { ::operator delete(P); }
-void operator delete[](void *P, std::size_t) noexcept { ::operator delete(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
+using oracle::commModelName;
 
 namespace {
 
@@ -87,9 +54,9 @@ struct DeliveryLog final : SimObserver {
 
 /// Allocations made while constructing (and destroying) a simulator.
 uint64_t constructionAllocations(const ExplicitScg &Net) {
-  uint64_t Before = GHeapAllocations.load();
+  uint64_t Before = test::heapAllocations();
   { NetworkSimulator Sim(Net, CommModel::SinglePort); }
-  return GHeapAllocations.load() - Before;
+  return test::heapAllocations() - Before;
 }
 
 } // namespace

@@ -107,10 +107,9 @@ TEST(SuperCayleyGraph, AllTenClassesConstruct) {
 TEST(SuperCayleyGraph, NeighborsFollowGenerators) {
   SuperCayleyGraph Ms = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
   Permutation U = Permutation::parseOneBased("3 1 4 5 2");
-  std::vector<Permutation> Neighbors = Ms.neighbors(U);
-  ASSERT_EQ(Neighbors.size(), Ms.degree());
+  ASSERT_EQ(Ms.generators().size(), Ms.degree());
   for (GenIndex G = 0; G != Ms.degree(); ++G)
-    EXPECT_EQ(Neighbors[G], U.compose(Ms.generators()[G].Sigma));
+    EXPECT_EQ(Ms.neighbor(U, G), U.compose(Ms.generators()[G].Sigma));
 }
 
 TEST(SuperCayleyGraph, NeighborIsInvolutiveForUndirected) {

@@ -19,8 +19,8 @@
 //   pool lifetime    pools destroyed while workers spin and while parked
 //   no allocation    a warm dispatch allocates nothing on the heap
 //
-// The allocation count comes from replacing the global operator new in
-// this test binary.
+// The allocation count comes from tests/AllocCounter.cpp, which replaces
+// the global operator new in this test binary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,51 +29,19 @@
 #include "support/BatchRunner.h"
 #include "support/Format.h"
 
+#include "AllocCounter.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 
 using namespace scg;
-
-static std::atomic<uint64_t> GHeapAllocations{0};
-
-void *operator new(std::size_t Size) {
-  ++GHeapAllocations;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-// The nothrow forms too, so every allocation is counted and freed by the
-// matching replacement.
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  ++GHeapAllocations;
-  return std::malloc(Size ? Size : 1);
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  return ::operator new(Size, std::nothrow);
-}
-// Out of line, so the compiler does not pair an inlined free() with the
-// operator new call it can see and warn about a mismatch.
-[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
-[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P) noexcept { ::operator delete(P); }
-void operator delete[](void *P, std::size_t) noexcept { ::operator delete(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  ::operator delete(P);
-}
 
 namespace {
 
@@ -442,12 +410,12 @@ TEST(ThreadPoolDispatch, WarmDispatchAllocatesNothing) {
             ++Sink[I];
         };
     Pool.parallelForChunks(0, 64, 1, Body); // warm.
-    const uint64_t Before = GHeapAllocations.load();
+    const uint64_t Before = test::heapAllocations();
     for (unsigned D = 0; D != 100; ++D)
       Pool.parallelForChunks(0, 64, 1 + D % 4, Body); // workers spinning.
     letWorkersPark();
     Pool.parallelForChunks(0, 64, 1, Body); // workers parked.
-    EXPECT_EQ(GHeapAllocations.load() - Before, 0u) << Threads << " threads";
+    EXPECT_EQ(test::heapAllocations() - Before, 0u) << Threads << " threads";
     for (uint64_t Count : Sink)
       EXPECT_EQ(Count, 102u);
   }

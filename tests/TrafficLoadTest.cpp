@@ -35,10 +35,13 @@
 #include "query/QueryEngine.h"
 #include "support/Metrics.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 #include <stdexcept>
 
 using namespace scg;
+using oracle::commModelName;
 
 namespace {
 

@@ -19,6 +19,7 @@
 #include "support/ThreadPool.h"
 
 using namespace scg;
+using oracle::commModelName;
 
 namespace {
 

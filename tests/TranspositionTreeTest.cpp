@@ -14,6 +14,8 @@
 #include "networks/Explicit.h"
 #include "perm/GroupOrder.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -92,5 +94,5 @@ TEST(TranspositionTree, NameAndSymmetry) {
 
 TEST(TranspositionTree, ConnectedAtSevenSymbols) {
   SuperCayleyGraph Net = SuperCayleyGraph::transpositionTree(7, broomTree(7));
-  EXPECT_TRUE(isConnectedFromZero(ExplicitScg(Net).toGraph()));
+  EXPECT_TRUE(oracle::isConnectedFromZero(ExplicitScg(Net).toGraph()));
 }

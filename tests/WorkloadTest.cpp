@@ -18,11 +18,16 @@
 #include "comm/Workload.h"
 #include "support/ThreadPool.h"
 
+#include "Oracles.h"
+
 #include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
 #include <map>
+#include <stdexcept>
 
 using namespace scg;
+using oracle::workloadKindName;
 
 namespace {
 
@@ -148,6 +153,49 @@ TEST(Workload, HotspotOnTheLastNodeStaysInRange) {
       simulateTrafficLoad(Net, CommModel::AllPort, Spec, 200);
   EXPECT_EQ(R.Offered, Trace.size());
   EXPECT_GT(R.Sim.Delivered, 0u);
+}
+
+TEST(Workload, RejectsMalformedSpecs) {
+  // Checked when the generator is built, in every build: without the
+  // checks a hotspot past the last node is written out as a destination
+  // and NaN rates convert to integers.
+  ExplicitScg Net = star4();
+  auto Rejects = [&Net](auto Edit) {
+    WorkloadSpec Spec;
+    Edit(Spec);
+    EXPECT_THROW(WorkloadGenerator(Net, Spec), std::invalid_argument);
+    EXPECT_THROW(simulateTrafficLoad(Net, CommModel::AllPort, Spec, 10),
+                 std::invalid_argument);
+  };
+  Rejects([&](WorkloadSpec &S) {
+    S.Kind = WorkloadKind::Hotspot;
+    S.HotspotNode = Net.numNodes();
+  });
+  Rejects([](WorkloadSpec &S) { S.InjectionRate = -0.1; });
+  Rejects([](WorkloadSpec &S) { S.InjectionRate = std::nan(""); });
+  for (double Duty : {0.0, -0.5, 1.5, std::nan("")})
+    Rejects([Duty](WorkloadSpec &S) {
+      S.Kind = WorkloadKind::BurstyUniform;
+      S.BurstDutyCycle = Duty;
+    });
+  for (double Length : {0.5, std::nan("")})
+    Rejects([Length](WorkloadSpec &S) {
+      S.Kind = WorkloadKind::BurstyUniform;
+      S.MeanBurstLength = Length;
+    });
+
+  // The edges of the valid ranges still build.
+  WorkloadSpec Edge;
+  Edge.Kind = WorkloadKind::BurstyUniform;
+  Edge.BurstDutyCycle = 1.0;
+  Edge.MeanBurstLength = 1.0;
+  Edge.InjectionRate = 0.0;
+  EXPECT_NO_THROW(WorkloadGenerator(Net, Edge).generate(10));
+  // Fields a kind does not read are not checked.
+  WorkloadSpec Uniform;
+  Uniform.HotspotNode = Net.numNodes();
+  Uniform.BurstDutyCycle = 0.0;
+  EXPECT_NO_THROW(WorkloadGenerator(Net, Uniform).generate(10));
 }
 
 TEST(Workload, TransposeMatchesClosedForm) {
