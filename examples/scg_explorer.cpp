@@ -12,7 +12,8 @@
 // <spec> is a network name as SuperCayleyGraph::name() prints it (see
 // core/NetworkSpec.h): "MS(2,3)", "complete-RIS(3,2)", "star(7)", ...;
 // labels are 1-based one-line permutations like "3 1 2 5 4". Bad input
-// prints usage and exits 2.
+// prints usage and exits 2, and so do route above k = 16 symbols and
+// certify above k = 64.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,6 +128,12 @@ int cmdDot(const SuperCayleyGraph &Net) {
 }
 
 int cmdCertify(const SuperCayleyGraph &Net) {
+  // The Schreier-Sims chain slows steeply with degree: star(100) takes
+  // about half a minute, and MS(2,127) over a minute.
+  if (Net.numSymbols() > 64) {
+    std::fprintf(stderr, "certify is limited to k <= 64 symbols\n");
+    return 2;
+  }
   std::vector<Permutation> Actions;
   for (const Generator &G : Net.generators())
     Actions.push_back(G.Sigma);

@@ -9,6 +9,8 @@
 #include <bit>
 #include <cassert>
 #include <functional>
+#include <span>
+#include <stdexcept>
 
 using namespace scg;
 
@@ -37,16 +39,69 @@ Csr survivingCsr(const Graph &G, const FaultSet &Faults,
   return Csr(std::move(Offsets), std::move(Adjacency));
 }
 
+/// True when every surviving arc U -> V has its reverse V -> U: then U
+/// reaches V exactly when V reaches U. O(E * degree), stopping at the
+/// first arc without a reverse (a rotator, or a one-way fault).
+bool isSymmetric(const Csr &Surviving) {
+  for (NodeId From = 0; From != Surviving.numNodes(); ++From)
+    for (NodeId To : Surviving.neighbors(From)) {
+      std::span<const NodeId> Back = Surviving.neighbors(To);
+      if (std::find(Back.begin(), Back.end(), From) == Back.end())
+        return false;
+    }
+  return true;
+}
+
+/// Ordered reachable pairs of a symmetric survivor, from its components:
+/// each healthy node sees its whole component, itself included, just as a
+/// lane's visits count its own source. So the lane-visits total is the sum
+/// of s_c * s_c over the component sizes s_c, and the pairs are that less
+/// one self-visit per healthy node: the sum of s_c * (s_c - 1). One
+/// labelling pass, O(V + E).
+uint64_t componentPairs(const Csr &Surviving,
+                        std::span<const NodeId> Healthy) {
+  std::vector<bool> Seen(Surviving.numNodes());
+  std::vector<NodeId> Stack;
+  uint64_t Visits = 0;
+  for (NodeId Root : Healthy) {
+    if (Seen[Root])
+      continue;
+    Seen[Root] = true;
+    Stack.push_back(Root);
+    uint64_t Size = 0;
+    while (!Stack.empty()) {
+      NodeId Node = Stack.back();
+      Stack.pop_back();
+      ++Size;
+      for (NodeId Next : Surviving.neighbors(Node))
+        if (!Seen[Next]) {
+          Seen[Next] = true;
+          Stack.push_back(Next);
+        }
+    }
+    Visits += Size * Size;
+  }
+  return Visits - Healthy.size();
+}
+
 /// The body of both analyses. Healthy sources advance 64 per word, and the
 /// sink folds each (node, level) visit with one popcount: a batch's
 /// lane-visits (each lane counts its own source) and its last level, the
 /// largest eccentricity in the batch. No lane can reach more than the
 /// HealthyNodes survivors, so a batch is connected iff its visits total
 /// HealthyNodes per lane. \p StopAtDisconnect ends the sweep at the first
-/// batch that falls short. Batches run serially: the analysis is already
-/// one scenario of a parallel sweep.
+/// batch that falls short. Otherwise a short first batch on symmetric
+/// survivors ends it too: their reachable pairs follow from the component
+/// sizes (componentPairs). On symmetric survivors a later batch can fall
+/// short only if the first one does, since everyone reaches the first
+/// batch's sources and through them whatever they reach. Asymmetric
+/// survivors (rotators, one-way faults) run every batch. Batches run
+/// serially: the analysis is already one scenario of a parallel sweep.
 ReachabilityAnalysis countReachability(const Graph &G, const FaultSet &Faults,
                                        bool StopAtDisconnect) {
+  if (!Faults.idsBelow(G.numNodes()))
+    throw std::invalid_argument(
+        "fault set names a node id outside the graph");
   ReachabilityAnalysis Analysis;
   std::vector<NodeId> Healthy;
   Csr Surviving = survivingCsr(G, Faults, Healthy);
@@ -66,10 +121,14 @@ ReachabilityAnalysis countReachability(const Graph &G, const FaultSet &Faults,
               });
     Analysis.ReachableOrderedPairs += Visits - Lanes;
     MaxEccentricity = std::max(MaxEccentricity, LastLevel);
-    if (Visits != Analysis.HealthyNodes * Lanes) {
-      Analysis.Connected = false;
-      if (StopAtDisconnect)
-        break;
+    if (Visits == Analysis.HealthyNodes * Lanes)
+      continue;
+    Analysis.Connected = false;
+    if (StopAtDisconnect)
+      break;
+    if (Begin == 0 && isSymmetric(Surviving)) {
+      Analysis.ReachableOrderedPairs = componentPairs(Surviving, Healthy);
+      break;
     }
   }
   // The diameter is a measurement only when the survivors are mutually

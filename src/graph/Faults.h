@@ -105,6 +105,19 @@ public:
     return Links.size();
   }
 
+  /// True if every failed node and every endpoint of a failed link is
+  /// below \p NumNodes, i.e. names a node of a graph that size.
+  /// O(|faults|).
+  bool idsBelow(NodeId NumNodes) const {
+    for (NodeId Node : Nodes)
+      if (Node >= NumNodes)
+        return false;
+    for (const auto &[From, To] : Links)
+      if (From >= NumNodes || To >= NumNodes)
+        return false;
+    return true;
+  }
+
 private:
   void ensureLinksSorted() const {
     if (LinksSorted)
@@ -139,16 +152,24 @@ struct FaultAnalysis {
 /// Analyzes \p G under \p Faults: healthy sources run 64 at a time through
 /// the bit-parallel multi-source BFS (graph/MsBfs.h) over the surviving
 /// network, with a sink that counts each (node, level) visit by popcount.
-/// The first batch whose visits fall short of HealthyNodes per lane ends
-/// the analysis. Disconnected results carry Diameter == 0 (never a partial
-/// accumulation).
+/// Batches run serially, since the analysis is one scenario of a parallel
+/// sweep. The first batch whose visits fall short of HealthyNodes per lane
+/// ends the analysis. Disconnected results carry Diameter == 0 (never a
+/// partial accumulation). Throws std::invalid_argument, in every build,
+/// when \p Faults names a node id >= G.numNodes().
 FaultAnalysis analyzeUnderFaults(const Graph &G, const FaultSet &Faults);
 
 /// Pairwise reachability of the surviving network -- the per-trial
 /// measurement of the Monte Carlo campaigns (routing/FaultCampaign.h).
-/// Unlike analyzeUnderFaults this never exits early: a disconnected
-/// scenario still reports how much of the network each healthy node can
-/// see, which is what reliability/reachability curves integrate.
+/// Unlike analyzeUnderFaults, a disconnected scenario still reports how
+/// much of the network each healthy node can see, which is what
+/// reliability/reachability curves integrate. How it gets there depends on
+/// the survivors: when every surviving arc has its reverse (an undirected
+/// family under node or link faults), reachability is symmetric, so once
+/// the first batch falls short the pairs are counted from the component
+/// sizes, sum s_c * (s_c - 1), in one O(V + E) labelling pass. Otherwise
+/// (rotators, one-way arc faults) every batch runs. Either way the integers
+/// are the ones the per-lane visit count gives.
 struct ReachabilityAnalysis {
   uint64_t HealthyNodes = 0;
   /// Ordered healthy pairs (S, T), S != T, with a surviving S -> T path.
@@ -157,8 +178,10 @@ struct ReachabilityAnalysis {
   uint32_t Diameter = 0;  ///< over healthy pairs; 0 when not connected.
 };
 
-/// Full (no early exit) reachability sweep of \p G under \p Faults, with
-/// the same counting batches as analyzeUnderFaults.
+/// Reachability of \p G under \p Faults, with the same counting batches as
+/// analyzeUnderFaults and the components shortcut above. Throws
+/// std::invalid_argument, in every build, when \p Faults names a node id
+/// >= G.numNodes().
 ReachabilityAnalysis analyzeReachabilityUnderFaults(const Graph &G,
                                                     const FaultSet &Faults);
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 
 using namespace scg;
@@ -276,23 +278,25 @@ void expectAnalysesMatchOracle(const Graph &G, const FaultSet &Faults,
   EXPECT_EQ(Reach.Diameter, Ref.Reach.Diameter) << What;
 }
 
-enum class FaultKind { Links, DirectedArcs, Nodes };
+enum class FaultKind { Links, DirectedArcs, Nodes, Mixed };
 
 /// Fails each component with probability Permille / 1000, from a seeded
-/// stream over a fixed component order.
+/// stream over a fixed component order. Mixed fails nodes and links in one
+/// set.
 FaultSet randomFaults(const Graph &G, FaultKind Kind, unsigned Permille,
                       uint64_t Seed) {
   SplitMix64 Rng(Seed);
   FaultSet Faults;
   for (NodeId From = 0; From != G.numNodes(); ++From) {
-    if (Kind == FaultKind::Nodes) {
+    if (Kind == FaultKind::Nodes || Kind == FaultKind::Mixed) {
       if (Rng.nextBelow(1000) < Permille)
         Faults.failNode(From);
-      continue;
+      if (Kind == FaultKind::Nodes)
+        continue;
     }
     for (NodeId To : G.neighbors(From))
       if (Rng.nextBelow(1000) < Permille) {
-        if (Kind == FaultKind::Links)
+        if (Kind != FaultKind::DirectedArcs)
           Faults.failLink(From, To);
         else
           Faults.failDirectedLink(From, To);
@@ -312,8 +316,8 @@ std::vector<SuperCayleyGraph> differentialFamilies() {
 TEST(FaultAnalysisDifferential, RandomFaultSetsMatchPerLaneOracle) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
     Graph G = ExplicitScg(Scg).toGraph();
-    for (FaultKind Kind :
-         {FaultKind::Links, FaultKind::DirectedArcs, FaultKind::Nodes})
+    for (FaultKind Kind : {FaultKind::Links, FaultKind::DirectedArcs,
+                           FaultKind::Nodes, FaultKind::Mixed})
       for (unsigned Permille : {10u, 50u, 200u, 500u})
         for (uint64_t Seed = 1; Seed != 5; ++Seed)
           expectAnalysesMatchOracle(
@@ -413,4 +417,135 @@ TEST(FaultAnalysisDifferential, AllLinksFailed) {
     EXPECT_EQ(Reach.ReachableOrderedPairs, 0u) << Scg.name();
     EXPECT_FALSE(Reach.Connected) << Scg.name();
   }
+}
+
+namespace {
+
+/// Fails both directions of every link with exactly one end in \p Part.
+void cutOff(const Graph &G, const std::vector<NodeId> &Part,
+            FaultSet &Faults) {
+  auto Inside = [&](NodeId Node) {
+    return std::find(Part.begin(), Part.end(), Node) != Part.end();
+  };
+  for (NodeId From = 0; From != G.numNodes(); ++From)
+    for (NodeId To : G.neighbors(From))
+      if (Inside(From) != Inside(To))
+        Faults.failLink(From, To);
+}
+
+/// A walk of \p Length distinct nodes from \p Start, each step to the
+/// lowest-id out-neighbor not yet on the walk or in \p Taken.
+std::vector<NodeId> walkFrom(const Graph &G, NodeId Start, size_t Length,
+                             const std::vector<NodeId> &Taken) {
+  std::vector<NodeId> Walk{Start};
+  while (Walk.size() != Length) {
+    std::vector<NodeId> Next(G.neighbors(Walk.back()).begin(),
+                             G.neighbors(Walk.back()).end());
+    std::sort(Next.begin(), Next.end());
+    auto Free = std::find_if(Next.begin(), Next.end(), [&](NodeId Node) {
+      return std::find(Walk.begin(), Walk.end(), Node) == Walk.end() &&
+             std::find(Taken.begin(), Taken.end(), Node) == Taken.end();
+    });
+    EXPECT_NE(Free, Next.end()) << "walk from " << Start << " is stuck";
+    if (Free == Next.end())
+      break;
+    Walk.push_back(*Free);
+  }
+  return Walk;
+}
+
+} // namespace
+
+TEST(FaultAnalysisDifferential, SplitsIntoComponentsOfDistinctSizes) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    // Two isolated healthy nodes (one per batch), a pair, a four-node path
+    // and the rest (112 nodes); then node 60, kept off the walks, fails
+    // inside the rest.
+    std::vector<NodeId> Taken{5, 100, 60};
+    std::vector<NodeId> Pair = walkFrom(G, 30, 2, Taken);
+    Taken.insert(Taken.end(), Pair.begin(), Pair.end());
+    std::vector<NodeId> Path = walkFrom(G, 80, 4, Taken);
+    FaultSet Faults;
+    cutOff(G, {5}, Faults);
+    cutOff(G, {100}, Faults);
+    cutOff(G, Pair, Faults);
+    cutOff(G, Path, Faults);
+    std::string What = Scg.name() + " split";
+    expectAnalysesMatchOracle(G, Faults, What);
+    ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, Faults);
+    EXPECT_FALSE(Reach.Connected) << What;
+    if (Scg.isUndirected()) {
+      EXPECT_EQ(Reach.ReachableOrderedPairs,
+                2u * 1u + 4u * 3u + 112u * 111u)
+          << What;
+    }
+    // A failed node inside the rest: 111 healthy nodes left there.
+    Faults.failNode(60);
+    expectAnalysesMatchOracle(G, Faults, What + " + failed node");
+    if (Scg.isUndirected()) {
+      EXPECT_EQ(analyzeReachabilityUnderFaults(G, Faults)
+                    .ReachableOrderedPairs,
+                2u * 1u + 4u * 3u + 111u * 110u)
+          << What;
+    }
+  }
+}
+
+TEST(FaultAnalysisDifferential, ReversePairedArcFaults) {
+  for (const SuperCayleyGraph &Scg : differentialFamilies()) {
+    Graph G = ExplicitScg(Scg).toGraph();
+    for (unsigned Permille : {200u, 500u})
+      for (uint64_t Seed = 1; Seed != 5; ++Seed) {
+        // Both directions of each drawn link fail, one failDirectedLink
+        // at a time: a symmetric set built from one-way faults.
+        SplitMix64 Rng(Seed);
+        std::vector<std::pair<NodeId, NodeId>> Arcs;
+        for (NodeId From = 0; From != G.numNodes(); ++From)
+          for (NodeId To : G.neighbors(From))
+            if (From < To && Rng.nextBelow(1000) < Permille)
+              Arcs.push_back({From, To});
+        ASSERT_FALSE(Arcs.empty());
+        FaultSet Paired;
+        for (const auto &[From, To] : Arcs) {
+          Paired.failDirectedLink(From, To);
+          Paired.failDirectedLink(To, From);
+        }
+        std::string What = Scg.name() + " rate " + std::to_string(Permille) +
+                           "/1000 seed " + std::to_string(Seed);
+        expectAnalysesMatchOracle(G, Paired, What + " paired");
+        // The same set without the reverse of its last arc: one one-way
+        // fault, so reachability is no longer symmetric.
+        FaultSet OneWay;
+        for (size_t I = 0; I != Arcs.size(); ++I) {
+          OneWay.failDirectedLink(Arcs[I].first, Arcs[I].second);
+          if (I + 1 != Arcs.size())
+            OneWay.failDirectedLink(Arcs[I].second, Arcs[I].first);
+        }
+        expectAnalysesMatchOracle(G, OneWay, What + " one way");
+      }
+  }
+}
+
+// Regression: ids outside the graph used to be ignored, so a fault set
+// with numFailedNodes() == 1 left all 24 nodes of star(4) healthy and
+// connected. Both analyses throw in every build instead.
+TEST(Faults, OutOfRangeIdsThrow) {
+  Graph G = ExplicitScg(SuperCayleyGraph::star(4)).toGraph();
+  FaultSet Node;
+  Node.failNode(29);
+  FaultSet Link;
+  Link.failLink(0, 33);
+  FaultSet Arc;
+  Arc.failDirectedLink(24, 0);
+  for (const FaultSet *Faults : {&Node, &Link, &Arc}) {
+    EXPECT_THROW(analyzeUnderFaults(G, *Faults), std::invalid_argument);
+    EXPECT_THROW(analyzeReachabilityUnderFaults(G, *Faults),
+                 std::invalid_argument);
+  }
+  // The largest valid id is accepted.
+  FaultSet Last;
+  Last.failNode(23);
+  Last.failLink(0, 23);
+  EXPECT_EQ(analyzeUnderFaults(G, Last).HealthyNodes, 23u);
 }
