@@ -5,6 +5,7 @@
 #include "graph/Bfs.h"
 #include "graph/Metrics.h"
 #include "networks/Classic.h"
+#include "networks/Explicit.h"
 
 #include "Oracles.h"
 
@@ -120,4 +121,43 @@ TEST(Classic, CompleteBinaryTreeShape) {
   EXPECT_EQ(G.numDirectedEdges(), 2u * 30);
   DistanceStats Stats = allPairsStats(G);
   EXPECT_EQ(Stats.Diameter, 8u); // leaf to leaf across the root.
+}
+
+namespace {
+
+/// FNV-1a over the node count and every row, in order: any change to a
+/// row's length, contents or neighbor order changes the hash.
+template <typename GraphT> uint64_t rowHash(const GraphT &G) {
+  uint64_t H = 14695981039346656037ull;
+  auto Mix = [&H](uint64_t X) {
+    H ^= X;
+    H *= 1099511628211ull;
+  };
+  Mix(G.numNodes());
+  for (NodeId V = 0; V != G.numNodes(); ++V) {
+    Mix(G.neighbors(V).size());
+    for (NodeId W : G.neighbors(V))
+      Mix(W);
+  }
+  return H;
+}
+
+} // namespace
+
+// Pins every row, in order, of the classic builders and the materialized
+// networks. The hashes were taken from the adjacency-list builds, so every
+// result computed over these graphs depends on the same neighbor order.
+TEST(CsrRows, SameAdjacencyAsGraph) {
+  EXPECT_EQ(rowHash(hypercube(4)), 1392556339282513183ull);
+  EXPECT_EQ(rowHash(mesh2D(3, 5)), 4215959962362555102ull);
+  EXPECT_EQ(rowHash(mixedRadixMesh({2, 3, 4})), 11336198449626689953ull);
+  EXPECT_EQ(rowHash(completeBinaryTree(4)), 5805703716175184915ull);
+  EXPECT_EQ(rowHash(ExplicitScg(SuperCayleyGraph::star(5)).toCsr()),
+            13496157583630868055ull);
+  EXPECT_EQ(rowHash(ExplicitScg(SuperCayleyGraph::create(
+                                    NetworkKind::MacroStar, 2, 2))
+                        .toCsr()),
+            6129562707717654127ull);
+  EXPECT_EQ(rowHash(ExplicitScg(SuperCayleyGraph::rotator(5)).toCsr()),
+            13923342815055468639ull);
 }
