@@ -27,7 +27,7 @@ using namespace scg;
 namespace {
 
 void addComposedRows(TextTable &Table, const std::string &GuestName,
-                     const Graph &Guest, const SuperCayleyGraph &Base,
+                     const Csr &Guest, const SuperCayleyGraph &Base,
                      const Embedding &BaseEmbedding, unsigned BaseDilation) {
   unsigned K = Base.numSymbols();
   struct HostSpec {
@@ -79,7 +79,7 @@ void printTreeRows(TextTable &Table) {
     TreeEmbeddingResult R = embedTreeIntoStar(StarX, Height, 1);
     if (!R.Found)
       continue;
-    Graph Guest = completeBinaryTree(Height);
+    Csr Guest = completeBinaryTree(Height);
     addComposedRows(Table, "CBT(h=" + std::to_string(Height) + ")", Guest,
                     Star, R.E, 1);
   }
@@ -88,7 +88,7 @@ void printTreeRows(TextTable &Table) {
 void printHypercubeRows(TextTable &Table) {
   SuperCayleyGraph Star = SuperCayleyGraph::star(7);
   Embedding Base = embedHypercubeIntoStar(Star);
-  Graph Guest = hypercube(hypercubeDimensionFor(7));
+  Csr Guest = hypercube(hypercubeDimensionFor(7));
   addComposedRows(Table, "Q3", Guest, Star, Base, 3);
 }
 
@@ -96,13 +96,13 @@ void printMeshRows(TextTable &Table) {
   {
     SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(5);
     SjtMeshShape Shape = sjtMeshShape(5);
-    Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+    Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
     addComposedRows(Table, "24x5 mesh (SJT)", Guest, Tn,
                     embedSjtMeshIntoTn(Tn), 1);
   }
   {
     SuperCayleyGraph Star = SuperCayleyGraph::star(5);
-    Graph Guest = mixedRadixMesh(lehmerMeshDims(5));
+    Csr Guest = mixedRadixMesh(lehmerMeshDims(5));
     addComposedRows(Table, "2x3x4x5 mesh", Guest, Star,
                     embedLehmerMeshIntoStar(Star), 3);
   }
@@ -135,7 +135,7 @@ BENCHMARK(BM_TreeSearchHeight4)->Unit(benchmark::kMillisecond);
 void BM_SjtMeshEmbedding(benchmark::State &State) {
   SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(6);
   SjtMeshShape Shape = sjtMeshShape(6);
-  Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+  Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
   for (auto _ : State)
     benchmark::DoNotOptimize(
         measureEmbedding(Guest, embedSjtMeshIntoTn(Tn)).Dilation);

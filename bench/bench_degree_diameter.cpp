@@ -61,7 +61,7 @@ struct Row {
 
 Row makeRow(const SuperCayleyGraph &Scg) {
   ExplicitScg Net(Scg);
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   DistanceStats Exact = msAllPairsStats(Net.toCsr());
   bool Directed = !Scg.isUndirected();
   Row R;

@@ -44,7 +44,7 @@ struct Row {
 
 Row makeRow(const SuperCayleyGraph &Scg, unsigned NodeStride) {
   ExplicitScg Net(Scg);
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   Row R;
   R.Name = Scg.name();
   R.Nodes = Net.numNodes();
@@ -152,7 +152,7 @@ int runSmoke() {
 
 void BM_SingleLinkSweepStar5(benchmark::State &State) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   for (auto _ : State)
     benchmark::DoNotOptimize(sweepSingleLinkFaults(G, 17).WorstDiameter);
 }

@@ -251,7 +251,7 @@ int runSmoke() {
   // 3. Generator containers vs the max-flow oracle on sampled star(5)
   //    pairs: same width (= k-1 = local connectivity), valid and disjoint.
   FaultRouter Router(Star5);
-  const Graph &G = Router.graph();
+  const Csr &G = Router.graph();
   bool ContainerOk = true;
   for (NodeId Dst : {NodeId(1), NodeId(37), NodeId(59), NodeId(119)}) {
     PathContainer C = Router.buildContainer(0, Dst);
@@ -270,7 +270,7 @@ int runSmoke() {
   //    explicit max-flow construction on star(6) pairs (best of 5) -- the
   //    point of having it -- and stay under a generous absolute bound.
   ExplicitScg Star6(SuperCayleyGraph::star(6));
-  Graph G6 = Star6.toGraph();
+  Csr G6 = Star6.toCsr();
   NodeId Far = Star6.numNodes() - 1;
   double GenBest = 1e9, FlowBest = 1e9;
   bool WidthOk = true;

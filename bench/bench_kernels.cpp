@@ -24,6 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "graph/Metrics.h"
+#include "graph/MsBfs.h"
 #include "networks/Explicit.h"
 #include "perm/Lehmer.h"
 #include "support/Format.h"
@@ -108,9 +109,9 @@ Measurement vtStats(unsigned K) {
 /// All-pairs distance stats (k! BFS sweeps) on star(k).
 Measurement allPairs(unsigned K) {
   ExplicitScg Net(SuperCayleyGraph::star(K));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   auto Start = Clock::now();
-  DistanceStats S = allPairsStats(G);
+  DistanceStats S = msAllPairsStats(G);
   return {"all_pairs_star" + std::to_string(K), msSince(Start), S.Diameter};
 }
 

@@ -53,7 +53,7 @@ namespace {
 
 std::vector<std::string> networkRow(const SuperCayleyGraph &Scg) {
   ExplicitScg Net(Scg);
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   // Connectivity certificate (Schreier-Sims) and modular structure.
   std::vector<Permutation> Actions;
   for (const Generator &G : Scg.generators())
@@ -142,7 +142,7 @@ int curveReps(unsigned K) { return K <= 7 ? 3 : 1; }
 
 /// Scalar all-pairs (one BFS per source) on star(k).
 Measurement scalarSweep(unsigned K) {
-  Graph G = ExplicitScg(SuperCayleyGraph::star(K)).toGraph();
+  Csr G = ExplicitScg(SuperCayleyGraph::star(K)).toCsr();
   double BestMs = 1e300;
   DistanceStats S;
   for (int Rep = 0, Reps = curveReps(K); Rep != Reps; ++Rep) {
@@ -154,8 +154,8 @@ Measurement scalarSweep(unsigned K) {
           "scalar", 1, S.AverageDistance};
 }
 
-/// MS-BFS all-pairs on star(k), fed straight from the Next table (no
-/// Graph intermediary), at \p Threads threads.
+/// MS-BFS all-pairs on star(k), fed straight from the Next table, at
+/// \p Threads threads.
 Measurement msbfsSweep(unsigned K, unsigned Threads = 1) {
   Csr C = ExplicitScg(SuperCayleyGraph::star(K)).toCsr();
   // One extra rep at k = 8 relative to curveReps: the first star(8) sweep
@@ -279,8 +279,7 @@ int runSmoke() {
   int Failures = 0;
   for (unsigned K : {6u, 7u}) {
     ExplicitScg Net(SuperCayleyGraph::star(K));
-    Graph G = Net.toGraph();
-    Csr C = Net.toCsr();
+    Csr G = Net.toCsr();
     DistanceStats Scalar, Push;
     double ScalarMs = 1e300, PushMs = 1e300;
     for (int Rep = 0; Rep != Reps; ++Rep) {
@@ -288,7 +287,7 @@ int runSmoke() {
       Scalar = scalarAllPairsStats(G);
       ScalarMs = std::min(ScalarMs, msSince(StartScalar));
       auto StartPush = Clock::now();
-      Push = msAllPairsStats(C);
+      Push = msAllPairsStats(G);
       PushMs = std::min(PushMs, msSince(StartPush));
     }
     DistanceStats Vt = vertexTransitiveStats(G);
@@ -323,7 +322,7 @@ BENCHMARK(BM_BuildExplicitStar7)->Unit(benchmark::kMillisecond);
 void BM_DiameterMacroStar32(benchmark::State &State) {
   SuperCayleyGraph Ms = SuperCayleyGraph::create(NetworkKind::MacroStar, 3, 2);
   ExplicitScg Net(Ms);
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   for (auto _ : State)
     benchmark::DoNotOptimize(vertexTransitiveStats(G).Diameter);
 }
@@ -332,10 +331,10 @@ BENCHMARK(BM_DiameterMacroStar32)->Unit(benchmark::kMillisecond);
 void BM_AllPairsStatsStar7(benchmark::State &State) {
   // Arg = thread count for the global pool (the tentpole's hot kernel).
   static ExplicitScg Net(SuperCayleyGraph::star(7));
-  static Graph G = Net.toGraph();
+  static Csr G = Net.toCsr();
   setGlobalThreadCount(unsigned(State.range(0)));
   for (auto _ : State)
-    benchmark::DoNotOptimize(allPairsStats(G).Diameter);
+    benchmark::DoNotOptimize(msAllPairsStats(G).Diameter);
   setGlobalThreadCount(0);
 }
 BENCHMARK(BM_AllPairsStatsStar7)

@@ -47,7 +47,7 @@ void addLiftedRow(TextTable &Table, const SuperCayleyGraph &Scg,
                   unsigned Samples) {
   ExplicitScg Net(Scg);
   QueryEngine Engine(Scg);
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   SplitMix64 Rng(0x5C6);
   uint64_t LiftedSum = 0, SimplifiedSum = 0, OptimalSum = 0;
   unsigned LiftedMax = 0, SimplifiedMax = 0;
@@ -97,7 +97,7 @@ void printRoutingTable() {
     SuperCayleyGraph Scg = SuperCayleyGraph::rotator(K);
     ExplicitScg Net(Scg);
     QueryEngine Engine(Scg);
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     SplitMix64 Rng(0x707);
     uint64_t RouteSum = 0, OptSum = 0;
     unsigned RouteMax = 0;

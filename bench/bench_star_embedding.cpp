@@ -22,7 +22,7 @@ namespace {
 
 void addRow(TextTable &Table, const SuperCayleyGraph &Host) {
   SuperCayleyGraph Star = SuperCayleyGraph::star(Host.numSymbols());
-  Graph Guest = ExplicitScg(Star).toGraph();
+  Csr Guest = ExplicitScg(Star).toCsr();
   EmbeddingMetrics M = measureEmbedding(Guest, embedStarInto(Star, Host));
   Table.addRow({Star.name() + " -> " + Host.name(), std::to_string(M.Load),
                 std::to_string(M.Dilation),
@@ -68,7 +68,7 @@ void printStarTable() {
 void BM_StarEmbeddingMeasurement(benchmark::State &State) {
   SuperCayleyGraph Host = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
   SuperCayleyGraph Star = SuperCayleyGraph::star(5);
-  Graph Guest = ExplicitScg(Star).toGraph();
+  Csr Guest = ExplicitScg(Star).toCsr();
   for (auto _ : State)
     benchmark::DoNotOptimize(
         measureEmbedding(Guest, embedStarInto(Star, Host)).Congestion);

@@ -25,7 +25,7 @@ namespace {
 void addMeasuredRow(TextTable &Table, const SuperCayleyGraph &Host) {
   SuperCayleyGraph Tn =
       SuperCayleyGraph::transpositionNetwork(Host.numSymbols());
-  Graph Guest = ExplicitScg(Tn).toGraph();
+  Csr Guest = ExplicitScg(Tn).toCsr();
   PathTemplateMap Map = PathTemplateMap::create(Tn, Host);
   EmbeddingMetrics M = measureEmbedding(Guest, templateEmbedding(Map));
   Table.addRow({Tn.name() + " -> " + Host.name(), "exact",
@@ -94,7 +94,7 @@ BENCHMARK(BM_TnTemplateConstruction)->Arg(3)->Arg(6)->Arg(12);
 void BM_MeasureTnIntoMs22(benchmark::State &State) {
   SuperCayleyGraph Host = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
   SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(5);
-  Graph Guest = ExplicitScg(Tn).toGraph();
+  Csr Guest = ExplicitScg(Tn).toCsr();
   for (auto _ : State) {
     PathTemplateMap Map = PathTemplateMap::create(Tn, Host);
     benchmark::DoNotOptimize(

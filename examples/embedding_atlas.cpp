@@ -24,7 +24,7 @@ using namespace scg;
 namespace {
 
 void report(TextTable &Table, const std::string &Guest,
-            const std::string &Host, const Graph &G, const Embedding &E) {
+            const std::string &Host, const Csr &G, const Embedding &E) {
   EmbeddingMetrics M = measureEmbedding(G, E);
   Table.addRow({Guest, Host, M.Valid ? "yes" : "NO",
                 std::to_string(M.Load), formatDouble(M.Expansion, 2),
@@ -50,12 +50,12 @@ int main(int Argc, char **Argv) {
   if ((K - 1) % 2 == 0) {
     SuperCayleyGraph Ms =
         SuperCayleyGraph::create(NetworkKind::MacroStar, (K - 1) / 2, 2);
-    Graph Guest = ExplicitScg(Star).toGraph();
+    Csr Guest = ExplicitScg(Star).toCsr();
     report(Table, Star.name(), Ms.name(), Guest, embedStarInto(Star, Ms));
   }
   SuperCayleyGraph Is = SuperCayleyGraph::insertionSelection(K);
   {
-    Graph Guest = ExplicitScg(Star).toGraph();
+    Csr Guest = ExplicitScg(Star).toCsr();
     report(Table, Star.name(), Is.name(), Guest, embedStarInto(Star, Is));
   }
 

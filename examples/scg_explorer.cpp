@@ -53,7 +53,7 @@ int cmdInfo(const SuperCayleyGraph &Net) {
   std::printf("  (* = super generator)\n");
   if (Net.numSymbols() <= 8) {
     DistanceStats Stats =
-        vertexTransitiveStats(ExplicitScg(Net).toGraph());
+        vertexTransitiveStats(ExplicitScg(Net).toCsr());
     std::printf("diameter  %u, average distance %.3f\n", Stats.Diameter,
                 Stats.AverageDistance);
   }
@@ -123,7 +123,7 @@ int cmdDot(const SuperCayleyGraph &Net) {
         linkBetween(Net, Explicit.label(U), Explicit.label(V));
     return G ? Net.generators()[*G].Name : std::string();
   };
-  std::printf("%s", renderDot(Explicit.toGraph(), Options).c_str());
+  std::printf("%s", renderDot(Explicit.toCsr(), Options).c_str());
   return 0;
 }
 

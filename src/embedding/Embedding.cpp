@@ -41,7 +41,7 @@ private:
 
 } // namespace
 
-EmbeddingMetrics scg::measureEmbedding(const Graph &Guest,
+EmbeddingMetrics scg::measureEmbedding(const Csr &Guest,
                                        const Embedding &E) {
   assert(E.Host && "embedding must name a host");
   assert(E.NodeMap.size() == Guest.numNodes() &&

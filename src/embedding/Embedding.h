@@ -15,8 +15,9 @@
 ///              link (each directed guest edge routed once, matching the
 ///              counting that yields congestion max(2n, l) in Section 3)
 ///
-/// The guest is an explicit Graph; the host is a SuperCayleyGraph descriptor
-/// (never materialized: congestion buckets by (Lehmer rank, link)). Routes
+/// The guest is an explicit Csr graph; the host is a SuperCayleyGraph
+/// descriptor (never materialized: congestion buckets by (Lehmer rank,
+/// link)). Routes
 /// are produced on demand by a router callback so that template-generated
 /// embeddings need not store one path per edge.
 ///
@@ -25,7 +26,7 @@
 #ifndef SCG_EMBEDDING_EMBEDDING_H
 #define SCG_EMBEDDING_EMBEDDING_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 #include "routing/Path.h"
 
 #include <functional>
@@ -54,7 +55,7 @@ struct EmbeddingMetrics {
 
 /// Routes every directed guest edge and accumulates the metrics. Asserts
 /// the host has at most 12 symbols (ranks must fit the congestion buckets).
-EmbeddingMetrics measureEmbedding(const Graph &Guest, const Embedding &E);
+EmbeddingMetrics measureEmbedding(const Csr &Guest, const Embedding &E);
 
 /// Convenience: an identity node map on all of S_k (guest nodes are Lehmer
 /// ranks of host labels), used by the star->SCG and TN->SCG embeddings.

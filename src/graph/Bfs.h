@@ -13,7 +13,7 @@
 /// std::function dispatch per edge), and the FIFO is a flat vector with a
 /// head cursor -- every node is enqueued at most once, so the queue never
 /// wraps and one reservation serves the whole traversal. bfs() over an
-/// explicit Graph and bfsExplicit() over ExplicitScg's Next table are thin
+/// explicit Csr and bfsExplicit() over ExplicitScg's Next table are thin
 /// adapters over it.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,7 +21,7 @@
 #ifndef SCG_GRAPH_BFS_H
 #define SCG_GRAPH_BFS_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 #include <limits>
 
@@ -86,7 +86,7 @@ BfsResult bfsCore(uint64_t NumNodes, NodeId Source,
 }
 
 /// BFS from \p Source over the explicit graph \p G.
-BfsResult bfs(const Graph &G, NodeId Source);
+BfsResult bfs(const Csr &G, NodeId Source);
 
 } // namespace scg
 

@@ -29,7 +29,7 @@ struct Arc {
 /// the endpoints may be shared by every path.
 class SplitFlowNet {
 public:
-  SplitFlowNet(const Graph &G, NodeId Src, NodeId Dst)
+  SplitFlowNet(const Csr &G, NodeId Src, NodeId Dst)
       : Net(2 * size_t(G.numNodes())), Source(out(Src)), Sink(in(Dst)) {
     for (NodeId V = 0; V != G.numNodes(); ++V) {
       if (V != Src && V != Dst)
@@ -136,7 +136,7 @@ private:
 } // namespace
 
 std::vector<std::vector<NodeId>>
-scg::nodeDisjointPaths(const Graph &G, NodeId Src, NodeId Dst,
+scg::nodeDisjointPaths(const Csr &G, NodeId Src, NodeId Dst,
                        unsigned MaxPaths) {
   assert(Src < G.numNodes() && Dst < G.numNodes() && "node out of range");
   assert(Src != Dst && "container endpoints must differ");
@@ -156,7 +156,7 @@ scg::nodeDisjointPaths(const Graph &G, NodeId Src, NodeId Dst,
   return Paths;
 }
 
-unsigned scg::localConnectivity(const Graph &G, NodeId Src, NodeId Dst) {
+unsigned scg::localConnectivity(const Csr &G, NodeId Src, NodeId Dst) {
   SplitFlowNet Flow(G, Src, Dst);
   unsigned Units = 0;
   while (Flow.augment())
@@ -185,15 +185,17 @@ bool scg::internallyNodeDisjoint(
   return true;
 }
 
-bool scg::isSimplePath(const Graph &G, std::span<const NodeId> Path) {
+bool scg::isSimplePath(const Csr &G, std::span<const NodeId> Path) {
   if (Path.size() < 2)
     return false;
   std::unordered_set<NodeId> Seen;
   for (NodeId Node : Path)
     if (Node >= G.numNodes() || !Seen.insert(Node).second)
       return false;
-  for (size_t I = 0; I + 1 < Path.size(); ++I)
-    if (!G.hasEdge(Path[I], Path[I + 1]))
+  for (size_t I = 0; I + 1 < Path.size(); ++I) {
+    std::span<const NodeId> Row = G.neighbors(Path[I]);
+    if (std::find(Row.begin(), Row.end(), Path[I + 1]) == Row.end())
       return false;
+  }
   return true;
 }

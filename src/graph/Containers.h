@@ -20,7 +20,7 @@
 /// This module is the explicit-graph workhorse: a unit-vertex-capacity
 /// max-flow (node splitting + BFS augmentation, i.e. Even-Tarjan style)
 /// that produces a maximum container between arbitrary NodeId pairs on
-/// any materialized Graph, directed or undirected. It is exact on every
+/// any explicit Csr graph, directed or undirected. It is exact on every
 /// family, which makes it both the universal fallback and the
 /// cross-validation oracle for the generator-based star construction in
 /// routing/FaultRouter.h that needs no graph at all.
@@ -30,7 +30,7 @@
 #ifndef SCG_GRAPH_CONTAINERS_H
 #define SCG_GRAPH_CONTAINERS_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 #include <span>
 #include <vector>
@@ -47,14 +47,14 @@ namespace scg {
 /// (length, discovery order) so Paths[0] is a shortest Src -> Dst path.
 /// Requires Src != Dst; correct on directed graphs (arc capacities bound
 /// each direction independently).
-std::vector<std::vector<NodeId>> nodeDisjointPaths(const Graph &G,
+std::vector<std::vector<NodeId>> nodeDisjointPaths(const Csr &G,
                                                    NodeId Src, NodeId Dst,
                                                    unsigned MaxPaths = 0);
 
 /// The local vertex connectivity kappa(Src, Dst): the size of a maximum
 /// container, equivalently (Menger) the minimum number of internal nodes
 /// whose removal separates \p Dst from \p Src.
-unsigned localConnectivity(const Graph &G, NodeId Src, NodeId Dst);
+unsigned localConnectivity(const Csr &G, NodeId Src, NodeId Dst);
 
 /// True when \p Paths form a container: every path runs between the same
 /// two endpoints, and no node other than those endpoints appears in more
@@ -63,7 +63,7 @@ bool internallyNodeDisjoint(std::span<const std::vector<NodeId>> Paths);
 
 /// True when \p Path is a simple walk in \p G: at least two nodes, every
 /// consecutive pair an arc of \p G, and no node repeated.
-bool isSimplePath(const Graph &G, std::span<const NodeId> Path);
+bool isSimplePath(const Csr &G, std::span<const NodeId> Path);
 
 } // namespace scg
 

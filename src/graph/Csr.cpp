@@ -3,20 +3,37 @@
 #include "graph/Csr.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace scg;
 
-Csr::Csr(const Graph &G) {
-  Offsets.resize(uint64_t(G.numNodes()) + 1);
-  Adjacency.resize(G.numDirectedEdges());
-  uint64_t Cursor = 0;
-  for (NodeId Node = 0; Node != G.numNodes(); ++Node) {
-    Offsets[Node] = Cursor;
-    for (NodeId Next : G.neighbors(Node))
-      Adjacency[Cursor++] = Next;
+template <typename ForEachArcT>
+void Csr::countingSort(NodeId NumNodes, uint64_t NumArcs,
+                       const ForEachArcT &ForEachArc) {
+  // Row-length histogram, prefix sums, then one scatter pass in
+  // enumeration order, so each row keeps its arcs' relative order.
+  Offsets.assign(uint64_t(NumNodes) + 1, 0);
+  ForEachArc([this](NodeId Row, NodeId) { ++Offsets[uint64_t(Row) + 1]; });
+  for (uint64_t Node = 0; Node != NumNodes; ++Node)
+    Offsets[Node + 1] += Offsets[Node];
+  Adjacency.resize(NumArcs);
+  std::vector<uint64_t> Cursor(Offsets.begin(), Offsets.end() - 1);
+  ForEachArc([this, &Cursor](NodeId Row, NodeId Neighbor) {
+    Adjacency[Cursor[Row]++] = Neighbor;
+  });
+}
+
+Csr::Csr(NodeId NumNodes, std::span<const std::pair<NodeId, NodeId>> Arcs) {
+  for (auto [From, To] : Arcs) {
+    if (From >= NumNodes || To >= NumNodes)
+      throw std::invalid_argument("Csr: arc endpoint out of range");
+    if (From == To)
+      throw std::invalid_argument("Csr: self loops are not allowed");
   }
-  Offsets[G.numNodes()] = Cursor;
-  assert(Cursor == G.numDirectedEdges() && "edge count mismatch");
+  countingSort(NumNodes, Arcs.size(), [Arcs](auto &&Sink) {
+    for (auto [From, To] : Arcs)
+      Sink(From, To);
+  });
 }
 
 Csr::Csr(NodeId NumNodes, unsigned Degree, std::vector<NodeId> Flat)
@@ -36,23 +53,16 @@ Csr::Csr(std::vector<uint64_t> Offsets, std::vector<NodeId> Adjacency)
 }
 
 Csr Csr::transpose() const {
-  const NodeId N = numNodes();
-  Csr T;
-  // Counting sort: in-degree histogram, prefix sums, then one scatter
-  // pass in ascending source order, so each reverse row lists its
+  // Sources are enumerated ascending, so each reverse row lists its
   // in-neighbors ascending -- a deterministic order independent of the
   // forward row order.
-  T.Offsets.assign(uint64_t(N) + 1, 0);
-  for (NodeId To : Adjacency) {
-    assert(To < N && "neighbor id out of range");
-    ++T.Offsets[uint64_t(To) + 1];
-  }
-  for (uint64_t Node = 0; Node != N; ++Node)
-    T.Offsets[Node + 1] += T.Offsets[Node];
-  T.Adjacency.resize(Adjacency.size());
-  std::vector<uint64_t> Cursor(T.Offsets.begin(), T.Offsets.end() - 1);
-  for (NodeId From = 0; From != N; ++From)
-    for (NodeId To : neighbors(From))
-      T.Adjacency[Cursor[To]++] = From;
+  Csr T;
+  T.countingSort(numNodes(), numEdges(), [this](auto &&Sink) {
+    for (NodeId From = 0; From != numNodes(); ++From)
+      for (NodeId To : neighbors(From)) {
+        assert(To < numNodes() && "neighbor id out of range");
+        Sink(To, From);
+      }
+  });
   return T;
 }

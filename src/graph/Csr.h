@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compressed-sparse-row adjacency: one flat neighbor array plus an
-/// offsets array, the layout the bit-parallel multi-source BFS engine
-/// (graph/MsBfs.h) streams over. A Csr is buildable from any Graph and --
-/// via ExplicitScg::toCsr() -- directly from a super Cayley graph's
-/// Next table, whose row-major Count x degree layout *is* already CSR
-/// with uniform row length.
+/// The explicit graph: compressed-sparse-row adjacency, one flat neighbor
+/// array plus an offsets array, with dense node ids. It holds the
+/// materialized super Cayley graphs (node id = Lehmer rank of the label,
+/// via ExplicitScg::toCsr(), whose row-major Count x degree Next table
+/// *is* already CSR with uniform row length), the classic guest
+/// topologies of Section 5 (trees, meshes, hypercubes, built from arc
+/// lists), and the surviving network of a fault scenario. It is the
+/// layout the bit-parallel multi-source BFS engine (graph/MsBfs.h)
+/// streams over. Undirected graphs store both directions of every edge.
 ///
 /// The container is immutable after construction: the distance sweeps
 /// hand one Csr to many concurrent BFS batches, so there must be nothing
@@ -21,21 +24,26 @@
 #ifndef SCG_GRAPH_CSR_H
 #define SCG_GRAPH_CSR_H
 
-#include "graph/Graph.h"
-
+#include <cassert>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace scg {
 
-/// Immutable CSR adjacency. Neighbor order within a row matches the
-/// source container (Graph insertion order / Next-table generator order);
-/// the distance engines are order-insensitive, so the two builds are
-/// interchangeable.
+/// Dense node identifier.
+using NodeId = uint32_t;
+
+/// Immutable CSR adjacency. Neighbor order within a row is the order the
+/// builder supplied (arc-list order / Next-table generator order).
 class Csr {
 public:
-  /// Flattens \p G (O(V + E), one pass).
-  explicit Csr(const Graph &G);
+  /// Builds the graph on \p NumNodes nodes whose arcs are \p Arcs, each a
+  /// (From, To) pair. A stable counting sort by source, O(V + E): each row
+  /// lists its arcs in input order. Throws std::invalid_argument, in every
+  /// build, on an endpoint >= \p NumNodes or a self loop.
+  Csr(NodeId NumNodes, std::span<const std::pair<NodeId, NodeId>> Arcs);
 
   /// Adopts a uniform-degree flat table: node V's neighbors are
   /// \p Flat[V * Degree .. (V + 1) * Degree). This is the ExplicitScg
@@ -74,9 +82,21 @@ public:
 private:
   Csr() = default; ///< for transpose(), which fills the arrays itself.
 
+  /// Fills both arrays from \p NumArcs arcs that \p ForEachArc enumerates
+  /// twice, calling its sink with (row, neighbor) in the order each row
+  /// should list them: a stable counting sort by row.
+  template <typename ForEachArcT>
+  void countingSort(NodeId NumNodes, uint64_t NumArcs,
+                    const ForEachArcT &ForEachArc);
+
   std::vector<uint64_t> Offsets;  ///< size numNodes() + 1, Offsets[0] == 0.
   std::vector<NodeId> Adjacency;  ///< all rows back to back.
 };
+
+/// The adjacency-list graph's old name, for the benchmark harness only
+/// (perfbench/src/Graph.cpp:242 declares `const Graph`). The benchmark
+/// change of ROADMAP item 1 moves that line to Csr and deletes this alias.
+using Graph = Csr;
 
 } // namespace scg
 

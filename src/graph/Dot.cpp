@@ -6,7 +6,7 @@
 
 using namespace scg;
 
-std::string scg::renderDot(const Graph &G, const DotOptions &Options) {
+std::string scg::renderDot(const Csr &G, const DotOptions &Options) {
   std::ostringstream OS;
   const char *Kind = Options.Directed ? "digraph" : "graph";
   const char *Arrow = Options.Directed ? " -> " : " -- ";

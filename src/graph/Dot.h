@@ -14,7 +14,7 @@
 #ifndef SCG_GRAPH_DOT_H
 #define SCG_GRAPH_DOT_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 #include <functional>
 #include <string>
@@ -32,7 +32,7 @@ struct DotOptions {
 };
 
 /// Renders \p G in DOT syntax.
-std::string renderDot(const Graph &G, const DotOptions &Options = {});
+std::string renderDot(const Csr &G, const DotOptions &Options = {});
 
 } // namespace scg
 

@@ -20,11 +20,11 @@ namespace {
 /// whose link (and both endpoints) survive, so failed nodes keep their ids
 /// but get empty rows and are never reached. Appends the healthy nodes, in
 /// id order, to \p Healthy along the way.
-Csr survivingCsr(const Graph &G, const FaultSet &Faults,
+Csr survivingCsr(const Csr &G, const FaultSet &Faults,
                  std::vector<NodeId> &Healthy) {
   std::vector<uint64_t> Offsets(uint64_t(G.numNodes()) + 1);
   std::vector<NodeId> Adjacency;
-  Adjacency.reserve(G.numDirectedEdges());
+  Adjacency.reserve(G.numEdges());
   Healthy.reserve(G.numNodes());
   for (NodeId From = 0; From != G.numNodes(); ++From) {
     Offsets[From] = Adjacency.size();
@@ -97,7 +97,7 @@ uint64_t componentPairs(const Csr &Surviving,
 /// batch's sources and through them whatever they reach. Asymmetric
 /// survivors (rotators, one-way faults) run every batch. Batches run
 /// serially: the analysis is already one scenario of a parallel sweep.
-ReachabilityAnalysis countReachability(const Graph &G, const FaultSet &Faults,
+ReachabilityAnalysis countReachability(const Csr &G, const FaultSet &Faults,
                                        bool StopAtDisconnect) {
   if (!Faults.idsBelow(G.numNodes()))
     throw std::invalid_argument(
@@ -139,7 +139,7 @@ ReachabilityAnalysis countReachability(const Graph &G, const FaultSet &Faults,
 
 } // namespace
 
-FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
+FaultAnalysis scg::analyzeUnderFaults(const Csr &G,
                                       const FaultSet &Faults) {
   ReachabilityAnalysis Reach =
       countReachability(G, Faults, /*StopAtDisconnect=*/true);
@@ -147,7 +147,7 @@ FaultAnalysis scg::analyzeUnderFaults(const Graph &G,
 }
 
 ReachabilityAnalysis
-scg::analyzeReachabilityUnderFaults(const Graph &G, const FaultSet &Faults) {
+scg::analyzeReachabilityUnderFaults(const Csr &G, const FaultSet &Faults) {
   return countReachability(G, Faults, /*StopAtDisconnect=*/false);
 }
 
@@ -164,7 +164,7 @@ struct SweepOutcome {
 /// Evaluates NumScenarios single-fault scenarios in parallel on the global
 /// pool; each scenario runs one full analyzeUnderFaults (its own surviving
 /// graph and BFS buffers), so scenarios share nothing but G.
-SweepOutcome evaluateScenarios(const Graph &G, uint64_t NumScenarios,
+SweepOutcome evaluateScenarios(const Csr &G, uint64_t NumScenarios,
                                const std::function<FaultSet(uint64_t)> &Make) {
   return ThreadPool::global().parallelMapReduce<SweepOutcome>(
       0, NumScenarios, SweepOutcome{},
@@ -186,7 +186,7 @@ SweepOutcome evaluateScenarios(const Graph &G, uint64_t NumScenarios,
 
 } // namespace
 
-SingleFaultSweep scg::sweepSingleLinkFaults(const Graph &G,
+SingleFaultSweep scg::sweepSingleLinkFaults(const Csr &G,
                                             unsigned Stride) {
   assert(Stride >= 1 && "stride must be positive");
   SingleFaultSweep Sweep;
@@ -219,7 +219,7 @@ SingleFaultSweep scg::sweepSingleLinkFaults(const Graph &G,
   return Sweep;
 }
 
-SingleFaultSweep scg::sweepSingleNodeFaults(const Graph &G,
+SingleFaultSweep scg::sweepSingleNodeFaults(const Csr &G,
                                             unsigned Stride) {
   assert(Stride >= 1 && "stride must be positive");
   SingleFaultSweep Sweep;

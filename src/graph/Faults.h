@@ -18,7 +18,7 @@
 #ifndef SCG_GRAPH_FAULTS_H
 #define SCG_GRAPH_FAULTS_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 #include <algorithm>
 #include <utility>
@@ -157,7 +157,7 @@ struct FaultAnalysis {
 /// ends the analysis. Disconnected results carry Diameter == 0 (never a
 /// partial accumulation). Throws std::invalid_argument, in every build,
 /// when \p Faults names a node id >= G.numNodes().
-FaultAnalysis analyzeUnderFaults(const Graph &G, const FaultSet &Faults);
+FaultAnalysis analyzeUnderFaults(const Csr &G, const FaultSet &Faults);
 
 /// Pairwise reachability of the surviving network -- the per-trial
 /// measurement of the Monte Carlo campaigns (routing/FaultCampaign.h).
@@ -182,7 +182,7 @@ struct ReachabilityAnalysis {
 /// analyzeUnderFaults and the components shortcut above. Throws
 /// std::invalid_argument, in every build, when \p Faults names a node id
 /// >= G.numNodes().
-ReachabilityAnalysis analyzeReachabilityUnderFaults(const Graph &G,
+ReachabilityAnalysis analyzeReachabilityUnderFaults(const Csr &G,
                                                     const FaultSet &Faults);
 
 /// Worst case over single-fault scenarios. A sweep with zero scenarios
@@ -200,11 +200,11 @@ struct SingleFaultSweep {
 /// exhaustive) and reports the worst outcome. \p G must be undirected.
 /// Scenarios are evaluated in parallel on the global ThreadPool; results
 /// are byte-identical at every thread count (SCG_THREADS=1 forces serial).
-SingleFaultSweep sweepSingleLinkFaults(const Graph &G, unsigned Stride = 1);
+SingleFaultSweep sweepSingleLinkFaults(const Csr &G, unsigned Stride = 1);
 
 /// Removes every \p Stride-th node in turn and reports the worst outcome
 /// among the survivors. Parallel over scenarios like the link sweep.
-SingleFaultSweep sweepSingleNodeFaults(const Graph &G, unsigned Stride = 1);
+SingleFaultSweep sweepSingleNodeFaults(const Csr &G, unsigned Stride = 1);
 
 } // namespace scg
 

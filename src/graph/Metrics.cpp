@@ -30,13 +30,7 @@ SweepAccum mergeSweep(SweepAccum A, const SweepAccum &B) {
 
 } // namespace
 
-DistanceStats scg::allPairsStats(const Graph &G) {
-  // Flattening to CSR is O(V + E), noise next to the sweep itself; the
-  // bit-parallel engine then advances 64 sources per word.
-  return msAllPairsStats(Csr(G));
-}
-
-DistanceStats scg::scalarAllPairsStats(const Graph &G) {
+DistanceStats scg::scalarAllPairsStats(const Csr &G) {
   DistanceStats Stats;
   if (G.numNodes() == 0)
     return Stats;
@@ -73,7 +67,7 @@ DistanceStats scg::scalarAllPairsStats(const Graph &G) {
   return Stats;
 }
 
-DistanceStats scg::vertexTransitiveStats(const Graph &G,
+DistanceStats scg::vertexTransitiveStats(const Csr &G,
                                          NodeId Representative) {
   DistanceStats Stats;
   if (G.numNodes() == 0)

@@ -8,12 +8,10 @@
 /// Graph-level metrics: connectivity, diameter, average internodal distance.
 /// For vertex-transitive graphs (every Cayley graph is), the eccentricity
 /// and distance distribution of a single node are those of every node, so
-/// one BFS suffices; the general all-pairs form is provided for the guest
-/// topologies (meshes, trees -- not vertex-transitive) and for
-/// cross-checking the transitivity shortcut in tests and benches.
-///
-/// allPairsStats runs on the bit-parallel multi-source BFS engine
-/// (graph/MsBfs.h): 64 sources per batch over CSR adjacency, batches
+/// one BFS suffices. The general all-pairs form, for the guest topologies
+/// (meshes, trees -- not vertex-transitive) and for cross-checking the
+/// transitivity shortcut, is msAllPairsStats on the bit-parallel
+/// multi-source BFS engine (graph/MsBfs.h): 64 sources per batch, batches
 /// spread across the ThreadPool -- which is what makes exact sweeps at
 /// k = 9 (362,880 nodes) a minutes-scale run. The scalar
 /// one-BFS-per-source engine survives as scalarAllPairsStats, the
@@ -24,7 +22,7 @@
 #ifndef SCG_GRAPH_METRICS_H
 #define SCG_GRAPH_METRICS_H
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 namespace scg {
 
@@ -35,22 +33,15 @@ struct DistanceStats {
   double AverageDistance = 0.0; ///< Over ordered pairs of distinct nodes.
 };
 
-/// All-pairs statistics via bit-parallel multi-source BFS (64 sources per
-/// batch), parallel over batches on the global ThreadPool (SCG_THREADS=1
-/// forces serial). Results are byte-identical at every thread count and
-/// to scalarAllPairsStats. For a disconnected graph, returns
-/// Connected=false with zeroed Diameter/AverageDistance.
-DistanceStats allPairsStats(const Graph &G);
-
 /// The scalar reference engine: one BFS per source, parallel over source
 /// nodes. Kept as the differential baseline for the bit-parallel engine
-/// (tests/MsBfsTest.cpp, bench_network_properties); prefer allPairsStats
+/// (tests/MsBfsTest.cpp, bench_network_properties); prefer msAllPairsStats
 /// everywhere else.
-DistanceStats scalarAllPairsStats(const Graph &G);
+DistanceStats scalarAllPairsStats(const Csr &G);
 
 /// Single-BFS statistics from \p Representative, valid for vertex-transitive
 /// graphs; \p Representative defaults to node 0.
-DistanceStats vertexTransitiveStats(const Graph &G, NodeId Representative = 0);
+DistanceStats vertexTransitiveStats(const Csr &G, NodeId Representative = 0);
 
 } // namespace scg
 

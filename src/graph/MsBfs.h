@@ -179,9 +179,9 @@ std::vector<uint8_t> msBfsDistanceRow(const Csr &G, NodeId Source);
 
 /// All-pairs distance statistics over \p G: sources batched 64 per word,
 /// batches spread over the global ThreadPool (SCG_THREADS=1 forces
-/// serial), results byte-identical at every thread count. This is the
-/// engine behind allPairsStats(const Graph &); call it directly when a
-/// Csr is already at hand (e.g. ExplicitScg::toCsr()).
+/// serial), results byte-identical at every thread count and to
+/// scalarAllPairsStats. For a disconnected graph, returns Connected=false
+/// with zeroed Diameter/AverageDistance.
 DistanceStats msAllPairsStats(const Csr &G);
 
 } // namespace scg

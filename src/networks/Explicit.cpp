@@ -44,15 +44,9 @@ NodeId ExplicitScg::rankOf(const Permutation &P) const {
   return static_cast<NodeId>(rankPermutation(P));
 }
 
-Graph ExplicitScg::toGraph() const {
-  Graph G(Count);
-  for (NodeId U = 0; U != Count; ++U)
-    for (GenIndex Gen = 0; Gen != degree(); ++Gen)
-      G.addEdge(U, next(U, Gen));
-  return G;
-}
-
 Csr ExplicitScg::toCsr() const { return Csr(Count, degree(), Next); }
+
+Csr ExplicitScg::toGraph() const { return toCsr(); }
 
 BfsResult scg::bfsExplicit(const ExplicitScg &Net, NodeId Source) {
   const std::vector<NodeId> &Table = Net.nextTable();

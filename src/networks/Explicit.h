@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Materializes a SuperCayleyGraph descriptor as an explicit Graph whose
+/// Materializes a SuperCayleyGraph descriptor as an explicit graph whose
 /// node ids are Lehmer ranks of the labels (identity = node 0). Also keeps
 /// the per-link generator labels, which routing, embedding congestion, and
 /// the simulator all need.
@@ -25,7 +25,6 @@
 #include "core/SuperCayleyGraph.h"
 #include "graph/Bfs.h"
 #include "graph/Csr.h"
-#include "graph/Graph.h"
 
 namespace scg {
 
@@ -58,14 +57,15 @@ public:
   /// Node id of label \p P.
   NodeId rankOf(const Permutation &P) const;
 
-  /// Builds the plain Graph view (adjacency without generator labels).
-  Graph toGraph() const;
-
-  /// CSR view for the bit-parallel distance engine (graph/MsBfs.h): the
+  /// The plain graph view (adjacency without generator labels): the
   /// row-major Next table already *is* CSR with uniform row length, so
-  /// this is one table copy and an implicit offsets ramp -- no Graph
-  /// intermediary, no per-node vectors.
+  /// this is one table copy and an implicit offsets ramp.
   Csr toCsr() const;
+
+  /// toCsr() under its old name, for the benchmark harness only
+  /// (perfbench/src/Graph.cpp:242). The benchmark change of ROADMAP item 1
+  /// moves that call to toCsr() and deletes this forwarder.
+  Csr toGraph() const;
 
 private:
   SuperCayleyGraph Net;
@@ -74,7 +74,7 @@ private:
 };
 
 /// BFS from \p Source straight over the Next table: the neighbor walk is a
-/// contiguous row read, fully inlined through bfsCore (no Graph
+/// contiguous row read, fully inlined through bfsCore (no Csr
 /// materialization, no callback indirection).
 BfsResult bfsExplicit(const ExplicitScg &Net, NodeId Source);
 

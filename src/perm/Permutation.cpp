@@ -99,34 +99,6 @@ Permutation Permutation::inverse() const {
 
 bool Permutation::isIdentity() const { return *this == identity(Size); }
 
-std::vector<std::vector<uint8_t>> Permutation::nontrivialCycles() const {
-  const uint8_t *Word = data();
-  std::vector<std::vector<uint8_t>> Cycles;
-  std::bitset<256> Visited;
-  for (unsigned Start = 0; Start != Size; ++Start) {
-    if (Visited[Start] || Word[Start] == Start)
-      continue;
-    std::vector<uint8_t> Cycle;
-    unsigned Cur = Start;
-    while (!Visited[Cur]) {
-      Visited[Cur] = true;
-      Cycle.push_back(static_cast<uint8_t>(Cur));
-      Cur = Word[Cur];
-    }
-    Cycles.push_back(std::move(Cycle));
-  }
-  return Cycles;
-}
-
-unsigned Permutation::numDisplaced() const {
-  const uint8_t *Word = data();
-  unsigned Count = 0;
-  for (unsigned P = 0; P != Size; ++P)
-    if (Word[P] != P)
-      ++Count;
-  return Count;
-}
-
 std::string Permutation::str() const {
   const uint8_t *Word = data();
   std::vector<unsigned> OneBased;

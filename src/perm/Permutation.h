@@ -129,14 +129,6 @@ public:
   /// Returns true if this is the identity.
   bool isIdentity() const;
 
-  /// Returns the cycles of length >= 2, each cycle listed as the sequence of
-  /// symbols it moves, canonicalized to start at the smallest symbol, cycles
-  /// sorted by their smallest symbol.
-  std::vector<std::vector<uint8_t>> nontrivialCycles() const;
-
-  /// Returns the number of symbols s with perm[s] != s.
-  unsigned numDisplaced() const;
-
   /// Renders 1-based one-line notation, e.g. "3 1 2".
   std::string str() const;
 

@@ -78,7 +78,7 @@ FaultCampaignResult scg::runFaultCampaign(const ExplicitScg &Net,
   Result.Nodes = Net.numNodes();
 
   FaultRouter Router(Net);
-  const Graph &G = Router.graph();
+  const Csr &G = Router.graph();
   Result.FaultFreeDiameter = vertexTransitiveStats(G).Diameter;
 
   // The faultable component list, in a fixed deterministic order that the

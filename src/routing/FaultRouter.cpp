@@ -198,7 +198,7 @@ StarContainer scg::buildStarContainer(const Permutation &Src,
 }
 
 FaultRouter::FaultRouter(const ExplicitScg &Net)
-    : Net(Net), G(Net.toGraph()),
+    : Net(Net), G(Net.toCsr()),
       StarFamily(Net.network().kind() == NetworkKind::Star) {}
 
 PathContainer FaultRouter::buildContainer(NodeId Src, NodeId Dst) const {

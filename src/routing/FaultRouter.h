@@ -111,7 +111,7 @@ public:
   explicit FaultRouter(const ExplicitScg &Net);
 
   const ExplicitScg &network() const { return Net; }
-  const Graph &graph() const { return G; }
+  const Csr &graph() const { return G; }
 
   /// Builds the container for \p Src -> \p Dst (fault-free topology).
   PathContainer buildContainer(NodeId Src, NodeId Dst) const;
@@ -124,7 +124,7 @@ public:
 
 private:
   const ExplicitScg &Net;
-  Graph G;
+  Csr G;
   bool StarFamily;
 };
 

@@ -11,8 +11,9 @@
 /// results at every thread count, because per-chunk partial results are
 /// folded in chunk-index order after the parallel region, and the default
 /// chunk size depends only on the range length (never on the thread count).
-/// The graph sweeps (allPairsStats, fault sweeps, batch permutation routing)
-/// rely on this contract, and tests/ParallelDifferentialTest.cpp pins it.
+/// The graph sweeps (msAllPairsStats, fault sweeps, batch permutation
+/// routing) rely on this contract, and tests/ParallelDifferentialTest.cpp
+/// pins it.
 ///
 /// Thread-count resolution for the process-global pool, in precedence order:
 /// setGlobalThreadCount() override, the SCG_THREADS environment variable,

@@ -18,7 +18,7 @@ namespace {
 /// Exhaustively checks solveBag against BFS distances from the identity.
 void checkAgainstBfs(const SuperCayleyGraph &Scg, unsigned Stride) {
   ExplicitScg Net(Scg);
-  BfsResult R = bfs(Net.toGraph(), 0);
+  BfsResult R = bfs(Net.toCsr(), 0);
   Permutation Id = Permutation::identity(Scg.numSymbols());
   for (uint64_t Rank = 0; Rank < Net.numNodes(); Rank += Stride) {
     Permutation Dst = Net.label(Rank);

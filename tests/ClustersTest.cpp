@@ -37,14 +37,14 @@ TEST(Clusters, NucleusLinksStayInside) {
 TEST(Clusters, ClusterGraphIsConnected) {
   ExplicitScg Net(SuperCayleyGraph::create(NetworkKind::MacroStar, 3, 2));
   ClusterStructure C(Net);
-  Graph Quotient = oracle::clusterGraph(Net, C);
+  Csr Quotient = oracle::clusterGraph(Net, C);
   EXPECT_EQ(Quotient.numNodes(), C.numClusters());
   EXPECT_TRUE(oracle::isConnectedFromZero(Quotient));
 }
 
 TEST(Clusters, ClusterGraphIsUndirectedForMs) {
   ExplicitScg Net(SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2));
-  Graph Quotient = oracle::clusterGraph(Net, ClusterStructure(Net));
+  Csr Quotient = oracle::clusterGraph(Net, ClusterStructure(Net));
   EXPECT_TRUE(oracle::isUndirected(Quotient));
 }
 

@@ -85,7 +85,7 @@ TEST(BroadcastTreeTest, CoversNetworkAtBfsDepth) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
   BroadcastTree Tree(Net);
   EXPECT_EQ(Tree.numEdges(), Net.numNodes() - 1);
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   EXPECT_EQ(Tree.height(), Stats.Diameter);
   EXPECT_EQ(Tree.depth(0), 0u);
 }
@@ -95,7 +95,7 @@ TEST(BroadcastTreeTest, CoversNetworkAtBfsDepth) {
 TEST(Collectives, BroadcastHeightEqualsDiameter) {
   ExplicitScg Net(SuperCayleyGraph::insertionSelection(5));
   BroadcastTree Tree(Net);
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   EXPECT_EQ(Tree.height(), Stats.Diameter);
 }
 
@@ -191,7 +191,7 @@ TEST(Mnb, SdcCycleOmittingATreeGeneratorThrows) {
 
 TEST(TotalExchange, LowerBoundUsesAverageDistance) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+  DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
   uint64_t ExpectedHops = uint64_t(
       Stats.AverageDistance * (Net.numNodes() - 1) + 0.5);
   EXPECT_EQ(teLowerBound(Net), (ExpectedHops + 3) / 4);

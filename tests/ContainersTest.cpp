@@ -6,37 +6,41 @@
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
 
 namespace {
 
-Graph pathGraph(NodeId N) {
-  Graph G(N);
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+Csr pathGraph(NodeId N) {
+  EdgeList Edges;
   for (NodeId I = 0; I + 1 != N; ++I)
-    G.addUndirectedEdge(I, I + 1);
-  return G;
+    Edges.push_back({I, I + 1});
+  return oracle::undirectedGraph(N, Edges);
 }
 
-Graph cycleGraph(NodeId N) {
-  Graph G(N);
+Csr cycleGraph(NodeId N) {
+  EdgeList Edges;
   for (NodeId I = 0; I != N; ++I)
-    G.addUndirectedEdge(I, (I + 1) % N);
-  return G;
+    Edges.push_back({I, (I + 1) % N});
+  return oracle::undirectedGraph(N, Edges);
 }
 
-Graph completeGraph(NodeId N) {
-  Graph G(N);
+Csr completeGraph(NodeId N) {
+  EdgeList Edges;
   for (NodeId A = 0; A != N; ++A)
     for (NodeId B = A + 1; B != N; ++B)
-      G.addUndirectedEdge(A, B);
-  return G;
+      Edges.push_back({A, B});
+  return oracle::undirectedGraph(N, Edges);
 }
 
 /// Full container validity: every path simple in G, the set internally
 /// disjoint, and the first path a shortest Src -> Dst path.
-void expectValidContainer(const Graph &G, NodeId Src, NodeId Dst,
+void expectValidContainer(const Csr &G, NodeId Src, NodeId Dst,
                           const std::vector<std::vector<NodeId>> &Paths) {
   EXPECT_TRUE(internallyNodeDisjoint(Paths));
   for (const std::vector<NodeId> &Path : Paths) {
@@ -53,7 +57,7 @@ void expectValidContainer(const Graph &G, NodeId Src, NodeId Dst,
 } // namespace
 
 TEST(Containers, PathGraphHasOnePath) {
-  Graph G = pathGraph(4);
+  Csr G = pathGraph(4);
   EXPECT_EQ(localConnectivity(G, 0, 3), 1u);
   std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, 0, 3);
   ASSERT_EQ(Paths.size(), 1u);
@@ -61,7 +65,7 @@ TEST(Containers, PathGraphHasOnePath) {
 }
 
 TEST(Containers, CycleHasTwoPaths) {
-  Graph G = cycleGraph(6);
+  Csr G = cycleGraph(6);
   EXPECT_EQ(localConnectivity(G, 0, 3), 2u);
   std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, 0, 3);
   ASSERT_EQ(Paths.size(), 2u);
@@ -72,7 +76,7 @@ TEST(Containers, CycleHasTwoPaths) {
 }
 
 TEST(Containers, AdjacentPairInCycle) {
-  Graph G = cycleGraph(5);
+  Csr G = cycleGraph(5);
   std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, 0, 1);
   ASSERT_EQ(Paths.size(), 2u);
   expectValidContainer(G, 0, 1, Paths);
@@ -81,7 +85,7 @@ TEST(Containers, AdjacentPairInCycle) {
 }
 
 TEST(Containers, CompleteGraphSaturatesDegree) {
-  Graph G = completeGraph(4);
+  Csr G = completeGraph(4);
   EXPECT_EQ(localConnectivity(G, 0, 3), 3u);
   std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, 0, 3);
   ASSERT_EQ(Paths.size(), 3u);
@@ -90,7 +94,7 @@ TEST(Containers, CompleteGraphSaturatesDegree) {
 }
 
 TEST(Containers, MaxPathsCapsTheContainer) {
-  Graph G = completeGraph(5);
+  Csr G = completeGraph(5);
   std::vector<std::vector<NodeId>> Paths =
       nodeDisjointPaths(G, 0, 4, /*MaxPaths=*/2);
   ASSERT_EQ(Paths.size(), 2u);
@@ -98,7 +102,7 @@ TEST(Containers, MaxPathsCapsTheContainer) {
 }
 
 TEST(Containers, MeshCornerPairs) {
-  Graph G = mesh2D(3, 3);
+  Csr G = mesh2D(3, 3);
   // Corners have degree 2, so corner-to-corner connectivity is 2.
   EXPECT_EQ(localConnectivity(G, 0, 8), 2u);
   expectValidContainer(G, 0, 8, nodeDisjointPaths(G, 0, 8));
@@ -107,10 +111,7 @@ TEST(Containers, MeshCornerPairs) {
 }
 
 TEST(Containers, DirectedCycleRespectsOrientation) {
-  Graph G(3);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 0);
+  Csr G(3, EdgeList{{0, 1}, {1, 2}, {2, 0}});
   std::vector<std::vector<NodeId>> Forward = nodeDisjointPaths(G, 0, 2);
   ASSERT_EQ(Forward.size(), 1u);
   EXPECT_EQ(Forward[0], (std::vector<NodeId>{0, 1, 2}));
@@ -141,7 +142,7 @@ TEST(Containers, ClassicCayleyFamiliesAreMaximallyConnected) {
        {SuperCayleyGraph::star(4), SuperCayleyGraph::bubbleSort(4),
         SuperCayleyGraph::transpositionNetwork(4)}) {
     ExplicitScg Net(Spec);
-    Graph G = Net.toGraph();
+    Csr G = Net.toCsr();
     NodeId Src = 0, Dst = Net.numNodes() / 2;
     std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, Src, Dst);
     EXPECT_EQ(Paths.size(), Spec.degree()) << Spec.name();
@@ -153,7 +154,7 @@ TEST(Containers, ClassicCayleyFamiliesAreMaximallyConnected) {
   for (unsigned K = 3; K <= 4; ++K) {
     SuperCayleyGraph Spec = SuperCayleyGraph::insertionSelection(K);
     ExplicitScg Net(Spec);
-    Graph G = Net.toGraph();
+    Csr G = Net.toCsr();
     NodeId Src = 0, Dst = Net.numNodes() / 2;
     std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, Src, Dst);
     EXPECT_EQ(Paths.size(), Spec.degree() - 1) << Spec.name();
@@ -169,7 +170,7 @@ TEST(Containers, AllTenSuperCayleyClassesYieldValidContainers) {
         NetworkKind::MacroIS, NetworkKind::RotationIS,
         NetworkKind::CompleteRotationIS}) {
     ExplicitScg Net(SuperCayleyGraph::create(Kind, 2, 2));
-    Graph G = Net.toGraph();
+    Csr G = Net.toCsr();
     NodeId Src = 0, Dst = Net.numNodes() / 2;
     std::vector<std::vector<NodeId>> Paths = nodeDisjointPaths(G, Src, Dst);
     // Degree bounds the container; at least one path exists (connected).
@@ -179,6 +180,6 @@ TEST(Containers, AllTenSuperCayleyClassesYieldValidContainers) {
   }
   // The plain rotator's directed connectivity is k-1 exactly.
   ExplicitScg Rotator(SuperCayleyGraph::rotator(4));
-  Graph G = Rotator.toGraph();
+  Csr G = Rotator.toCsr();
   EXPECT_EQ(localConnectivity(G, 0, Rotator.numNodes() / 2), 3u);
 }

@@ -23,7 +23,7 @@ TEST(Corollary4, TreeIntoIsMsAndMis) {
   ExplicitScg StarX(Star);
   TreeEmbeddingResult Base = embedTreeIntoStar(StarX, /*Height=*/3, 1);
   ASSERT_TRUE(Base.Found);
-  Graph Guest = completeBinaryTree(3);
+  Csr Guest = completeBinaryTree(3);
 
   struct Case {
     SuperCayleyGraph Host;
@@ -52,7 +52,7 @@ TEST(Corollary5, HypercubeIntoSuperCayleyGraphs) {
   // Base: dilation-3 hypercube -> 7-star; composed dilation <= 3 * bound.
   SuperCayleyGraph Star = SuperCayleyGraph::star(7);
   Embedding Base = embedHypercubeIntoStar(Star);
-  Graph Guest = hypercube(hypercubeDimensionFor(7));
+  Csr Guest = hypercube(hypercubeDimensionFor(7));
 
   for (NetworkKind Kind : {NetworkKind::MacroStar,
                            NetworkKind::CompleteRotationStar,
@@ -84,7 +84,7 @@ TEST(Corollary6, SjtMeshIntoMacroStar2n) {
   SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(5);
   SuperCayleyGraph Ms = SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
   SjtMeshShape Shape = sjtMeshShape(5);
-  Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+  Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
 
   Embedding Base = embedSjtMeshIntoTn(Tn);
   PathTemplateMap Map = PathTemplateMap::create(Tn, Ms);
@@ -98,7 +98,7 @@ TEST(Corollary6, SjtMeshIntoMacroStar2n) {
 TEST(Corollary6, SjtMeshIntoMisAndCompleteRs) {
   SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(5);
   SjtMeshShape Shape = sjtMeshShape(5);
-  Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+  Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
   Embedding Base = embedSjtMeshIntoTn(Tn);
 
   for (NetworkKind Kind :
@@ -116,7 +116,7 @@ TEST(Corollary6, SjtMeshIntoMisAndCompleteRs) {
 TEST(Corollary7, LehmerMeshIntoSuperCayleyGraphs) {
   // 2x3x...xk mesh -> star (dilation 3), composed into IS / MS / MIS.
   SuperCayleyGraph Star = SuperCayleyGraph::star(5);
-  Graph Guest = mixedRadixMesh(lehmerMeshDims(5));
+  Csr Guest = mixedRadixMesh(lehmerMeshDims(5));
   Embedding Base = embedLehmerMeshIntoStar(Star);
 
   struct Case {

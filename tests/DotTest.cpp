@@ -4,14 +4,14 @@
 
 #include "networks/Classic.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
 
 TEST(Dot, UndirectedEmitsEachEdgeOnce) {
-  Graph G(3);
-  G.addUndirectedEdge(0, 1);
-  G.addUndirectedEdge(1, 2);
+  Csr G = oracle::undirectedGraph(3, {{0, 1}, {1, 2}});
   std::string Out = renderDot(G);
   EXPECT_NE(Out.find("graph g {"), std::string::npos);
   EXPECT_NE(Out.find("n0 -- n1;"), std::string::npos);
@@ -20,9 +20,7 @@ TEST(Dot, UndirectedEmitsEachEdgeOnce) {
 }
 
 TEST(Dot, DirectedKeepsBothDirections) {
-  Graph G(2);
-  G.addEdge(0, 1);
-  G.addEdge(1, 0);
+  Csr G(2, std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 0}});
   DotOptions Options;
   Options.Directed = true;
   std::string Out = renderDot(G, Options);
@@ -32,8 +30,7 @@ TEST(Dot, DirectedKeepsBothDirections) {
 }
 
 TEST(Dot, LabelsAppear) {
-  Graph G(2);
-  G.addUndirectedEdge(0, 1);
+  Csr G = oracle::undirectedGraph(2, {{0, 1}});
   DotOptions Options;
   Options.NodeLabel = [](NodeId N) { return "v" + std::to_string(N); };
   Options.EdgeLabel = [](NodeId, NodeId) { return std::string("e"); };
@@ -43,7 +40,7 @@ TEST(Dot, LabelsAppear) {
 }
 
 TEST(Dot, MeshExportsAllEdges) {
-  Graph G = mesh2D(2, 3);
+  Csr G = mesh2D(2, 3);
   std::string Out = renderDot(G);
   // 7 undirected edges -> 7 "--" occurrences.
   size_t Count = 0, Pos = 0;

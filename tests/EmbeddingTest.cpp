@@ -5,6 +5,8 @@
 #include "embedding/PathTemplates.h"
 #include "perm/Lehmer.h"
 
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -32,8 +34,7 @@ Embedding edgeEmbedding(const SuperCayleyGraph &Star) {
 
 TEST(Embedding, SingleEdgeMetrics) {
   SuperCayleyGraph Star = SuperCayleyGraph::star(4);
-  Graph Guest(2);
-  Guest.addUndirectedEdge(0, 1);
+  Csr Guest = oracle::undirectedGraph(2, {{0, 1}});
   EmbeddingMetrics M = measureEmbedding(Guest, edgeEmbedding(Star));
   EXPECT_TRUE(M.Valid);
   EXPECT_EQ(M.Load, 1u);
@@ -51,8 +52,7 @@ TEST(Embedding, DetectsBrokenRoutes) {
     Path.append(1); // T_3 does not connect the mapped endpoints.
     return Path;
   };
-  Graph Guest(2);
-  Guest.addUndirectedEdge(0, 1);
+  Csr Guest = oracle::undirectedGraph(2, {{0, 1}});
   EXPECT_FALSE(measureEmbedding(Guest, E).Valid);
 }
 
@@ -63,7 +63,7 @@ TEST(Embedding, LoadCountsCollisions) {
   Permutation Id = Permutation::identity(4);
   E.NodeMap = {Id, Id, Id};
   E.Route = [](NodeId, NodeId) { return GeneratorPath(); };
-  Graph Guest(3); // no edges.
+  Csr Guest = oracle::undirectedGraph(3, {}); // no edges.
   EmbeddingMetrics M = measureEmbedding(Guest, E);
   EXPECT_EQ(M.Load, 3u);
   EXPECT_EQ(M.Dilation, 0u);
@@ -83,9 +83,7 @@ TEST(Embedding, CongestionAccumulatesOnSharedLinks) {
     Path.append(0);
     return Path;
   };
-  Graph Guest(4);
-  Guest.addEdge(0, 1);
-  Guest.addEdge(2, 3);
+  Csr Guest(4, std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {2, 3}});
   EmbeddingMetrics M = measureEmbedding(Guest, E);
   EXPECT_TRUE(M.Valid);
   EXPECT_EQ(M.Congestion, 2u); // both directed edges share (Id, T_2).

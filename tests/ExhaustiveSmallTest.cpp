@@ -64,7 +64,7 @@ TEST(ExhaustiveSmall, BfsDistancesAreSymmetricOnUndirectedHosts) {
     if (!Net.isUndirected())
       continue;
     ExplicitScg X(Net);
-    Graph G = X.toGraph();
+    Csr G = X.toCsr();
     BfsResult From0 = bfs(G, 0);
     // Spot rows: distance symmetry d(0, v) = d(v, 0).
     for (NodeId V = 0; V < X.numNodes(); V += 13) {
@@ -99,7 +99,7 @@ TEST(ExhaustiveSmall, LiftedWorstCaseMatchesSlowdownTimesDiameter) {
   // least the network diameter.
   for (const SuperCayleyGraph &Net : hostsAtFive()) {
     ExplicitScg X(Net);
-    BfsResult R = bfs(X.toGraph(), 0);
+    BfsResult R = bfs(X.toCsr(), 0);
     unsigned WorstLifted = 0;
     Permutation Id = Permutation::identity(5);
     for (NodeId Rank = 0; Rank != X.numNodes(); ++Rank)

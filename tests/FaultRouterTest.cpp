@@ -73,7 +73,7 @@ TEST(StarContainer, ExhaustiveAllPairsK4) {
   // Every ordered pair of star(4): generator construction completes, is a
   // valid maximum container, and matches the max-flow width (Menger).
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   for (NodeId Src = 0; Src != Net.numNodes(); ++Src)
     for (NodeId Dst = 0; Dst != Net.numNodes(); ++Dst) {
       if (Src == Dst)
@@ -210,7 +210,7 @@ TEST(FaultRouter, RandomizedDeliveryMatchesSurvivorEnumeration) {
   // delivered route is never cheaper than the fault-free one.
   ExplicitScg Net(SuperCayleyGraph::star(5));
   FaultRouter Router(Net);
-  const Graph &G = Router.graph();
+  const Csr &G = Router.graph();
   SplitMix64 Rng(0xFA157);
   PathContainer C = Router.buildContainer(5, Net.numNodes() - 7);
   for (unsigned Trial = 0; Trial != 200; ++Trial) {
@@ -218,7 +218,7 @@ TEST(FaultRouter, RandomizedDeliveryMatchesSurvivorEnumeration) {
     unsigned NumLinkFaults = 1 + unsigned(Rng.nextBelow(24));
     for (unsigned F = 0; F != NumLinkFaults; ++F) {
       NodeId From = NodeId(Rng.nextBelow(G.numNodes()));
-      NodeId To = G.neighbors(From)[Rng.nextBelow(G.outDegree(From))];
+      NodeId To = G.neighbors(From)[Rng.nextBelow(G.neighbors(From).size())];
       Faults.failLink(From, To);
     }
     if (Rng.nextBelow(4) == 0)

@@ -20,39 +20,34 @@
 using namespace scg;
 
 TEST(Faults, ApplyRemovesFailedLinks) {
-  Graph G(3);
-  G.addUndirectedEdge(0, 1);
-  G.addUndirectedEdge(1, 2);
+  Csr G = oracle::undirectedGraph(3, {{0, 1}, {1, 2}});
   FaultSet Faults;
   Faults.failLink(0, 1);
-  Graph Out = oracle::applyFaults(G, Faults);
-  EXPECT_FALSE(Out.hasEdge(0, 1));
-  EXPECT_FALSE(Out.hasEdge(1, 0));
-  EXPECT_TRUE(Out.hasEdge(1, 2));
+  Csr Out = oracle::applyFaults(G, Faults);
+  EXPECT_FALSE(oracle::hasArc(Out, 0, 1));
+  EXPECT_FALSE(oracle::hasArc(Out, 1, 0));
+  EXPECT_TRUE(oracle::hasArc(Out, 1, 2));
 }
 
 TEST(Faults, NodeFaultKillsAllIncidentLinks) {
-  Graph G = mesh2D(2, 2);
+  Csr G = mesh2D(2, 2);
   FaultSet Faults;
   Faults.failNode(0);
-  Graph Out = oracle::applyFaults(G, Faults);
-  EXPECT_EQ(Out.outDegree(0), 0u);
-  EXPECT_FALSE(Out.hasEdge(1, 0));
+  Csr Out = oracle::applyFaults(G, Faults);
+  EXPECT_TRUE(Out.neighbors(0).empty());
+  EXPECT_FALSE(oracle::hasArc(Out, 1, 0));
 }
 
 TEST(Faults, PathGraphDisconnectsOnAnyLinkFault) {
-  Graph G(4);
-  for (NodeId I = 0; I + 1 != 4; ++I)
-    G.addUndirectedEdge(I, I + 1);
+  Csr G = oracle::undirectedGraph(4, {{0, 1}, {1, 2}, {2, 3}});
   SingleFaultSweep Sweep = sweepSingleLinkFaults(G);
   EXPECT_FALSE(Sweep.AlwaysConnected);
   EXPECT_EQ(Sweep.ScenariosTried, 3u);
 }
 
 TEST(Faults, CycleSurvivesAnySingleLinkFault) {
-  Graph G(6);
-  for (NodeId I = 0; I != 6; ++I)
-    G.addUndirectedEdge(I, (I + 1) % 6);
+  Csr G = oracle::undirectedGraph(
+      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
   SingleFaultSweep Sweep = sweepSingleLinkFaults(G);
   EXPECT_TRUE(Sweep.AlwaysConnected);
   EXPECT_EQ(Sweep.FaultFreeDiameter, 3u);
@@ -63,7 +58,7 @@ TEST(Faults, StarGraphSurvivesSingleLinkFaults) {
   // The k-star is (k-1)-connected; one dead link cannot disconnect it and
   // the diameter grows by at most a small constant.
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   SingleFaultSweep Sweep = sweepSingleLinkFaults(G, /*Stride=*/5);
   EXPECT_TRUE(Sweep.AlwaysConnected);
   EXPECT_EQ(Sweep.FaultFreeDiameter, 6u);
@@ -72,7 +67,7 @@ TEST(Faults, StarGraphSurvivesSingleLinkFaults) {
 
 TEST(Faults, MacroStarSurvivesSingleLinkFaults) {
   ExplicitScg Net(SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   SingleFaultSweep Sweep = sweepSingleLinkFaults(G, /*Stride=*/3);
   EXPECT_TRUE(Sweep.AlwaysConnected);
   EXPECT_LE(Sweep.WorstDiameter, Sweep.FaultFreeDiameter + 4);
@@ -80,14 +75,14 @@ TEST(Faults, MacroStarSurvivesSingleLinkFaults) {
 
 TEST(Faults, InsertionSelectionSurvivesNodeFaults) {
   ExplicitScg Net(SuperCayleyGraph::insertionSelection(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   SingleFaultSweep Sweep = sweepSingleNodeFaults(G, /*Stride=*/7);
   EXPECT_TRUE(Sweep.AlwaysConnected);
   EXPECT_LE(Sweep.WorstDiameter, Sweep.FaultFreeDiameter + 2);
 }
 
 TEST(Faults, AnalysisCountsHealthyNodes) {
-  Graph G = mesh2D(3, 3);
+  Csr G = mesh2D(3, 3);
   FaultSet Faults;
   Faults.failNode(4); // the center.
   FaultAnalysis Analysis = analyzeUnderFaults(G, Faults);
@@ -97,7 +92,7 @@ TEST(Faults, AnalysisCountsHealthyNodes) {
 }
 
 TEST(Faults, TwoFaultsCanDisconnectDegreeTwoNode) {
-  Graph G = mesh2D(2, 2); // corners have degree 2.
+  Csr G = mesh2D(2, 2); // corners have degree 2.
   FaultSet Faults;
   Faults.failLink(0, 1);
   Faults.failLink(0, 2);
@@ -133,9 +128,7 @@ TEST(Faults, NumFailedLinksCountsUndirectedPairs) {
 // Regression: the early exit on the first disconnected source used to
 // return the diameter accumulated from earlier (connected) sources.
 TEST(Faults, DisconnectedAnalysisReportsZeroDiameter) {
-  Graph G(3);
-  G.addUndirectedEdge(0, 1);
-  G.addUndirectedEdge(1, 2);
+  Csr G = oracle::undirectedGraph(3, {{0, 1}, {1, 2}});
   FaultSet Faults;
   // Kill only 2 -> 1: sources 0 and 1 still reach everyone (accumulating
   // eccentricity 2) before source 2, which reaches nobody.
@@ -153,11 +146,11 @@ TEST(Faults, DisconnectedAnalysisReportsZeroDiameter) {
 // Regression: a sweep with zero scenarios used to report AlwaysConnected
 // = true -- a vacuous robustness certificate.
 TEST(Faults, ZeroScenarioSweepIsNotARobustnessCertificate) {
-  Graph Edgeless(3);
+  Csr Edgeless = oracle::undirectedGraph(3, {});
   SingleFaultSweep Links = sweepSingleLinkFaults(Edgeless);
   EXPECT_EQ(Links.ScenariosTried, 0u);
   EXPECT_FALSE(Links.AlwaysConnected);
-  Graph Empty(0);
+  Csr Empty = oracle::undirectedGraph(0, {});
   SingleFaultSweep Nodes = sweepSingleNodeFaults(Empty);
   EXPECT_EQ(Nodes.ScenariosTried, 0u);
   EXPECT_FALSE(Nodes.AlwaysConnected);
@@ -165,10 +158,10 @@ TEST(Faults, ZeroScenarioSweepIsNotARobustnessCertificate) {
 
 TEST(Faults, StridedSweepAgreesWithExhaustive) {
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   SingleFaultSweep Exhaustive = sweepSingleLinkFaults(G, /*Stride=*/1);
   SingleFaultSweep Strided = sweepSingleLinkFaults(G, /*Stride=*/3);
-  EXPECT_EQ(Exhaustive.ScenariosTried, G.numDirectedEdges() / 2);
+  EXPECT_EQ(Exhaustive.ScenariosTried, G.numEdges() / 2);
   EXPECT_EQ(Strided.ScenariosTried, (Exhaustive.ScenariosTried + 2) / 3);
   EXPECT_EQ(Exhaustive.FaultFreeDiameter, Strided.FaultFreeDiameter);
   // star(4) survives any single link fault, so both sweeps agree exactly;
@@ -180,9 +173,7 @@ TEST(Faults, StridedSweepAgreesWithExhaustive) {
 
 TEST(Faults, HubNodeFaultIsolatesLeaves) {
   // A star *topology* (one hub): killing the hub strands every leaf.
-  Graph G(5);
-  for (NodeId Leaf = 1; Leaf != 5; ++Leaf)
-    G.addUndirectedEdge(0, Leaf);
+  Csr G = oracle::undirectedGraph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
   FaultSet Faults;
   Faults.failNode(0);
   FaultAnalysis Analysis = analyzeUnderFaults(G, Faults);
@@ -197,7 +188,7 @@ TEST(Faults, HubNodeFaultIsolatesLeaves) {
 
 TEST(Faults, SweepsAreThreadCountInvariant) {
   ExplicitScg Net(SuperCayleyGraph::star(4));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   setGlobalThreadCount(1);
   SingleFaultSweep SerialLinks = sweepSingleLinkFaults(G);
   SingleFaultSweep SerialNodes = sweepSingleNodeFaults(G);
@@ -217,9 +208,9 @@ TEST(Faults, SweepsAreThreadCountInvariant) {
 }
 
 TEST(Faults, ReachabilityMatchesAllPairsOnHealthyGraph) {
-  Graph G = mesh2D(3, 3);
+  Csr G = mesh2D(3, 3);
   ReachabilityAnalysis Reach = analyzeReachabilityUnderFaults(G, FaultSet());
-  DistanceStats Stats = allPairsStats(G);
+  DistanceStats Stats = msAllPairsStats(G);
   EXPECT_TRUE(Reach.Connected);
   EXPECT_EQ(Reach.HealthyNodes, 9u);
   EXPECT_EQ(Reach.ReachableOrderedPairs, 9u * 8u);
@@ -240,8 +231,8 @@ struct OracleAnalyses {
   ReachabilityAnalysis Reach;
 };
 
-OracleAnalyses oracleAnalyses(const Graph &G, const FaultSet &Faults) {
-  Graph Surviving = oracle::applyFaults(G, Faults);
+OracleAnalyses oracleAnalyses(const Csr &G, const FaultSet &Faults) {
+  Csr Surviving = oracle::applyFaults(G, Faults);
   std::vector<NodeId> Healthy;
   for (NodeId Node = 0; Node != G.numNodes(); ++Node)
     if (!Faults.nodeFailed(Node))
@@ -263,7 +254,7 @@ OracleAnalyses oracleAnalyses(const Graph &G, const FaultSet &Faults) {
   return Ref;
 }
 
-void expectAnalysesMatchOracle(const Graph &G, const FaultSet &Faults,
+void expectAnalysesMatchOracle(const Csr &G, const FaultSet &Faults,
                                const std::string &What) {
   OracleAnalyses Ref = oracleAnalyses(G, Faults);
   FaultAnalysis Fault = analyzeUnderFaults(G, Faults);
@@ -283,7 +274,7 @@ enum class FaultKind { Links, DirectedArcs, Nodes, Mixed };
 /// Fails each component with probability Permille / 1000, from a seeded
 /// stream over a fixed component order. Mixed fails nodes and links in one
 /// set.
-FaultSet randomFaults(const Graph &G, FaultKind Kind, unsigned Permille,
+FaultSet randomFaults(const Csr &G, FaultKind Kind, unsigned Permille,
                       uint64_t Seed) {
   SplitMix64 Rng(Seed);
   FaultSet Faults;
@@ -315,7 +306,7 @@ std::vector<SuperCayleyGraph> differentialFamilies() {
 
 TEST(FaultAnalysisDifferential, RandomFaultSetsMatchPerLaneOracle) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     for (FaultKind Kind : {FaultKind::Links, FaultKind::DirectedArcs,
                            FaultKind::Nodes, FaultKind::Mixed})
       for (unsigned Permille : {10u, 50u, 200u, 500u})
@@ -330,7 +321,7 @@ TEST(FaultAnalysisDifferential, RandomFaultSetsMatchPerLaneOracle) {
 
 TEST(FaultAnalysisDifferential, HealthyCountEdgeCases) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     const NodeId N = G.numNodes(); // 120: one full batch and a 56-lane tail.
     // Keep exactly Keep healthy nodes (the lowest ids after an offset, so
     // the survivors are not just a prefix).
@@ -364,7 +355,7 @@ TEST(FaultAnalysisDifferential, HealthyCountEdgeCases) {
 
 TEST(FaultAnalysisDifferential, IsolatedHealthyNodes) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     // Cut every arc into and out of node 5 (first batch) and node 100
     // (tail batch) while both stay healthy: each still visits itself.
     FaultSet Faults;
@@ -393,8 +384,7 @@ TEST(FaultAnalysisDifferential, IsolatedHealthyNodes) {
 TEST(FaultAnalysisDifferential, OneUnreachablePair) {
   // The smallest disconnect the counting sink must see: one directed arc
   // of a two-node link fails, so the batch is one lane-visit short.
-  Graph G(2);
-  G.addUndirectedEdge(0, 1);
+  Csr G = oracle::undirectedGraph(2, {{0, 1}});
   FaultSet Faults;
   Faults.failDirectedLink(1, 0);
   expectAnalysesMatchOracle(G, Faults, "one unreachable pair");
@@ -406,7 +396,7 @@ TEST(FaultAnalysisDifferential, OneUnreachablePair) {
 
 TEST(FaultAnalysisDifferential, AllLinksFailed) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     FaultSet Faults;
     for (NodeId From = 0; From != G.numNodes(); ++From)
       for (NodeId To : G.neighbors(From))
@@ -422,7 +412,7 @@ TEST(FaultAnalysisDifferential, AllLinksFailed) {
 namespace {
 
 /// Fails both directions of every link with exactly one end in \p Part.
-void cutOff(const Graph &G, const std::vector<NodeId> &Part,
+void cutOff(const Csr &G, const std::vector<NodeId> &Part,
             FaultSet &Faults) {
   auto Inside = [&](NodeId Node) {
     return std::find(Part.begin(), Part.end(), Node) != Part.end();
@@ -435,7 +425,7 @@ void cutOff(const Graph &G, const std::vector<NodeId> &Part,
 
 /// A walk of \p Length distinct nodes from \p Start, each step to the
 /// lowest-id out-neighbor not yet on the walk or in \p Taken.
-std::vector<NodeId> walkFrom(const Graph &G, NodeId Start, size_t Length,
+std::vector<NodeId> walkFrom(const Csr &G, NodeId Start, size_t Length,
                              const std::vector<NodeId> &Taken) {
   std::vector<NodeId> Walk{Start};
   while (Walk.size() != Length) {
@@ -458,7 +448,7 @@ std::vector<NodeId> walkFrom(const Graph &G, NodeId Start, size_t Length,
 
 TEST(FaultAnalysisDifferential, SplitsIntoComponentsOfDistinctSizes) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     // Two isolated healthy nodes (one per batch), a pair, a four-node path
     // and the rest (112 nodes); then node 60, kept off the walks, fails
     // inside the rest.
@@ -494,7 +484,7 @@ TEST(FaultAnalysisDifferential, SplitsIntoComponentsOfDistinctSizes) {
 
 TEST(FaultAnalysisDifferential, ReversePairedArcFaults) {
   for (const SuperCayleyGraph &Scg : differentialFamilies()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     for (unsigned Permille : {200u, 500u})
       for (uint64_t Seed = 1; Seed != 5; ++Seed) {
         // Both directions of each drawn link fail, one failDirectedLink
@@ -531,7 +521,7 @@ TEST(FaultAnalysisDifferential, ReversePairedArcFaults) {
 // with numFailedNodes() == 1 left all 24 nodes of star(4) healthy and
 // connected. Both analyses throw in every build instead.
 TEST(Faults, OutOfRangeIdsThrow) {
-  Graph G = ExplicitScg(SuperCayleyGraph::star(4)).toGraph();
+  Csr G = ExplicitScg(SuperCayleyGraph::star(4)).toCsr();
   FaultSet Node;
   Node.failNode(29);
   FaultSet Link;

@@ -1,9 +1,10 @@
-//===- tests/GraphTest.cpp - Graph container and algorithm tests ---------===//
+//===- tests/GraphTest.cpp - Csr container and algorithm tests -----------===//
 
-#include "graph/Graph.h"
+#include "graph/Csr.h"
 
 #include "graph/Bfs.h"
 #include "graph/Metrics.h"
+#include "graph/MsBfs.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
 
@@ -11,31 +12,70 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace scg;
 
+using ArcList = std::vector<std::pair<NodeId, NodeId>>;
+
 TEST(Graph, EdgesAndDegrees) {
-  Graph G(4);
-  G.addUndirectedEdge(0, 1);
-  G.addEdge(2, 3);
-  EXPECT_EQ(G.numDirectedEdges(), 3u);
-  EXPECT_EQ(G.outDegree(0), 1u);
-  EXPECT_TRUE(G.hasEdge(2, 3));
-  EXPECT_FALSE(G.hasEdge(3, 2));
+  Csr G(4, ArcList{{0, 1}, {1, 0}, {2, 3}});
+  EXPECT_EQ(G.numNodes(), 4u);
+  EXPECT_EQ(G.numEdges(), 3u);
+  EXPECT_EQ(G.neighbors(0).size(), 1u);
+  EXPECT_TRUE(oracle::hasArc(G, 2, 3));
+  EXPECT_FALSE(oracle::hasArc(G, 3, 2));
   EXPECT_FALSE(oracle::isUndirected(G));
   EXPECT_FALSE(oracle::isRegular(G));
 }
 
 TEST(Graph, UndirectedDetection) {
-  Graph G(3);
-  G.addUndirectedEdge(0, 1);
-  G.addUndirectedEdge(1, 2);
+  Csr G = oracle::undirectedGraph(3, {{0, 1}, {1, 2}});
   EXPECT_TRUE(oracle::isUndirected(G));
 }
 
+TEST(Csr, RowsKeepArcInputOrder) {
+  // Arcs out of order by source: the counting sort groups them by row and
+  // keeps each row's arcs in input order.
+  Csr G(4, ArcList{{2, 0}, {0, 3}, {2, 3}, {0, 1}, {2, 1}, {0, 2}});
+  EXPECT_EQ(G.numEdges(), 6u);
+  EXPECT_EQ(std::vector<NodeId>(G.neighbors(0).begin(), G.neighbors(0).end()),
+            (std::vector<NodeId>{3, 1, 2}));
+  EXPECT_TRUE(G.neighbors(1).empty());
+  EXPECT_EQ(std::vector<NodeId>(G.neighbors(2).begin(), G.neighbors(2).end()),
+            (std::vector<NodeId>{0, 3, 1}));
+  EXPECT_TRUE(G.neighbors(3).empty());
+}
+
+TEST(Csr, EmptyAndEdgelessGraphs) {
+  Csr Empty(0, ArcList{});
+  EXPECT_EQ(Empty.numNodes(), 0u);
+  EXPECT_EQ(Empty.numEdges(), 0u);
+  Csr Edgeless(3, ArcList{});
+  EXPECT_EQ(Edgeless.numNodes(), 3u);
+  for (NodeId V = 0; V != 3; ++V)
+    EXPECT_TRUE(Edgeless.neighbors(V).empty());
+}
+
+TEST(Csr, RejectsOutOfRangeEndpointsAndSelfLoops) {
+  EXPECT_THROW(Csr(3, ArcList{{0, 1}, {1, 3}}), std::invalid_argument);
+  EXPECT_THROW(Csr(3, ArcList{{3, 0}}), std::invalid_argument);
+  EXPECT_THROW(Csr(0, ArcList{{0, 0}}), std::invalid_argument);
+  EXPECT_THROW(Csr(3, ArcList{{0, 1}, {2, 2}}), std::invalid_argument);
+}
+
+TEST(Csr, TransposeListsInNeighborsAscending) {
+  Csr G(4, ArcList{{3, 1}, {0, 1}, {2, 1}, {1, 0}});
+  Csr T = G.transpose();
+  EXPECT_EQ(T.numEdges(), 4u);
+  EXPECT_EQ(std::vector<NodeId>(T.neighbors(1).begin(), T.neighbors(1).end()),
+            (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ(std::vector<NodeId>(T.neighbors(0).begin(), T.neighbors(0).end()),
+            (std::vector<NodeId>{1}));
+}
+
 TEST(Bfs, PathGraphDistances) {
-  Graph G(5);
-  for (NodeId I = 0; I + 1 != 5; ++I)
-    G.addUndirectedEdge(I, I + 1);
+  Csr G = oracle::undirectedGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   BfsResult R = bfs(G, 0);
   for (NodeId I = 0; I != 5; ++I)
     EXPECT_EQ(R.Distance[I], I);
@@ -45,16 +85,14 @@ TEST(Bfs, PathGraphDistances) {
 }
 
 TEST(Bfs, ParentsFormShortestPathTree) {
-  Graph G = mesh2D(3, 3);
+  Csr G = mesh2D(3, 3);
   BfsResult R = bfs(G, 0);
   for (NodeId V = 1; V != G.numNodes(); ++V)
     EXPECT_EQ(R.Distance[V], R.Distance[R.Parent[V]] + 1);
 }
 
 TEST(Bfs, DisconnectedMarksUnreachable) {
-  Graph G(4);
-  G.addUndirectedEdge(0, 1);
-  G.addUndirectedEdge(2, 3);
+  Csr G = oracle::undirectedGraph(4, {{0, 1}, {2, 3}});
   BfsResult R = bfs(G, 0);
   EXPECT_EQ(R.Distance[2], UnreachableDistance);
   EXPECT_EQ(R.NumReached, 2u);
@@ -63,7 +101,7 @@ TEST(Bfs, DisconnectedMarksUnreachable) {
 
 TEST(Metrics, HypercubeDiameterEqualsDimension) {
   for (unsigned D = 1; D <= 6; ++D) {
-    Graph G = hypercube(D);
+    Csr G = hypercube(D);
     DistanceStats Stats = vertexTransitiveStats(G);
     EXPECT_TRUE(Stats.Connected);
     EXPECT_EQ(Stats.Diameter, D);
@@ -71,42 +109,42 @@ TEST(Metrics, HypercubeDiameterEqualsDimension) {
 }
 
 TEST(Metrics, AllPairsMatchesTransitiveOnHypercube) {
-  Graph G = hypercube(4);
-  DistanceStats All = allPairsStats(G);
+  Csr G = hypercube(4);
+  DistanceStats All = msAllPairsStats(G);
   DistanceStats One = vertexTransitiveStats(G);
   EXPECT_EQ(All.Diameter, One.Diameter);
   EXPECT_DOUBLE_EQ(All.AverageDistance, One.AverageDistance);
 }
 
 TEST(Metrics, MeshDiameter) {
-  DistanceStats Stats = allPairsStats(mesh2D(3, 4));
+  DistanceStats Stats = msAllPairsStats(mesh2D(3, 4));
   EXPECT_TRUE(Stats.Connected);
   EXPECT_EQ(Stats.Diameter, 2u + 3u);
 }
 
 TEST(Classic, HypercubeCounts) {
-  Graph G = hypercube(5);
+  Csr G = hypercube(5);
   EXPECT_EQ(G.numNodes(), 32u);
-  EXPECT_EQ(G.numDirectedEdges(), 2u * 80);
+  EXPECT_EQ(G.numEdges(), 2u * 80);
   EXPECT_TRUE(oracle::isRegular(G));
   EXPECT_TRUE(oracle::isUndirected(G));
 }
 
 TEST(Classic, Mesh2DCounts) {
-  Graph G = mesh2D(4, 6);
+  Csr G = mesh2D(4, 6);
   EXPECT_EQ(G.numNodes(), 24u);
   // Edges: 4*5 horizontal + 3*6 vertical.
-  EXPECT_EQ(G.numDirectedEdges(), 2u * (20 + 18));
+  EXPECT_EQ(G.numEdges(), 2u * (20 + 18));
 }
 
 TEST(Classic, MixedRadixMeshMatches2D) {
-  Graph A = mixedRadixMesh({4, 6});
-  Graph B = mesh2D(4, 6);
+  Csr A = mixedRadixMesh({4, 6});
+  Csr B = mesh2D(4, 6);
   ASSERT_EQ(A.numNodes(), B.numNodes());
-  EXPECT_EQ(A.numDirectedEdges(), B.numDirectedEdges());
+  EXPECT_EQ(A.numEdges(), B.numEdges());
   for (NodeId U = 0; U != A.numNodes(); ++U)
     for (NodeId V : A.neighbors(U))
-      EXPECT_TRUE(B.hasEdge(U, V));
+      EXPECT_TRUE(oracle::hasArc(B, U, V));
 }
 
 TEST(Classic, MixedRadixCoordsRoundTrip) {
@@ -115,11 +153,25 @@ TEST(Classic, MixedRadixCoordsRoundTrip) {
     EXPECT_EQ(mixedRadixId(mixedRadixCoords(Id, Dims), Dims), Id);
 }
 
+TEST(Classic, OversizedBuildersThrowBeforeAllocating) {
+  // 65,536 x 65,537 nodes wrap a 32-bit product to 65,536; every builder
+  // rejects more than 2^31 nodes (and zero extents) before it allocates.
+  EXPECT_THROW(mesh2D(65536, 65537), std::invalid_argument);
+  EXPECT_THROW(mesh2D(0, 4), std::invalid_argument);
+  EXPECT_THROW(hypercube(31), std::invalid_argument);
+  EXPECT_THROW(hypercube(64), std::invalid_argument);
+  EXPECT_THROW(completeBinaryTree(30), std::invalid_argument);
+  EXPECT_THROW(mixedRadixMesh({65536, 65536}), std::invalid_argument);
+  EXPECT_THROW(mixedRadixMesh({4, 0, 4}), std::invalid_argument);
+  EXPECT_THROW(mixedRadixMesh(std::vector<unsigned>(40, 3)),
+               std::invalid_argument);
+}
+
 TEST(Classic, CompleteBinaryTreeShape) {
-  Graph G = completeBinaryTree(4);
+  Csr G = completeBinaryTree(4);
   EXPECT_EQ(G.numNodes(), 31u);
-  EXPECT_EQ(G.numDirectedEdges(), 2u * 30);
-  DistanceStats Stats = allPairsStats(G);
+  EXPECT_EQ(G.numEdges(), 2u * 30);
+  DistanceStats Stats = msAllPairsStats(G);
   EXPECT_EQ(Stats.Diameter, 8u); // leaf to leaf across the root.
 }
 

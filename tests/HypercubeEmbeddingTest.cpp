@@ -20,7 +20,7 @@ TEST(HypercubeEmbedding, DimensionBudget) {
 TEST(HypercubeEmbedding, DilationThreeLoadOne) {
   for (unsigned K = 5; K <= 8; ++K) {
     SuperCayleyGraph Star = SuperCayleyGraph::star(K);
-    Graph Guest = hypercube(hypercubeDimensionFor(K));
+    Csr Guest = hypercube(hypercubeDimensionFor(K));
     Embedding E = embedHypercubeIntoStar(Star);
     EmbeddingMetrics M = measureEmbedding(Guest, E);
     EXPECT_TRUE(M.Valid) << "k=" << K;

@@ -138,7 +138,7 @@ TEST(KernelDifferential, BfsAgreesWithReferenceOnEveryFamily) {
                                 Sink(Net.next(Node, G));
                             }),
                     Ref, Scg.name() + " bfsCore");
-      expectSameBfs(bfs(Net.toGraph(), Source), Ref, Scg.name() + " bfs");
+      expectSameBfs(bfs(Net.toCsr(), Source), Ref, Scg.name() + " bfs");
       // Sanity on the result itself: Cayley graphs on S_k with a generating
       // set reach all k! nodes, and parents sit one level up.
       EXPECT_EQ(Ref.NumReached, Net.numNodes()) << Scg.name();

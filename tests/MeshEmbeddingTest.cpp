@@ -21,7 +21,7 @@ TEST(SjtMesh, DilationOneIntoTn) {
   for (unsigned K = 3; K <= 6; ++K) {
     SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(K);
     SjtMeshShape Shape = sjtMeshShape(K);
-    Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+    Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
     Embedding E = embedSjtMeshIntoTn(Tn);
     EmbeddingMetrics M = measureEmbedding(Guest, E);
     EXPECT_TRUE(M.Valid) << "k=" << K;
@@ -36,7 +36,7 @@ TEST(SjtMesh, CongestionOneIntoTn) {
   // directed link (each mesh edge is its own host link).
   SuperCayleyGraph Tn = SuperCayleyGraph::transpositionNetwork(5);
   SjtMeshShape Shape = sjtMeshShape(5);
-  Graph Guest = mesh2D(Shape.Rows, Shape.Cols);
+  Csr Guest = mesh2D(Shape.Rows, Shape.Cols);
   EmbeddingMetrics M = measureEmbedding(Guest, embedSjtMeshIntoTn(Tn));
   EXPECT_EQ(M.Congestion, 1u);
 }
@@ -57,7 +57,7 @@ TEST(LehmerMesh, DilationThreeIntoStar) {
   // Corollary 7 via [11]: load 1, expansion 1, dilation 3.
   for (unsigned K = 3; K <= 6; ++K) {
     SuperCayleyGraph Star = SuperCayleyGraph::star(K);
-    Graph Guest = mixedRadixMesh(lehmerMeshDims(K));
+    Csr Guest = mixedRadixMesh(lehmerMeshDims(K));
     Embedding E = embedLehmerMeshIntoStar(Star);
     EmbeddingMetrics M = measureEmbedding(Guest, E);
     EXPECT_TRUE(M.Valid) << "k=" << K;
@@ -71,7 +71,7 @@ TEST(LehmerMesh, EdgeStepsAreSingleTranspositions) {
   // A +-1 Lehmer-digit step transposes exactly two symbols, so the star
   // route has length 1 (position 1 involved) or 3.
   SuperCayleyGraph Star = SuperCayleyGraph::star(5);
-  Graph Guest = mixedRadixMesh(lehmerMeshDims(5));
+  Csr Guest = mixedRadixMesh(lehmerMeshDims(5));
   Embedding E = embedLehmerMeshIntoStar(Star);
   for (NodeId U = 0; U != Guest.numNodes(); ++U)
     for (NodeId V : Guest.neighbors(U)) {

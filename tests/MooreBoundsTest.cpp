@@ -40,7 +40,7 @@ TEST(MooreBounds, DiameterBoundIsValidOnAllClasses) {
         NetworkKind::CompleteRotationStar, NetworkKind::MacroIS}) {
     SuperCayleyGraph Scg = SuperCayleyGraph::create(Kind, 3, 2);
     ExplicitScg Net(Scg);
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     unsigned Bound = mooreDiameterLowerBound(Scg.degree(), Net.numNodes(),
                                              !Scg.isUndirected());
     EXPECT_LE(Bound, Stats.Diameter) << Scg.name();
@@ -65,7 +65,7 @@ TEST(MooreBounds, MeanDistanceBoundIsValid) {
        {NetworkKind::MacroStar, NetworkKind::CompleteRotationIS}) {
     SuperCayleyGraph Scg = SuperCayleyGraph::create(Kind, 3, 2);
     ExplicitScg Net(Scg);
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     double Bound = mooreMeanDistanceLowerBound(
         Scg.degree(), Net.numNodes(), !Scg.isUndirected());
     EXPECT_LE(Bound, Stats.AverageDistance + 1e-9) << Scg.name();

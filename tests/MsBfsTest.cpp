@@ -5,13 +5,13 @@
 //  * msBfsDistances and the per-lane oracle::msBfs sink (tests/Oracles.h)
 //    must agree with one scalar bfs() per source -- distances,
 //    eccentricity, reached count, and distance sum, per lane -- on every
-//    network family at k = 5, from both Csr builds (Graph flatten and
-//    ExplicitScg::toCsr).
+//    network family at k = 5, from both Csr builds (the arc-list
+//    constructor and ExplicitScg::toCsr's table adoption).
 //  * Source lists that are not a multiple (or a divisor) of 64 lanes, in
 //    arbitrary order, with duplicates.
 //  * Disconnected and faulted graphs: unreached nodes, per-lane reached
 //    counts, and the Connected=false sweep result at 1/2/8 threads.
-//  * allPairsStats / msAllPairsStats == scalarAllPairsStats everywhere,
+//  * msAllPairsStats == scalarAllPairsStats everywhere,
 //    and parallel == serial byte-identity at 1/2/8 threads, directed
 //    rotator included (the determinism contract, under the `parallel`
 //    ctest label; the CSR sweep's cases live in the MsBfsHybrid suite).
@@ -68,7 +68,7 @@ std::vector<SuperCayleyGraph> allFamiliesK5() {
 
 /// Checks one batch of sources against one scalar bfs() per source:
 /// distance rows byte-equal, per-lane stats equal.
-void expectBatchMatchesScalar(const Graph &G, const Csr &C,
+void expectBatchMatchesScalar(const Csr &G, const Csr &C,
                               std::span<const NodeId> Sources,
                               const std::string &What) {
   oracle::MsBfsBatch Batch = oracle::msBfs(C, Sources);
@@ -109,9 +109,12 @@ template <typename Fn> auto withThreads(unsigned Threads, Fn &&F) {
 TEST(MsBfs, MatchesScalarOnEveryFamilyFullSourceSet) {
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
     ExplicitScg Net(Scg);
-    Graph G = Net.toGraph();
-    Csr FromGraph(G);
-    Csr FromTable = Net.toCsr();
+    Csr G = Net.toCsr();
+    std::vector<std::pair<NodeId, NodeId>> Arcs;
+    for (NodeId U = 0; U != Net.numNodes(); ++U)
+      for (GenIndex Gen = 0; Gen != Net.degree(); ++Gen)
+        Arcs.push_back({U, Net.next(U, Gen)});
+    Csr FromArcs(Net.numNodes(), Arcs);
     // All 120 nodes as sources: batches of 64 + a 56-lane tail, from both
     // CSR builds.
     std::vector<NodeId> All(Net.numNodes());
@@ -119,18 +122,17 @@ TEST(MsBfs, MatchesScalarOnEveryFamilyFullSourceSet) {
     for (size_t Begin = 0; Begin < All.size(); Begin += MsBfsLanes) {
       size_t Count = std::min<size_t>(MsBfsLanes, All.size() - Begin);
       auto Chunk = std::span(All).subspan(Begin, Count);
-      expectBatchMatchesScalar(G, FromGraph, Chunk,
-                               Scg.name() + " csr(graph)");
-      expectBatchMatchesScalar(G, FromTable, Chunk,
-                               Scg.name() + " csr(table)");
+      expectBatchMatchesScalar(G, FromArcs, Chunk,
+                               Scg.name() + " csr(arcs)");
+      expectBatchMatchesScalar(G, G, Chunk, Scg.name() + " csr(table)");
     }
   }
 }
 
 TEST(MsBfs, OddSourceCountsAndDuplicates) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
-  Csr C(G);
+  Csr G = Net.toCsr();
+  const Csr &C = G;
   // 1, 2, 37, 63, 64 lanes; scattered, unordered, with a duplicate node.
   std::vector<NodeId> Scattered;
   for (NodeId I = 0; I != 63; ++I)
@@ -147,13 +149,9 @@ TEST(MsBfs, OddSourceCountsAndDuplicates) {
 
 TEST(MsBfs, DisconnectedGraphPerLaneReach) {
   // Two components (a 4-path and a 3-cycle) plus an isolated node.
-  Graph G(8);
-  for (NodeId I = 0; I + 1 != 4; ++I)
-    G.addUndirectedEdge(I, I + 1);
-  G.addUndirectedEdge(4, 5);
-  G.addUndirectedEdge(5, 6);
-  G.addUndirectedEdge(6, 4);
-  Csr C(G);
+  Csr G = oracle::undirectedGraph(
+      8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 4}});
+  const Csr &C = G;
   std::vector<NodeId> Sources(8);
   std::iota(Sources.begin(), Sources.end(), 0);
   expectBatchMatchesScalar(G, C, Sources, "two components");
@@ -163,19 +161,19 @@ TEST(MsBfs, DisconnectedGraphPerLaneReach) {
   EXPECT_EQ(Batch.NumReached[7], 1u); // the isolated node reaches itself.
   EXPECT_EQ(Batch.Eccentricity[7], 0u);
   EXPECT_EQ(Batch.DistanceSum[7], 0u);
-  expectSameStats(allPairsStats(G), scalarAllPairsStats(G), "disconnected");
-  EXPECT_FALSE(allPairsStats(G).Connected);
+  expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "disconnected");
+  EXPECT_FALSE(msAllPairsStats(G).Connected);
 }
 
 TEST(MsBfs, FaultedGraphMatchesScalar) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   FaultSet Faults;
   Faults.failNode(7);
   Faults.failNode(63);
   Faults.failLink(0, G.neighbors(0)[0]);
-  Graph Surviving = oracle::applyFaults(G, Faults);
-  Csr C(Surviving);
+  Csr Surviving = oracle::applyFaults(G, Faults);
+  const Csr &C = Surviving;
   std::vector<NodeId> Sources;
   for (NodeId Node = 0; Node != Surviving.numNodes(); ++Node)
     if (!Faults.nodeFailed(Node))
@@ -186,26 +184,26 @@ TEST(MsBfs, FaultedGraphMatchesScalar) {
         std::span(Sources).subspan(
             Begin, std::min<size_t>(MsBfsLanes, Sources.size() - Begin)),
         "faulted star5");
-  expectSameStats(allPairsStats(Surviving), scalarAllPairsStats(Surviving),
+  expectSameStats(msAllPairsStats(Surviving), scalarAllPairsStats(Surviving),
                   "faulted star5 sweep");
 }
 
 TEST(MsBfs, AllPairsMatchesScalarEngineOnEveryFamily) {
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
-    Graph G = ExplicitScg(Scg).toGraph();
-    expectSameStats(allPairsStats(G), scalarAllPairsStats(G), Scg.name());
+    Csr G = ExplicitScg(Scg).toCsr();
+    expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), Scg.name());
   }
   // Non-vertex-transitive guests take the same engine.
-  for (const Graph &G : {mesh2D(4, 5), completeBinaryTree(4), hypercube(5)})
-    expectSameStats(allPairsStats(G), scalarAllPairsStats(G), "guest");
+  for (const Csr &G : {mesh2D(4, 5), completeBinaryTree(4), hypercube(5)})
+    expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "guest");
 }
 
 TEST(MsBfs, AllPairsMatchesScalarAtK6) {
   // One larger instance (720 nodes: 12 batches) per acceptance criteria.
-  Graph G = ExplicitScg(SuperCayleyGraph::star(6)).toGraph();
-  expectSameStats(allPairsStats(G), scalarAllPairsStats(G), "star6");
-  Graph R = ExplicitScg(SuperCayleyGraph::rotator(6)).toGraph();
-  expectSameStats(allPairsStats(R), scalarAllPairsStats(R),
+  Csr G = ExplicitScg(SuperCayleyGraph::star(6)).toCsr();
+  expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "star6");
+  Csr R = ExplicitScg(SuperCayleyGraph::rotator(6)).toCsr();
+  expectSameStats(msAllPairsStats(R), scalarAllPairsStats(R),
                   "rotator6 (directed)");
 }
 
@@ -213,11 +211,11 @@ TEST(MsBfs, ParallelSerialByteIdentity) {
   for (const SuperCayleyGraph &Scg :
        {SuperCayleyGraph::star(6),
         SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2)}) {
-    Graph G = ExplicitScg(Scg).toGraph();
-    DistanceStats Ref = withThreads(1, [&] { return allPairsStats(G); });
+    Csr G = ExplicitScg(Scg).toCsr();
+    DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(G); });
     for (unsigned Threads : {2u, 8u})
       expectSameStats(Ref, withThreads(Threads, [&] {
-                        return allPairsStats(G);
+                        return msAllPairsStats(G);
                       }),
                       Scg.name() + " @" + std::to_string(Threads));
   }
@@ -230,27 +228,22 @@ TEST(MsBfs, ParallelSerialByteIdentity) {
 TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
   // Faulted star(5): node + link failures leave an irregular survivor.
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   FaultSet Faults;
   Faults.failNode(7);
   Faults.failNode(63);
   Faults.failLink(0, G.neighbors(0)[0]);
-  Graph Surviving = oracle::applyFaults(G, Faults);
-  expectSameStats(msAllPairsStats(Csr(Surviving)),
+  Csr Surviving = oracle::applyFaults(G, Faults);
+  expectSameStats(msAllPairsStats(Surviving),
                   scalarAllPairsStats(Surviving), "faulted star5 sweep");
 
   // Two components plus an isolated node: the sweep reports
   // Connected = false at every thread count.
-  Graph Two(8);
-  for (NodeId I = 0; I + 1 != 4; ++I)
-    Two.addUndirectedEdge(I, I + 1);
-  Two.addUndirectedEdge(4, 5);
-  Two.addUndirectedEdge(5, 6);
-  Two.addUndirectedEdge(6, 4);
-  Csr TwoCsr(Two);
+  Csr Two = oracle::undirectedGraph(
+      8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 4}});
   for (unsigned Threads : {1u, 2u, 8u}) {
     DistanceStats Stats =
-        withThreads(Threads, [&] { return msAllPairsStats(TwoCsr); });
+        withThreads(Threads, [&] { return msAllPairsStats(Two); });
     EXPECT_FALSE(Stats.Connected) << Threads;
     expectSameStats(Stats, scalarAllPairsStats(Two),
                     "two components @" + std::to_string(Threads));
@@ -264,7 +257,7 @@ TEST(MsBfsHybrid, SweepEnginesByteIdenticalAcrossThreadCounts) {
     ExplicitScg Net(Scg);
     Csr C = Net.toCsr();
     DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(C); });
-    expectSameStats(Ref, scalarAllPairsStats(Net.toGraph()),
+    expectSameStats(Ref, scalarAllPairsStats(Net.toCsr()),
                     Scg.name() + " scalar");
     for (unsigned Threads : {2u, 8u})
       expectSameStats(Ref, withThreads(Threads, [&] {
@@ -347,14 +340,12 @@ TEST(MsBfs, TransposeOfDirectedRotator) {
 TEST(MsBfs, LeanReachabilityAgreesWithBfs) {
   // The isConnectedFromZero fast path: counts must agree with full BFS on
   // connected, disconnected, and directed graphs.
-  Graph Disconnected(6);
-  Disconnected.addUndirectedEdge(0, 1);
-  Disconnected.addUndirectedEdge(2, 3);
+  Csr Disconnected = oracle::undirectedGraph(6, {{0, 1}, {2, 3}});
   EXPECT_EQ(oracle::bfsReachableCount(Disconnected, 0),
             bfs(Disconnected, 0).NumReached);
   EXPECT_FALSE(oracle::isConnectedFromZero(Disconnected));
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     EXPECT_EQ(oracle::bfsReachableCount(G, 0), bfs(G, 0).NumReached)
         << Scg.name();
     EXPECT_TRUE(oracle::isConnectedFromZero(G)) << Scg.name();

@@ -33,7 +33,7 @@ TEST(ExplicitScg, GraphViewIsRegularAndConnected) {
         NetworkKind::MacroIS, NetworkKind::RotationStar}) {
     SuperCayleyGraph Scg = SuperCayleyGraph::create(Kind, 2, 2);
     ExplicitScg Net(Scg);
-    Graph G = Net.toGraph();
+    Csr G = Net.toCsr();
     EXPECT_TRUE(oracle::isRegular(G)) << Scg.name();
     EXPECT_TRUE(oracle::isConnectedFromZero(G)) << Scg.name();
   }
@@ -41,14 +41,14 @@ TEST(ExplicitScg, GraphViewIsRegularAndConnected) {
 
 TEST(ExplicitScg, UndirectedKindsYieldUndirectedGraphs) {
   SuperCayleyGraph Scg = SuperCayleyGraph::create(NetworkKind::MacroIS, 3, 1);
-  Graph G = ExplicitScg(Scg).toGraph();
+  Csr G = ExplicitScg(Scg).toCsr();
   EXPECT_TRUE(oracle::isUndirected(G));
 }
 
 TEST(ExplicitScg, DirectedRotatorIsStillStronglyConnected) {
   SuperCayleyGraph Mr =
       SuperCayleyGraph::create(NetworkKind::MacroRotator, 2, 2);
-  Graph G = ExplicitScg(Mr).toGraph();
+  Csr G = ExplicitScg(Mr).toCsr();
   EXPECT_FALSE(oracle::isUndirected(G));
   EXPECT_TRUE(oracle::isConnectedFromZero(G));
 }
@@ -57,7 +57,7 @@ TEST(ExplicitScg, StarDiameterMatchesKnownFormula) {
   // diameter(k-star) = floor(3(k-1)/2) [1].
   for (unsigned K = 3; K <= 7; ++K) {
     ExplicitScg Net(SuperCayleyGraph::star(K));
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     EXPECT_EQ(Stats.Diameter, 3 * (K - 1) / 2) << "k=" << K;
   }
 }
@@ -65,7 +65,7 @@ TEST(ExplicitScg, StarDiameterMatchesKnownFormula) {
 TEST(ExplicitScg, BubbleSortDiameterIsKChoose2) {
   for (unsigned K = 3; K <= 6; ++K) {
     ExplicitScg Net(SuperCayleyGraph::bubbleSort(K));
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     EXPECT_EQ(Stats.Diameter, K * (K - 1) / 2) << "k=" << K;
   }
 }
@@ -74,7 +74,7 @@ TEST(ExplicitScg, TranspositionNetworkDiameterIsKMinus1) {
   // k-TN has diameter k - 1 [12].
   for (unsigned K = 3; K <= 6; ++K) {
     ExplicitScg Net(SuperCayleyGraph::transpositionNetwork(K));
-    DistanceStats Stats = vertexTransitiveStats(Net.toGraph());
+    DistanceStats Stats = vertexTransitiveStats(Net.toCsr());
     EXPECT_EQ(Stats.Diameter, K - 1) << "k=" << K;
   }
 }
@@ -84,7 +84,7 @@ TEST(ExplicitScg, VertexTransitivitySpotCheck) {
   // vertex-transitive, Section 2.1).
   SuperCayleyGraph Scg =
       SuperCayleyGraph::create(NetworkKind::CompleteRotationIS, 2, 2);
-  Graph G = ExplicitScg(Scg).toGraph();
+  Csr G = ExplicitScg(Scg).toCsr();
   DistanceStats FromZero = vertexTransitiveStats(G, 0);
   for (NodeId Rep : {7u, 42u, 99u, 111u}) {
     DistanceStats Stats = vertexTransitiveStats(G, Rep);
@@ -103,6 +103,6 @@ TEST(ExplicitScg, AllTenClassesMaterializeAtSevenSymbols) {
     SuperCayleyGraph Scg = SuperCayleyGraph::create(Kind, 3, 2);
     ExplicitScg Net(Scg);
     EXPECT_EQ(Net.numNodes(), factorial(7)) << Scg.name();
-    EXPECT_TRUE(oracle::isConnectedFromZero(Net.toGraph())) << Scg.name();
+    EXPECT_TRUE(oracle::isConnectedFromZero(Net.toCsr())) << Scg.name();
   }
 }

@@ -11,9 +11,9 @@
 ///  * oracle::msBfs -- per-lane statistics of one bit-parallel batch,
 ///    peeled lane by lane from msBfsCore's masks (the library's sinks fold
 ///    whole masks instead);
-///  * oracle::applyFaults -- the surviving network as an adjacency-list
-///    Graph, which the scalar bfs() and the Csr(const Graph &) flatten
-///    consume (the library builds the surviving Csr directly);
+///  * oracle::applyFaults -- the surviving network rebuilt from its arc
+///    list, for the scalar bfs() (the library filters rows while it
+///    flattens them);
 ///  * oracle::routeViaStarEmulation and oracle::routeInRotator -- scalar
 ///    per-pair routes (Theorems 1-3 star-route lifting, insertion-sort
 ///    rotator routing), each self-checked with Path.connects; the library
@@ -21,6 +21,10 @@
 ///    with per-family precomputed generator words;
 ///  * oracle::liftedRouteBound -- slowdown * star diameter, the bound the
 ///    lifted routes are held to;
+///  * oracle::starWordReference and oracle::starDistanceReference -- the
+///    greedy star route with a fresh Permutation per move, and the
+///    closed-form distance over the cycle list, which the in-place kernels
+///    of routing/StarRouter.cpp are held to on every permutation of k <= 8;
 ///  * small helpers only tests call (graph predicates, reachability,
 ///    distance matrices, the cluster quotient graph, permutation sign and
 ///    Lehmer code, group order, generator inverses, path traces, display
@@ -44,6 +48,7 @@
 #include "routing/RotatorRouter.h"
 #include "routing/StarRouter.h"
 
+#include <algorithm>
 #include <bit>
 #include <bitset>
 #include <cassert>
@@ -86,15 +91,29 @@ inline MsBfsBatch msBfs(const Csr &G, std::span<const NodeId> Sources) {
   return Batch;
 }
 
+/// The undirected test graph on \p NumNodes nodes with edges \p Edges:
+/// each edge {A, B} becomes the arcs A -> B and B -> A, in list order.
+inline Csr
+undirectedGraph(NodeId NumNodes,
+                const std::vector<std::pair<NodeId, NodeId>> &Edges) {
+  std::vector<std::pair<NodeId, NodeId>> Arcs;
+  Arcs.reserve(2 * Edges.size());
+  for (auto [A, B] : Edges) {
+    Arcs.push_back({A, B});
+    Arcs.push_back({B, A});
+  }
+  return Csr(NumNodes, Arcs);
+}
+
 /// Returns \p G with every failed link removed (failed nodes keep their id
 /// but lose all links).
-inline Graph applyFaults(const Graph &G, const FaultSet &Faults) {
-  Graph Out(G.numNodes());
+inline Csr applyFaults(const Csr &G, const FaultSet &Faults) {
+  std::vector<std::pair<NodeId, NodeId>> Arcs;
   for (NodeId From = 0; From != G.numNodes(); ++From)
     for (NodeId To : G.neighbors(From))
       if (!Faults.linkFailed(From, To))
-        Out.addEdge(From, To);
-  return Out;
+        Arcs.push_back({From, To});
+  return Csr(G.numNodes(), Arcs);
 }
 
 /// Routes \p Src -> \p Dst in \p Net by star-route lifting: an optimal
@@ -128,6 +147,74 @@ routeInRotator([[maybe_unused]] const SuperCayleyGraph &Net,
   return Path;
 }
 
+/// The cycles of length >= 2 of \p P, each listed as the sequence of
+/// symbols it moves, starting at its smallest symbol, cycles sorted by
+/// their smallest symbol.
+inline std::vector<std::vector<uint8_t>>
+nontrivialCycles(const Permutation &P) {
+  std::span<const uint8_t> Word = P.oneLine();
+  std::vector<std::vector<uint8_t>> Cycles;
+  std::bitset<256> Visited;
+  for (unsigned Start = 0; Start != Word.size(); ++Start) {
+    if (Visited[Start] || Word[Start] == Start)
+      continue;
+    std::vector<uint8_t> Cycle;
+    for (unsigned Cur = Start; !Visited[Cur]; Cur = Word[Cur]) {
+      Visited[Cur] = true;
+      Cycle.push_back(static_cast<uint8_t>(Cur));
+    }
+    Cycles.push_back(std::move(Cycle));
+  }
+  return Cycles;
+}
+
+/// The number of symbols s with P[s] != s.
+inline unsigned numDisplaced(const Permutation &P) {
+  unsigned Count = 0;
+  for (unsigned Pos = 0; Pos != P.size(); ++Pos)
+    Count += P[Pos] != Pos;
+  return Count;
+}
+
+/// Star distance d(P) = m + c - 2 * [P displaces position 1] from the
+/// displaced count and the cycle list.
+inline unsigned starDistanceReference(const Permutation &P) {
+  unsigned Displaced = numDisplaced(P);
+  if (Displaced == 0)
+    return 0;
+  unsigned Cycles = nontrivialCycles(P).size();
+  return Displaced + Cycles - (P[0] != 0 ? 2 : 0);
+}
+
+/// The greedy star word for \p P: sort C = P^-1 to the identity by
+/// sending the front symbol home, or, with the front home, opening the
+/// first nontrivial cycle; each move builds a new Permutation.
+inline std::vector<unsigned> starWordReference(const Permutation &P) {
+  Permutation C = P.inverse();
+  unsigned K = C.size();
+  std::vector<unsigned> Dims;
+  auto ApplyT = [&C](unsigned J) {
+    std::vector<uint8_t> Word = C.oneLineVector();
+    std::swap(Word[0], Word[J - 1]);
+    C = Permutation::fromOneLine(std::move(Word));
+  };
+  while (true) {
+    if (C[0] != 0) {
+      unsigned J = unsigned(C[0]) + 1;
+      Dims.push_back(J);
+      ApplyT(J);
+      continue;
+    }
+    unsigned Pos = 1;
+    while (Pos != K && C[Pos] == Pos)
+      ++Pos;
+    if (Pos == K)
+      return Dims;
+    Dims.push_back(Pos + 1);
+    ApplyT(Pos + 1);
+  }
+}
+
 /// Upper bound on the length of lifted routes: slowdown * star diameter
 /// (for reporting against measured diameters).
 inline unsigned liftedRouteBound(const SuperCayleyGraph &Net) {
@@ -138,25 +225,31 @@ inline unsigned liftedRouteBound(const SuperCayleyGraph &Net) {
   return analyzeSdcEmulation(Net).Slowdown * StarDiameter;
 }
 
+/// True if \p From -> \p To is an arc of \p G (linear scan of From's row).
+inline bool hasArc(const Csr &G, NodeId From, NodeId To) {
+  std::span<const NodeId> Row = G.neighbors(From);
+  return std::find(Row.begin(), Row.end(), To) != Row.end();
+}
+
 /// True if every node of \p G has the same out-degree.
-inline bool isRegular(const Graph &G) {
+inline bool isRegular(const Csr &G) {
   for (NodeId Node = 1; Node < G.numNodes(); ++Node)
-    if (G.outDegree(Node) != G.outDegree(0))
+    if (G.neighbors(Node).size() != G.neighbors(0).size())
       return false;
   return true;
 }
 
 /// True if for every edge u->v of \p G the edge v->u is present.
-inline bool isUndirected(const Graph &G) {
+inline bool isUndirected(const Csr &G) {
   for (NodeId From = 0; From != G.numNodes(); ++From)
     for (NodeId To : G.neighbors(From))
-      if (!G.hasEdge(To, From))
+      if (!hasArc(G, To, From))
         return false;
   return true;
 }
 
 /// Number of nodes reachable from \p Source, the source included.
-inline uint64_t bfsReachableCount(const Graph &G, NodeId Source) {
+inline uint64_t bfsReachableCount(const Csr &G, NodeId Source) {
   std::vector<bool> Visited(G.numNodes(), false);
   std::vector<NodeId> Queue = {Source};
   Visited[Source] = true;
@@ -170,7 +263,7 @@ inline uint64_t bfsReachableCount(const Graph &G, NodeId Source) {
 }
 
 /// True if every node of \p G is reachable from node 0.
-inline bool isConnectedFromZero(const Graph &G) {
+inline bool isConnectedFromZero(const Csr &G) {
   return G.numNodes() == 0 || bfsReachableCount(G, 0) == G.numNodes();
 }
 
@@ -199,16 +292,14 @@ inline bool isIntraCluster(const ExplicitScg &Net, GenIndex G) {
 
 /// The quotient graph of \p Net's clusters: an edge per ordered pair of
 /// clusters joined by at least one super link.
-inline Graph clusterGraph(const ExplicitScg &Net, const ClusterStructure &C) {
+inline Csr clusterGraph(const ExplicitScg &Net, const ClusterStructure &C) {
   std::set<std::pair<uint32_t, uint32_t>> Edges;
   for (NodeId U = 0; U != Net.numNodes(); ++U)
     for (GenIndex G = 0; G != Net.degree(); ++G)
       if (!isIntraCluster(Net, G))
         Edges.insert({C.clusterOf(U), C.clusterOf(Net.next(U, G))});
-  Graph Quotient(NodeId(C.numClusters()));
-  for (auto [A, B] : Edges)
-    Quotient.addEdge(A, B);
-  return Quotient;
+  std::vector<std::pair<NodeId, NodeId>> Arcs(Edges.begin(), Edges.end());
+  return Csr(NodeId(C.numClusters()), Arcs);
 }
 
 /// Shortest-path distance by the bidirectional BAG search, or nullopt if

@@ -1,7 +1,7 @@
 //===- tests/ParallelDifferentialTest.cpp - parallel == serial -----------===//
 //
 // Differential tests pinning the determinism contract of the parallel
-// execution engine: for every network family at small k, allPairsStats,
+// execution engine: for every network family at small k, msAllPairsStats,
 // the single-fault sweeps, and permutation routing must produce
 // results identical to the serial reference under 1, 2, and 8 threads and
 // under SCG_THREADS=1 forced-serial mode. Doubles are compared bitwise:
@@ -12,9 +12,12 @@
 #include "comm/PermutationRouting.h"
 #include "graph/Faults.h"
 #include "graph/Metrics.h"
+#include "graph/MsBfs.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
 #include "support/ThreadPool.h"
+
+#include "Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -116,27 +119,28 @@ std::vector<SuperCayleyGraph> routableHosts() {
 
 TEST(ParallelDifferential, AllPairsStatsIdenticalAcrossThreadCounts) {
   for (const SuperCayleyGraph &Scg : familiesAtFive()) {
-    Graph G = ExplicitScg(Scg).toGraph();
-    DistanceStats Ref = withThreads(1, [&] { return allPairsStats(G); });
+    Csr G = ExplicitScg(Scg).toCsr();
+    DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(G); });
     EXPECT_TRUE(Ref.Connected) << Scg.name();
     for (unsigned Threads : ThreadCounts)
-      expectSame(Ref, withThreads(Threads, [&] { return allPairsStats(G); }),
+      expectSame(Ref, withThreads(Threads, [&] { return msAllPairsStats(G); }),
                  Scg.name() + " @" + std::to_string(Threads) + "T");
-    expectSame(Ref, withForcedSerialEnv([&] { return allPairsStats(G); }),
+    expectSame(Ref, withForcedSerialEnv([&] { return msAllPairsStats(G); }),
                Scg.name() + " @SCG_THREADS=1");
   }
 }
 
 TEST(ParallelDifferential, AllPairsStatsIdenticalOnDisconnectedGraph) {
-  Graph G(8); // two separate squares.
+  std::vector<std::pair<NodeId, NodeId>> Edges; // two separate squares.
   for (NodeId I = 0; I != 4; ++I) {
-    G.addUndirectedEdge(I, (I + 1) % 4);
-    G.addUndirectedEdge(4 + I, 4 + (I + 1) % 4);
+    Edges.push_back({I, (I + 1) % 4});
+    Edges.push_back({4 + I, 4 + (I + 1) % 4});
   }
-  DistanceStats Ref = withThreads(1, [&] { return allPairsStats(G); });
+  Csr G = oracle::undirectedGraph(8, Edges);
+  DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(G); });
   EXPECT_FALSE(Ref.Connected);
   for (unsigned Threads : ThreadCounts)
-    expectSame(Ref, withThreads(Threads, [&] { return allPairsStats(G); }),
+    expectSame(Ref, withThreads(Threads, [&] { return msAllPairsStats(G); }),
                "disconnected @" + std::to_string(Threads) + "T");
 }
 
@@ -144,7 +148,7 @@ TEST(ParallelDifferential, LinkFaultSweepIdenticalAcrossThreadCounts) {
   for (const SuperCayleyGraph &Scg : familiesAtFive()) {
     if (!Scg.isUndirected())
       continue; // link sweep is defined for undirected hosts.
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     // Stride keeps every family fast while still covering dozens of
     // scenarios; determinism must hold for any stride.
     unsigned Stride = 3;
@@ -165,7 +169,7 @@ TEST(ParallelDifferential, LinkFaultSweepIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDifferential, NodeFaultSweepIdenticalAcrossThreadCounts) {
   for (const SuperCayleyGraph &Scg : familiesAtFive()) {
-    Graph G = ExplicitScg(Scg).toGraph();
+    Csr G = ExplicitScg(Scg).toCsr();
     unsigned Stride = 7;
     SingleFaultSweep Ref =
         withThreads(1, [&] { return sweepSingleNodeFaults(G, Stride); });
@@ -180,7 +184,7 @@ TEST(ParallelDifferential, NodeFaultSweepIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDifferential, FaultSweepOnClassicGuestsIdentical) {
   for (auto [Name, G] :
-       {std::pair<std::string, Graph>{"hypercube(4)", hypercube(4)},
+       {std::pair<std::string, Csr>{"hypercube(4)", hypercube(4)},
         {"mesh2D(4,5)", mesh2D(4, 5)},
         {"bintree(4)", completeBinaryTree(4)}}) {
     SingleFaultSweep RefLinks =

@@ -17,8 +17,8 @@ TEST(Permutation, IdentityBasics) {
   Permutation Id = Permutation::identity(5);
   EXPECT_EQ(Id.size(), 5u);
   EXPECT_TRUE(Id.isIdentity());
-  EXPECT_EQ(Id.numDisplaced(), 0u);
-  EXPECT_TRUE(Id.nontrivialCycles().empty());
+  EXPECT_EQ(oracle::numDisplaced(Id), 0u);
+  EXPECT_TRUE(oracle::nontrivialCycles(Id).empty());
   EXPECT_EQ(oracle::sign(Id), 1);
   for (unsigned P = 0; P != 5; ++P)
     EXPECT_EQ(Id[P], P);
@@ -75,15 +75,15 @@ TEST(Permutation, PositionOf) {
 
 TEST(Permutation, CyclesOfThreeCycle) {
   Permutation P = Permutation::fromOneLine({1, 2, 0, 3});
-  auto Cycles = P.nontrivialCycles();
+  auto Cycles = oracle::nontrivialCycles(P);
   ASSERT_EQ(Cycles.size(), 1u);
   EXPECT_EQ(Cycles[0], (std::vector<uint8_t>{0, 1, 2}));
-  EXPECT_EQ(P.numDisplaced(), 3u);
+  EXPECT_EQ(oracle::numDisplaced(P), 3u);
 }
 
 TEST(Permutation, CyclesOfTwoTranspositions) {
   Permutation P = Permutation::fromOneLine({1, 0, 3, 2});
-  auto Cycles = P.nontrivialCycles();
+  auto Cycles = oracle::nontrivialCycles(P);
   ASSERT_EQ(Cycles.size(), 2u);
   EXPECT_EQ(oracle::sign(P), 1); // even: product of two transpositions.
 }
@@ -134,10 +134,10 @@ TEST(Permutation, PropertyCyclesPartitionDisplaced) {
     unsigned K = 2 + Rng.nextBelow(7);
     Permutation P = unrankPermutation(Rng.nextBelow(factorial(K)), K);
     unsigned Sum = 0;
-    for (const auto &Cycle : P.nontrivialCycles()) {
+    for (const auto &Cycle : oracle::nontrivialCycles(P)) {
       EXPECT_GE(Cycle.size(), 2u);
       Sum += Cycle.size();
     }
-    EXPECT_EQ(Sum, P.numDisplaced());
+    EXPECT_EQ(Sum, oracle::numDisplaced(P));
   }
 }

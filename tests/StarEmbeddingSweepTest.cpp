@@ -50,7 +50,7 @@ TEST_P(StarEmbeddingSweep, MeasuredMetricsMatchSection3) {
   auto [Kind, L, N] = GetParam();
   SuperCayleyGraph Host = SuperCayleyGraph::create(Kind, L, N);
   SuperCayleyGraph Star = SuperCayleyGraph::star(Host.numSymbols());
-  Graph Guest = ExplicitScg(Star).toGraph();
+  Csr Guest = ExplicitScg(Star).toCsr();
   EmbeddingMetrics M = measureEmbedding(Guest, embedStarInto(Star, Host));
   ASSERT_TRUE(M.Valid) << Host.name();
   EXPECT_EQ(M.Load, 1u) << Host.name();

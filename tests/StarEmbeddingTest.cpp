@@ -13,7 +13,7 @@ namespace {
 /// Measures the star embedding into a freshly built host.
 EmbeddingMetrics measureInto(const SuperCayleyGraph &Host) {
   SuperCayleyGraph Star = SuperCayleyGraph::star(Host.numSymbols());
-  Graph Guest = ExplicitScg(Star).toGraph();
+  Csr Guest = ExplicitScg(Star).toCsr();
   Embedding E = embedStarInto(Star, Host);
   return measureEmbedding(Guest, E);
 }

@@ -10,6 +10,9 @@
 #include "networks/Explicit.h"
 #include "perm/Lehmer.h"
 
+#include "AllocCounter.h"
+#include "Oracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace scg;
@@ -41,9 +44,33 @@ TEST(StarRouter, WordRealizesThePermutation) {
   }
 }
 
+TEST(StarRouter, WordsMatchReferenceForEveryPermutation) {
+  // The in-place kernels against the reference that builds a Permutation
+  // per move and a cycle list per distance: 46,233 permutations.
+  uint64_t Checked = 0;
+  for (unsigned K = 1; K <= 8; ++K)
+    for (uint64_t Rank = 0; Rank != factorial(K); ++Rank, ++Checked) {
+      Permutation P = unrankPermutation(Rank, K);
+      ASSERT_EQ(starWordForPermutation(P), oracle::starWordReference(P))
+          << P.str();
+      ASSERT_EQ(starDistance(P), oracle::starDistanceReference(P)) << P.str();
+    }
+  EXPECT_EQ(Checked, 46233u);
+}
+
+TEST(StarRouter, DistanceIsAllocationFree) {
+  Permutation P = Permutation::parseOneBased("2 3 1 5 4 8 6 7");
+  Permutation Q = Permutation::parseOneBased("8 7 6 5 4 3 2 1");
+  uint64_t Before = test::heapAllocations();
+  unsigned D = starDistance(P) + starDistance(P, Q);
+  EXPECT_EQ(test::heapAllocations(), Before);
+  EXPECT_EQ(D, oracle::starDistanceReference(P) +
+                   oracle::starDistanceReference(P.inverse().compose(Q)));
+}
+
 TEST(StarRouter, DistanceMatchesBfsOnAllOfS5) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   BfsResult R = bfs(G, 0); // distances from the identity.
   for (uint64_t Rank = 0; Rank != factorial(5); ++Rank) {
     Permutation P = unrankPermutation(Rank, 5);
@@ -55,7 +82,7 @@ TEST(StarRouter, DistanceMatchesBfsOnAllOfS5) {
 
 TEST(StarRouter, DistanceMatchesBfsOnAllOfS6) {
   ExplicitScg Net(SuperCayleyGraph::star(6));
-  Graph G = Net.toGraph();
+  Csr G = Net.toCsr();
   BfsResult R = bfs(G, 0);
   for (uint64_t Rank = 0; Rank != factorial(6); ++Rank) {
     Permutation P = unrankPermutation(Rank, 6);

@@ -29,7 +29,7 @@ void checkTemplates(const SuperCayleyGraph &Host) {
 EmbeddingMetrics measureTnInto(const SuperCayleyGraph &Host) {
   SuperCayleyGraph Tn =
       SuperCayleyGraph::transpositionNetwork(Host.numSymbols());
-  Graph Guest = ExplicitScg(Tn).toGraph();
+  Csr Guest = ExplicitScg(Tn).toCsr();
   PathTemplateMap Map = PathTemplateMap::create(Tn, Host);
   Embedding E = templateEmbedding(Map);
   return measureEmbedding(Guest, E);

@@ -45,7 +45,7 @@ std::vector<std::pair<unsigned, unsigned>> broomTree(unsigned K) {
 }
 
 uint32_t diameterOf(const SuperCayleyGraph &Net) {
-  return vertexTransitiveStats(ExplicitScg(Net).toGraph()).Diameter;
+  return vertexTransitiveStats(ExplicitScg(Net).toCsr()).Diameter;
 }
 
 } // namespace
@@ -94,5 +94,5 @@ TEST(TranspositionTree, NameAndSymmetry) {
 
 TEST(TranspositionTree, ConnectedAtSevenSymbols) {
   SuperCayleyGraph Net = SuperCayleyGraph::transpositionTree(7, broomTree(7));
-  EXPECT_TRUE(oracle::isConnectedFromZero(ExplicitScg(Net).toGraph()));
+  EXPECT_TRUE(oracle::isConnectedFromZero(ExplicitScg(Net).toCsr()));
 }

@@ -13,7 +13,7 @@ TEST(TreeEmbedding, Dilation1Height3IntoStar5) {
   TreeEmbeddingResult R = embedTreeIntoStar(Star, /*Height=*/3,
                                             /*MaxDilation=*/1);
   ASSERT_TRUE(R.Found);
-  Graph Guest = completeBinaryTree(3);
+  Csr Guest = completeBinaryTree(3);
   EmbeddingMetrics M = measureEmbedding(Guest, R.E);
   EXPECT_TRUE(M.Valid);
   EXPECT_EQ(M.Load, 1u);

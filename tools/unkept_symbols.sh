@@ -4,7 +4,9 @@
 #
 #   tools/unkept_symbols.sh <scratch-dir>
 #
-# Builds every bench, every example and scg_perfbench in
+# <scratch-dir> is a scratch directory outside the repository (say
+# /tmp/scan); the script refuses one that resolves inside it, where the
+# build would litter the tree. Builds every bench, every example and scg_perfbench in
 # <scratch-dir>/gc-build with -ffunction-sections -fdata-sections and a
 # --gc-sections link, then compares the strong scg:: functions of the
 # libscg_*.a libraries (scg::detail and anonymous namespaces excluded)
@@ -22,8 +24,15 @@ if [ $# -ne 1 ]; then
   echo "usage: $0 <scratch-dir>" >&2
   exit 2
 fi
-Root=$(cd "$(dirname "$0")/.." && pwd)
-Build=$1/gc-build
+Root=$(cd "$(dirname "$0")/.." && pwd -P)
+Scratch=$(realpath -m "$1")
+case "$Scratch/" in
+"$Root"/*)
+  echo "$0: $1 is inside the repository; pass a scratch dir outside it" >&2
+  exit 2
+  ;;
+esac
+Build=$Scratch/gc-build
 Allow=$Root/tools/unkept_symbols.allow
 mkdir -p "$Build"
 
