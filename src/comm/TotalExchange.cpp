@@ -34,9 +34,7 @@ TeResult scg::simulateTotalExchange(const ExplicitScg &Net,
   Rels.reserve(N - 1);
   for (NodeId Rel = 1; Rel != N; ++Rel)
     Rels.push_back(Net.label(Rel));
-  QueryEngineOptions Opts;
-  Opts.CacheCapacity = 0; // every label is routed exactly once.
-  RouteArena Routes = QueryEngine(Host, Opts).routeBatchRelative(Rels);
+  RouteArena Routes = QueryEngine(Host).routeBatchRelative(Rels);
 
   NetworkSimulator Sim(Net, Model);
   for (NodeId S = 0; S != N; ++S)

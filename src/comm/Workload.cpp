@@ -304,12 +304,8 @@ TrafficLoadResult scg::simulateTrafficLoad(const ExplicitScg &Net,
   // One QueryEngine batch over the global ThreadPool computes every
   // distinct route into a flat arena (chunk boundaries are a function of
   // the batch length only, so the arena is byte-identical at every thread
-  // count). The engine's cache is disabled: the driver already deduped, so
-  // caching could only add shard-lock traffic.
-  QueryEngineOptions QOpts;
-  QOpts.CacheCapacity = 0;
-  QueryEngine Engine(Host, QOpts);
-  RouteArena Arena = Engine.routeBatchRelative(Rels);
+  // count).
+  RouteArena Arena = QueryEngine(Host).routeBatchRelative(Rels);
   // One bulk call copies the arena into the simulator's route pool once;
   // every injection indexes its label's segment. Packet I is event I.
   [[maybe_unused]] uint32_t FirstId = Sim.scheduleRoutedInjections(

@@ -6,7 +6,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <functional>
 #include <span>
@@ -85,7 +84,7 @@ uint64_t componentPairs(const Csr &Surviving,
 }
 
 /// The body of both analyses. Healthy sources advance 64 per word, and the
-/// sink folds each (node, level) visit with one popcount: a batch's
+/// sink folds each (node, level) visit with one laneCount: a batch's
 /// lane-visits (each lane counts its own source) and its last level, the
 /// largest eccentricity in the batch. No lane can reach more than the
 /// HealthyNodes survivors, so a batch is connected iff its visits total
@@ -116,7 +115,7 @@ ReachabilityAnalysis countReachability(const Csr &G, const FaultSet &Faults,
     uint32_t LastLevel = 0;
     msBfsCore(Surviving, std::span(Healthy).subspan(Begin, Lanes),
               [&](NodeId, uint64_t NewMask, uint32_t Level) {
-                Visits += uint64_t(std::popcount(NewMask));
+                Visits += laneCount(NewMask);
                 LastLevel = Level; // ascending levels: max wins.
               });
     Analysis.ReachableOrderedPairs += Visits - Lanes;

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <numeric>
 
 using namespace scg;
@@ -74,7 +73,7 @@ DistanceStats scg::msAllPairsStats(const Csr &G) {
         msBfsCore(
             G, Scratch.Sources,
             [&](NodeId, uint64_t NewMask, uint32_t Level) {
-              unsigned Count = unsigned(std::popcount(NewMask));
+              unsigned Count = laneCount(NewMask);
               Visits += Count;
               One.DistanceSum += uint64_t(Level) * Count;
               One.Diameter = Level; // ascending levels: max wins.

@@ -17,7 +17,7 @@
 /// exact lane mask first reaching the node then; msBfsDistances,
 /// msBfsDistanceRow and msAllPairsStats are small sinks over it, and the
 /// fault analyses (graph/Faults.cpp) call it directly with a counting sink.
-/// Sinks that only need totals fold each call with one popcount rather than
+/// Sinks that only need totals fold each call with one laneCount rather than
 /// peeling the mask lane by lane.
 ///
 /// The engine draws its bitmap arrays from per-thread reusable scratch
@@ -42,11 +42,28 @@
 #include "graph/Metrics.h"
 #include "support/Scratch.h"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace scg {
+
+/// Number of lanes set in \p Mask, inline in every build. On x86-64
+/// without POPCNT (the default, SCG_NATIVE=OFF) std::popcount is a call to
+/// a library helper once per (node, level) visit; the SWAR sum is a few
+/// inline ALU operations instead.
+inline unsigned laneCount(uint64_t Mask) {
+#if defined(__POPCNT__) || !(defined(__x86_64__) || defined(__i386__))
+  return unsigned(std::popcount(Mask));
+#else
+  Mask -= (Mask >> 1) & 0x5555555555555555ULL;
+  Mask = (Mask & 0x3333333333333333ULL) + ((Mask >> 2) & 0x3333333333333333ULL);
+  Mask = (Mask + (Mask >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return unsigned((Mask * 0x0101010101010101ULL) >> 56);
+#endif
+}
 
 /// Number of BFS sources a single batch advances in bit-parallel: one per
 /// bit of the per-node frontier word.

@@ -11,7 +11,9 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 
 using namespace scg;
 
@@ -47,11 +49,12 @@ bool QueryEngine::supportsTableFree(const SuperCayleyGraph &Net) {
   }
 }
 
-QueryEngine::QueryEngine(SuperCayleyGraph Network, QueryEngineOptions Opts)
-    : Net(std::move(Network)), Cache(Opts.CacheCapacity, Opts.CacheShards) {
+QueryEngine::QueryEngine(SuperCayleyGraph Network) : Net(std::move(Network)) {
   unsigned K = Net.numSymbols();
-  assert(K <= Permutation::InlineCapacity &&
-         "the query engine serves the inline-label regime (k <= 16)");
+  if (K > Permutation::InlineCapacity)
+    throw std::invalid_argument(
+        "QueryEngine: " + Net.name() + " has " + std::to_string(K) +
+        " symbols; the engine serves inline labels (k <= 16)");
   InvGens.reserve(Net.generators().size());
   for (const Generator &G : Net.generators())
     InvGens.push_back(G.Sigma.inverse());
@@ -91,52 +94,74 @@ QueryEngine::QueryEngine(SuperCayleyGraph Network, QueryEngineOptions Opts)
 }
 
 void QueryEngine::attachTable(std::shared_ptr<const TableStore> NewTable) {
-  assert(NewTable && NewTable->covers(Net) &&
-         "table does not describe this network");
+  if (!NewTable || !NewTable->covers(Net))
+    throw std::invalid_argument("attachTable: the table does not describe " +
+                                Net.name());
   Table = std::move(NewTable);
-  // Cached routes were computed under the previous configuration; drop them
-  // so every key's (Hops, Exact, FromTable) stays a pure function of the
-  // current one.
-  Cache.clear();
 }
 
 //===----------------------------------------------------------------------===//
 // Serving: everything funnels through the relative label Rel = Src^-1 o Dst.
 //===----------------------------------------------------------------------===//
 
+void QueryEngine::checkLabel(const Permutation &Label) const {
+  if (Label.size() != Net.numSymbols()) [[unlikely]]
+    throw std::invalid_argument(
+        "query label has " + std::to_string(Label.size()) +
+        " symbols; " + Net.name() + " has " +
+        std::to_string(Net.numSymbols()));
+}
+
+Permutation QueryEngine::relativeLabel(const Permutation &Src,
+                                       const Permutation &Dst) const {
+  checkLabel(Src);
+  checkLabel(Dst);
+  return Src.inverse().compose(Dst);
+}
+
+void QueryEngine::addTally(const Tally &T) const {
+  if (T.Table)
+    TableAnswers.fetch_add(T.Table, std::memory_order_relaxed);
+  if (T.TableFree)
+    TableFreeAnswers.fetch_add(T.TableFree, std::memory_order_relaxed);
+}
+
 DistanceReply QueryEngine::distance(const Permutation &Src,
                                     const Permutation &Dst) const {
-  assert(Src.size() == Net.numSymbols() && Dst.size() == Net.numSymbols() &&
-         "query labels must be on the engine's k symbols");
+  Tally T;
+  DistanceReply Reply = distanceRel(relativeLabel(Src, Dst), T);
   DistanceQueries.fetch_add(1, std::memory_order_relaxed);
-  return distanceRel(Src.inverse().compose(Dst));
+  addTally(T);
+  return Reply;
 }
 
 RouteReply QueryEngine::route(const Permutation &Src,
                               const Permutation &Dst) const {
-  assert(Src.size() == Net.numSymbols() && Dst.size() == Net.numSymbols() &&
-         "query labels must be on the engine's k symbols");
+  Tally T;
+  RouteReply Reply = routeRel(relativeLabel(Src, Dst), T);
   RouteQueries.fetch_add(1, std::memory_order_relaxed);
-  return routeRel(Src.inverse().compose(Dst));
+  addTally(T);
+  return Reply;
 }
 
-DistanceReply QueryEngine::distanceRel(const Permutation &Rel) const {
+DistanceReply QueryEngine::distanceRel(const Permutation &Rel,
+                                       Tally &T) const {
   if (Rel.isIdentity()) {
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {0, /*Exact=*/true, /*FromTable=*/false};
   }
   if (Table) {
-    TableAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.Table;
     uint8_t B = Table->distanceByRank(rankPermutation(Rel));
     uint32_t D = B == TableUnreachable ? UnreachableDistance : uint32_t(B);
     return {D, /*Exact=*/true, /*FromTable=*/true};
   }
   switch (Router) {
   case FreeRouter::StarGreedy:
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {starDistance(Rel), /*Exact=*/true, /*FromTable=*/false};
   case FreeRouter::BubbleSort:
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
+    ++T.TableFree;
     return {inversionCount(Rel), /*Exact=*/true, /*FromTable=*/false};
   case FreeRouter::Rotator:
   case FreeRouter::Lifted:
@@ -144,63 +169,61 @@ DistanceReply QueryEngine::distanceRel(const Permutation &Rel) const {
     break;
   }
   // No closed-form distance: the route length is a certified upper bound.
-  return {routeRel(Rel).length(), /*Exact=*/false, /*FromTable=*/false};
+  return {routeRel(Rel, T).length(), /*Exact=*/false, /*FromTable=*/false};
 }
 
-RouteReply QueryEngine::routeRel(const Permutation &Rel) const {
+RouteReply QueryEngine::routeRel(const Permutation &Rel, Tally &T) const {
   RouteReply Reply;
-  if (Rel.isIdentity()) {
-    TableFreeAnswers.fetch_add(1, std::memory_order_relaxed);
-    Reply.Exact = true;
-    return Reply;
-  }
-  if (!Cache.lookup(Rel, Reply.Hops)) {
-    Reply.Hops = computeRouteRel(Rel);
-    Cache.insert(Rel, Reply.Hops);
-  }
-  // Flags are recomputed (never cached): each is a pure function of the key
-  // and the engine configuration, so hit and miss replies stay identical.
-  Reply.FromTable =
-      Table && Reply.Hops.size() ==
-                   size_t(Table->distanceByRank(rankPermutation(Rel)));
-  Reply.Exact = Reply.FromTable || Router == FreeRouter::StarGreedy ||
-                Router == FreeRouter::BubbleSort;
-  (Reply.FromTable ? TableAnswers : TableFreeAnswers)
-      .fetch_add(1, std::memory_order_relaxed);
+  RouteFlags Flags = computeRouteRel(Rel, Reply.Hops, T);
+  Reply.Exact = Flags.Exact;
+  Reply.FromTable = Flags.FromTable;
   return Reply;
 }
 
-std::vector<GenIndex>
-QueryEngine::computeRouteRel(const Permutation &Rel) const {
+QueryEngine::RouteFlags
+QueryEngine::computeRouteRel(const Permutation &Rel,
+                             std::vector<GenIndex> &Hops, Tally &T) const {
+  if (Rel.isIdentity()) {
+    ++T.TableFree;
+    return {/*Exact=*/true, /*FromTable=*/false};
+  }
+  const size_t Begin = Hops.size();
+  uint8_t D = TableUnreachable;
   if (Table) {
-    std::vector<GenIndex> Hops = tableRouteRel(Rel);
-    if (!Hops.empty())
-      return Hops;
+    D = Table->distanceByRank(rankPermutation(Rel));
+    if (D != TableUnreachable && tableRouteRel(Rel, D, Hops)) {
+      ++T.Table;
+      return {/*Exact=*/true, /*FromTable=*/true};
+    }
     // Descent failed (a faulted-graph table can leave the target
     // unreachable or strand the greedy walk): serve a closed-form route
     // over the unfaulted network when the family has one.
   }
-  return freeRouteRel(Rel);
+  freeRouteRel(Rel, Hops);
+  // A fallback route as long as the table distance is shortest too.
+  if (D != TableUnreachable && Hops.size() - Begin == D) {
+    ++T.Table;
+    return {/*Exact=*/true, /*FromTable=*/true};
+  }
+  ++T.TableFree;
+  return {routerIsExact(), /*FromTable=*/false};
 }
 
 /// Exact shortest route by greedy descent on the table: from remaining
 /// relative R at distance D, the first generator g with
 /// d(id, g^-1 o R) == D - 1 extends a shortest path (one exists by the BFS
 /// property; "first" makes the choice deterministic).
-std::vector<GenIndex>
-QueryEngine::tableRouteRel(const Permutation &Rel) const {
-  std::vector<GenIndex> Hops;
-  uint8_t D = Table->distanceByRank(rankPermutation(Rel));
-  if (D == TableUnreachable)
-    return Hops;
-  Hops.reserve(D);
+bool QueryEngine::tableRouteRel(const Permutation &Rel, uint8_t D,
+                                std::vector<GenIndex> &Hops) const {
+  const size_t Begin = Hops.size();
+  Hops.resize(Begin + D);
   Permutation R = Rel, Next;
-  while (!R.isIdentity()) {
+  for (size_t H = Begin; H != Hops.size(); ++H) {
     bool Stepped = false;
     for (GenIndex G = 0; G != InvGens.size(); ++G) {
       InvGens[G].composeInto(R, Next); // R after hopping along G.
       if (Table->distanceByRank(rankPermutation(Next)) == uint8_t(D - 1)) {
-        Hops.push_back(G);
+        Hops[H] = G;
         R = Next;
         --D;
         Stepped = true;
@@ -210,54 +233,77 @@ QueryEngine::tableRouteRel(const Permutation &Rel) const {
     if (!Stepped) {
       // Inconsistent with Net (e.g. a faulted-graph row): report failure
       // and let the caller fall back.
-      Hops.clear();
-      return Hops;
+      Hops.resize(Begin);
+      return false;
     }
   }
-  return Hops;
+  if (R.isIdentity())
+    return true;
+  Hops.resize(Begin); // a row that is not a distance row from the identity.
+  return false;
 }
 
-std::vector<GenIndex>
-QueryEngine::freeRouteRel(const Permutation &Rel) const {
-  std::vector<GenIndex> Hops;
+void QueryEngine::freeRouteRel(const Permutation &Rel,
+                               std::vector<GenIndex> &Hops) const {
+  // Each router sizes the route first, so a reply's empty vector allocates
+  // exactly once, and an arena grows geometrically.
+  const size_t Begin = Hops.size();
   switch (Router) {
   case FreeRouter::StarGreedy: {
     // T_{j1} o ... o T_{jm} = Rel, m minimal (Akers-Krishnamurthy).
-    for (unsigned J : starWordForPermutation(Rel))
-      Hops.push_back(DimToGen[J]);
-    return Hops;
+    std::array<uint8_t, starWordBound(Permutation::InlineCapacity)> Dims;
+    unsigned M = starWordInto(Rel, Dims);
+    Hops.resize(Begin + M);
+    for (unsigned I = 0; I != M; ++I)
+      Hops[Begin + I] = DimToGen[Dims[I]];
+    return;
   }
   case FreeRouter::BubbleSort: {
     // Bubble-sort the one-line word; each adjacent swap of an inversion is
     // a right-composition with A_i, so Rel o A_{i1} o ... o A_{im} = id and
     // Rel = A_{im} o ... o A_{i1}: emit the swaps in reverse. m is the
     // inversion count, the exact distance.
-    std::vector<uint8_t> W = Rel.oneLineVector();
-    std::vector<unsigned> Swaps;
+    constexpr unsigned K16 = Permutation::InlineCapacity;
+    std::array<uint8_t, K16> W;
+    std::array<uint8_t, K16 * (K16 - 1) / 2> Swaps;
+    std::span<const uint8_t> Word = Rel.oneLine();
+    std::copy(Word.begin(), Word.end(), W.begin());
+    unsigned M = 0;
     for (bool Swapped = true; Swapped;) {
       Swapped = false;
-      for (unsigned I = 0; I + 1 < W.size(); ++I)
+      for (unsigned I = 0; I + 1 < Word.size(); ++I)
         if (W[I] > W[I + 1]) {
           std::swap(W[I], W[I + 1]);
-          Swaps.push_back(I + 1);
+          Swaps[M++] = uint8_t(I + 1);
           Swapped = true;
         }
     }
-    for (auto It = Swaps.rbegin(); It != Swaps.rend(); ++It)
-      Hops.push_back(DimToGen[*It]);
-    return Hops;
+    Hops.resize(Begin + M);
+    for (unsigned I = 0; I != M; ++I)
+      Hops[Begin + I] = DimToGen[Swaps[M - 1 - I]];
+    return;
   }
   case FreeRouter::Rotator: {
     // I_{i1} o I_{i2} o ... = Rel (insertion sort; valid, not optimal).
-    for (unsigned J : rotatorWordForPermutation(Rel))
-      Hops.push_back(DimToGen[J]);
-    return Hops;
+    std::vector<unsigned> Dims = rotatorWordForPermutation(Rel);
+    Hops.resize(Begin + Dims.size());
+    for (size_t I = 0; I != Dims.size(); ++I)
+      Hops[Begin + I] = DimToGen[Dims[I]];
+    return;
   }
   case FreeRouter::Lifted: {
     // Lift the shortest star route through the Theorems 1-3 templates.
-    for (unsigned J : starWordForPermutation(Rel))
-      Hops.insert(Hops.end(), DimTemplates[J].begin(), DimTemplates[J].end());
-    return Hops;
+    std::array<uint8_t, starWordBound(Permutation::InlineCapacity)> Dims;
+    unsigned M = starWordInto(Rel, Dims);
+    size_t Length = 0;
+    for (unsigned I = 0; I != M; ++I)
+      Length += DimTemplates[Dims[I]].size();
+    Hops.resize(Begin + Length);
+    GenIndex *Out = Hops.data() + Begin;
+    for (unsigned I = 0; I != M; ++I)
+      Out = std::copy(DimTemplates[Dims[I]].begin(),
+                      DimTemplates[Dims[I]].end(), Out);
+    return;
   }
   case FreeRouter::None:
     break;
@@ -268,24 +314,36 @@ QueryEngine::freeRouteRel(const Permutation &Rel) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch serving.
+// Batch serving: each chunk tallies its answers locally and adds them once.
 //===----------------------------------------------------------------------===//
 
 std::vector<DistanceReply>
 QueryEngine::distanceBatch(std::span<const PairQuery> Queries) const {
+  DistanceQueries.fetch_add(Queries.size(), std::memory_order_relaxed);
   std::vector<DistanceReply> Replies(Queries.size());
-  ThreadPool::global().parallelFor(0, Queries.size(), [&](uint64_t I) {
-    Replies[I] = distance(Queries[I].Src, Queries[I].Dst);
-  });
+  ThreadPool::global().parallelForChunks(
+      0, Queries.size(), BatchChunk, [&](uint64_t B, uint64_t E) {
+        Tally T;
+        for (uint64_t I = B; I != E; ++I)
+          Replies[I] =
+              distanceRel(relativeLabel(Queries[I].Src, Queries[I].Dst), T);
+        addTally(T);
+      });
   return Replies;
 }
 
 std::vector<RouteReply>
 QueryEngine::routeBatch(std::span<const PairQuery> Queries) const {
+  RouteQueries.fetch_add(Queries.size(), std::memory_order_relaxed);
   std::vector<RouteReply> Replies(Queries.size());
-  ThreadPool::global().parallelFor(0, Queries.size(), [&](uint64_t I) {
-    Replies[I] = route(Queries[I].Src, Queries[I].Dst);
-  });
+  ThreadPool::global().parallelForChunks(
+      0, Queries.size(), BatchChunk, [&](uint64_t B, uint64_t E) {
+        Tally T;
+        for (uint64_t I = B; I != E; ++I)
+          Replies[I] =
+              routeRel(relativeLabel(Queries[I].Src, Queries[I].Dst), T);
+        addTally(T);
+      });
   return Replies;
 }
 
@@ -310,14 +368,16 @@ QueryEngine::routeBatchRelative(std::span<const Permutation> Rels) const {
         RouteArena &P = Parts[B / Chunk];
         P.Offsets.reserve(E - B + 1);
         P.Offsets.push_back(0);
+        Tally T;
         for (uint64_t I = B; I != E; ++I) {
-          assert(Rels[I].size() == Net.numSymbols() &&
-                 "relative label must be on the engine's k symbols");
-          RouteReply R = routeRel(Rels[I]);
-          P.Hops.insert(P.Hops.end(), R.Hops.begin(), R.Hops.end());
+          checkLabel(Rels[I]);
+          computeRouteRel(Rels[I], P.Hops, T);
           P.Offsets.push_back(uint32_t(P.Hops.size()));
         }
+        addTally(T);
       });
+  if (NumChunks == 1)
+    return std::move(Parts.front());
 
   size_t TotalHops = 0;
   for (const RouteArena &P : Parts)
@@ -342,5 +402,4 @@ void QueryEngine::publishMetrics(MetricsRegistry &M) const {
       .set(double(TableAnswers.load(std::memory_order_relaxed)));
   M.counter("query.answers.table_free")
       .set(double(TableFreeAnswers.load(std::memory_order_relaxed)));
-  Cache.publish(M);
 }

@@ -33,25 +33,29 @@
 ///    including the ones with no closed-form router.
 ///
 /// Replies carry (Exact, FromTable) so callers can tell a certified
-/// shortest answer from a lifted upper bound. A sharded LRU SegmentCache
-/// memoizes hot relative labels; batch entry points spread chunks over
-/// the global ThreadPool with results in submission order, so batched
-/// parallel answers are byte-identical to serial ones (the cache can only
-/// change latency, never an answer). Telemetry flows through
-/// MetricsRegistry as `query.*` counters.
+/// shortest answer from a lifted upper bound. Every route is computed, with
+/// no shared state: a route is O(k) work on one 16-byte label, cheaper than
+/// a locked lookup. The routers append into the caller's buffer (a reply's
+/// one exact-size vector, or a batch chunk's arena), and the star word
+/// itself goes through a stack buffer. Batch entry points spread chunks,
+/// whose bounds depend only on the batch length, over the global
+/// ThreadPool with results in submission order, so batched parallel
+/// answers are byte-identical to serial ones. Telemetry flows through
+/// MetricsRegistry as `query.*` counters, which each chunk adds once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_QUERY_QUERYENGINE_H
 #define SCG_QUERY_QUERYENGINE_H
 
-#include "query/SegmentCache.h"
+#include "perm/Permutation.h"
 #include "query/TableStore.h"
 
 #include <atomic>
 #include <cassert>
 #include <memory>
 #include <span>
+#include <vector>
 
 namespace scg {
 
@@ -107,31 +111,29 @@ struct RouteArena {
   }
 };
 
-/// Engine construction knobs.
-struct QueryEngineOptions {
-  /// Total SegmentCache entries (0 disables caching).
-  size_t CacheCapacity = 1 << 15;
-  /// Cache shard count (rounded up to a power of two).
-  unsigned CacheShards = 8;
-};
-
 /// The serving engine for one network descriptor. Thread-safe for
-/// concurrent queries (the cache is internally sharded and the rest of
-/// the state is immutable after construction / attachTable).
+/// concurrent queries: the state is immutable after construction /
+/// attachTable, and the counters are relaxed atomics.
 class QueryEngine {
 public:
-  /// Builds a table-free engine for \p Net; requires k <= 16 (inline
-  /// labels) and a supported family (supportsTableFree) -- attachTable
-  /// lifts the family restriction.
-  explicit QueryEngine(SuperCayleyGraph Net, QueryEngineOptions Opts = {});
+  /// Queries per batch chunk: enough that a chunk outweighs its claim on
+  /// the pool's shared cursor (EXPERIMENTS.md E38 sweeps 8 to 64).
+  static constexpr uint64_t BatchChunk = 16;
+
+  /// Builds a table-free engine for \p Net. Throws std::invalid_argument
+  /// when k > 16 (the engine serves inline labels). Families without a
+  /// table-free router (supportsTableFree) answer only once attachTable
+  /// supplies a table.
+  explicit QueryEngine(SuperCayleyGraph Net);
 
   /// True when the engine can answer without a table: star, bubble-sort,
   /// rotator, and the SDC star-emulating classes.
   static bool supportsTableFree(const SuperCayleyGraph &Net);
 
-  /// Attaches an exact distance table; asserts Table->covers(network()).
-  /// Shared ownership so many engines (or processes via mmap) serve from
-  /// one table. Not thread-safe against in-flight queries.
+  /// Attaches an exact distance table. Throws std::invalid_argument when
+  /// \p Table is null or does not cover network(). Shared ownership so
+  /// many engines (or processes via mmap) serve from one table. Not
+  /// thread-safe against in-flight queries.
   void attachTable(std::shared_ptr<const TableStore> Table);
 
   bool tableBacked() const { return Table != nullptr; }
@@ -140,10 +142,11 @@ public:
   /// d(Src, Dst), Cayley-normalized to the relative label.
   ///
   /// Every distance and route entry point (batch forms included) throws
-  /// std::logic_error for a non-identity label when the family has no
-  /// table-free router (supportsTableFree) and no table is attached. The
-  /// route entry points also throw when such a family's table descent
-  /// finds no route (a faulted table).
+  /// std::invalid_argument for a label that is not on the engine's k
+  /// symbols, and std::logic_error for a non-identity label when the
+  /// family has no table-free router (supportsTableFree) and no table is
+  /// attached. The route entry points also throw when such a family's
+  /// table descent finds no route (a faulted table).
   DistanceReply distance(const Permutation &Src,
                          const Permutation &Dst) const;
 
@@ -156,22 +159,20 @@ public:
   /// Vertex-transitive callers that already dedupe pairs by relative label
   /// (the traffic driver's batched setup) enter here and skip the per-pair
   /// inverse + compose. Chunked over the global ThreadPool (chunk
-  /// boundaries depend only on the batch length), routes indexed like
-  /// \p Rels and byte-identical at every thread count.
+  /// boundaries depend only on the batch length; each chunk appends its
+  /// routes straight into its own arena), routes indexed like \p Rels and
+  /// byte-identical at every thread count.
   RouteArena routeBatchRelative(std::span<const Permutation> Rels) const;
 
-  /// Batched forms: chunked over the global ThreadPool (SCG_THREADS=1
-  /// forces serial), replies indexed like \p Queries and byte-identical
-  /// at every thread count.
+  /// Batched forms: BatchChunk queries per chunk over the global
+  /// ThreadPool (SCG_THREADS=1 forces serial), replies indexed like
+  /// \p Queries and byte-identical at every thread count.
   std::vector<DistanceReply>
   distanceBatch(std::span<const PairQuery> Queries) const;
   std::vector<RouteReply> routeBatch(std::span<const PairQuery> Queries) const;
 
-  const SegmentCache &cache() const { return Cache; }
-  void clearCache() const { Cache.clear(); }
-
-  /// Publishes `query.{distance,route}.count`, `query.answers.{table,
-  /// table_free}` counters plus the cache's `query.cache.*` telemetry.
+  /// Publishes the `query.{distance,route}.count` and
+  /// `query.answers.{table,table_free}` counters.
   void publishMetrics(MetricsRegistry &M) const;
 
 private:
@@ -184,16 +185,44 @@ private:
     Lifted,     ///< Theorem 1-3 star-route lifting (valid, not optimal).
   };
 
-  DistanceReply distanceRel(const Permutation &Rel) const;
-  RouteReply routeRel(const Permutation &Rel) const;
-  std::vector<GenIndex> computeRouteRel(const Permutation &Rel) const;
-  std::vector<GenIndex> tableRouteRel(const Permutation &Rel) const;
-  std::vector<GenIndex> freeRouteRel(const Permutation &Rel) const;
-  bool routeIsExact(const Permutation &Rel) const;
+  /// Answers counted by where they came from; a batch chunk or a single
+  /// query keeps one locally and adds it to the shared counters once.
+  struct Tally {
+    uint64_t Table = 0, TableFree = 0;
+  };
+  void addTally(const Tally &T) const;
+
+  /// Throws std::invalid_argument unless \p Label is on the engine's k
+  /// symbols.
+  void checkLabel(const Permutation &Label) const;
+
+  /// Src^-1 o Dst, after checkLabel on both.
+  Permutation relativeLabel(const Permutation &Src,
+                            const Permutation &Dst) const;
+
+  /// The reply flags of one computed route.
+  struct RouteFlags {
+    bool Exact = false, FromTable = false;
+  };
+
+  DistanceReply distanceRel(const Permutation &Rel, Tally &T) const;
+  RouteReply routeRel(const Permutation &Rel, Tally &T) const;
+  /// Appends the route for \p Rel to \p Hops and counts it in \p T.
+  RouteFlags computeRouteRel(const Permutation &Rel,
+                             std::vector<GenIndex> &Hops, Tally &T) const;
+  /// Appends the table-descent route for \p Rel at table distance \p D;
+  /// returns false, leaving \p Hops as it was, when the descent fails.
+  bool tableRouteRel(const Permutation &Rel, uint8_t D,
+                     std::vector<GenIndex> &Hops) const;
+  void freeRouteRel(const Permutation &Rel,
+                    std::vector<GenIndex> &Hops) const;
+  bool routerIsExact() const {
+    return Router == FreeRouter::StarGreedy ||
+           Router == FreeRouter::BubbleSort;
+  }
 
   SuperCayleyGraph Net;
   std::shared_ptr<const TableStore> Table;
-  mutable SegmentCache Cache;
   FreeRouter Router = FreeRouter::None;
   std::vector<Permutation> InvGens; ///< generator inverse actions.
   /// Star/rotator dimension -> generator index (index 0..k, dims 2-based;

@@ -9,13 +9,17 @@
 
 using namespace scg;
 
-/// Greedily sorts the one-line word \p C of length \p K to the identity, in
-/// place, by right-multiplying star generators; appends the dimension of
-/// every move to \p Dims. After return, C o T_{Dims[0]} o ... o
-/// T_{Dims.back()} = identity. Right multiplication by T_J exchanges the
-/// entries at positions 0 and J-1.
-static void sortToIdentity(uint8_t *C, unsigned K,
-                           std::vector<unsigned> &Dims) {
+unsigned scg::starWordInto(const Permutation &P, std::span<uint8_t> Dims) {
+  const unsigned K = P.size();
+  assert(Dims.size() >= starWordBound(K) && "star word buffer too small");
+  // Greedily sort C = P^-1 to the identity, in place, by right-multiplying
+  // star generators; the word of moves then has product C^-1 = P. Right
+  // multiplication by T_J exchanges the entries at positions 0 and J-1.
+  std::array<uint8_t, 256> C;
+  std::span<const uint8_t> Word = P.oneLine();
+  for (unsigned Pos = 0; Pos != K; ++Pos)
+    C[Word[Pos]] = uint8_t(Pos);
+  unsigned M = 0;
   // No move takes a position other than 0 away from home, so the scan for
   // the next nontrivial cycle resumes where the last one stopped.
   unsigned Open = 1;
@@ -24,31 +28,25 @@ static void sortToIdentity(uint8_t *C, unsigned K,
       // Send the front symbol to its home position (symbol s lives at
       // position s); this is dimension s+1 in the paper's 1-based indexing.
       unsigned J = unsigned(C[0]) + 1;
-      Dims.push_back(J);
+      Dims[M++] = uint8_t(J);
       std::swap(C[0], C[J - 1]);
       continue;
     }
     // Front is home: open the next nontrivial cycle, if any.
-    while (Open != K && C[Open] == Open)
+    while (Open < K && C[Open] == Open)
       ++Open;
-    if (Open == K)
-      return; // Identity reached.
-    Dims.push_back(Open + 1);
+    if (Open >= K)
+      return M; // Identity reached.
+    Dims[M++] = uint8_t(Open + 1);
     std::swap(C[0], C[Open]);
   }
 }
 
 std::vector<unsigned> scg::starWordForPermutation(const Permutation &P) {
-  // Sorting C = P^-1 to the identity yields a word whose product is
-  // C^-1 = P.
-  std::array<uint8_t, 256> C;
-  std::span<const uint8_t> Word = P.oneLine();
-  for (unsigned Pos = 0; Pos != Word.size(); ++Pos)
-    C[Word[Pos]] = uint8_t(Pos);
-  std::vector<unsigned> Dims;
-  sortToIdentity(C.data(), P.size(), Dims);
-  assert(Dims.size() == starDistance(P) && "greedy route is not optimal");
-  return Dims;
+  std::array<uint8_t, starWordBound(256)> Dims;
+  unsigned M = starWordInto(P, Dims);
+  assert(M == starDistance(P) && "greedy route is not optimal");
+  return std::vector<unsigned>(Dims.begin(), Dims.begin() + M);
 }
 
 std::vector<unsigned> scg::starRouteDimensions(const Permutation &Src,

@@ -23,13 +23,26 @@
 
 #include "perm/Permutation.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace scg {
 
-/// Returns star dimensions (values j in 2..k, meaning generator T_j) of a
-/// shortest word with T_{j1} o T_{j2} o ... o T_{jm} = \p P. Empty when
-/// \p P is the identity.
+/// Length of the longest shortest star route on \p K symbols, the star
+/// graph's diameter floor(3(k-1)/2): room enough for any starWordInto word.
+constexpr unsigned starWordBound(unsigned K) {
+  return K ? 3 * (K - 1) / 2 : 0;
+}
+
+/// The star sorter: writes the dimensions (values j in 2..k, meaning
+/// generator T_j) of a shortest word with T_{j1} o T_{j2} o ... o T_{jm} =
+/// \p P into \p Dims, which holds at least starWordBound(k) entries, and
+/// returns m (0 for the identity). Allocation-free; for k <= 16 a stack
+/// buffer of starWordBound(16) = 22 bytes fits every word.
+unsigned starWordInto(const Permutation &P, std::span<uint8_t> Dims);
+
+/// starWordInto as a vector, checked against starDistance.
 std::vector<unsigned> starWordForPermutation(const Permutation &P);
 
 /// Returns the star dimensions of a shortest route from \p Src to \p Dst

@@ -28,6 +28,7 @@
 #include "graph/MsBfs.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
+#include "support/Format.h"
 #include "support/ThreadPool.h"
 
 #include "AllocCounter.h"
@@ -301,6 +302,19 @@ TEST(MsBfs, WarmBatchesAreAllocationFree) {
   EXPECT_EQ(ColdSum, WarmSum);
   EXPECT_EQ(ColdVisits, WarmVisits);
   EXPECT_EQ(WarmVisits, uint64_t(N) * N); // connected: every lane, every node.
+}
+
+TEST(MsBfs, LaneCountMatchesPopcount) {
+  // The sinks' inline lane count against the standard one.
+  EXPECT_EQ(laneCount(0), 0u);
+  EXPECT_EQ(laneCount(~uint64_t(0)), 64u);
+  for (unsigned Bit = 0; Bit != 64; ++Bit)
+    ASSERT_EQ(laneCount(uint64_t(1) << Bit), 1u) << "bit " << Bit;
+  SplitMix64 Rng(0x1A4E);
+  for (int Trial = 0; Trial != 10000; ++Trial) {
+    uint64_t Word = Rng.next();
+    ASSERT_EQ(laneCount(Word), unsigned(std::popcount(Word))) << Word;
+  }
 }
 
 TEST(MsBfs, TransposeOfDirectedRotator) {

@@ -19,6 +19,8 @@
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
+#include "AllocCounter.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -216,7 +218,7 @@ TEST(QueryEngineTest, LiftedRouteWithinSlowdownBound) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched serving: parallel == serial, cache state never changes answers.
+// Batched serving: parallel == serial.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -226,7 +228,7 @@ std::vector<PairQuery> makeWorkload(const SuperCayleyGraph &Net,
   std::vector<PairQuery> Queries;
   uint64_t Nodes = Net.numNodes();
   for (size_t I = 0; I != Count; ++I) {
-    // Deterministic spread with repeats, so the cache sees hits.
+    // Deterministic spread with repeated relative labels.
     uint64_t S = (I * 2654435761u) % Nodes;
     uint64_t D = (I * 40503u + 17) % Nodes;
     Queries.push_back({unrankPermutation(S, Net.numSymbols()),
@@ -254,8 +256,6 @@ TEST(QueryEngineParallelTest, BatchedAnswersAreThreadCountInvariant) {
       QueryEngine Par(Net);
       EXPECT_EQ(Par.distanceBatch(Queries), SerialDist) << Net.name();
       EXPECT_EQ(Par.routeBatch(Queries), SerialRoutes) << Net.name();
-      // A warm cache must not change a single reply either.
-      EXPECT_EQ(Par.routeBatch(Queries), SerialRoutes) << Net.name();
     }
     setGlobalThreadCount(0);
   }
@@ -280,56 +280,8 @@ TEST(QueryEngineParallelTest, TableBackedBatchThreadCountInvariant) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cache behavior and metrics plumbing.
+// Counters, allocations and caller-input errors.
 //===----------------------------------------------------------------------===//
-
-TEST(QueryEngineTest, CacheHitsOnRepeatsAndNeverChangesAnswers) {
-  SuperCayleyGraph Net = SuperCayleyGraph::star(6);
-  QueryEngine Engine(Net);
-  Permutation Id = Permutation::identity(6);
-  Permutation Dst = unrankPermutation(123, 6);
-
-  RouteReply Cold = Engine.route(Id, Dst);
-  SegmentCacheStats After = Engine.cache().totals();
-  EXPECT_EQ(After.Hits, 0u);
-  EXPECT_EQ(After.Misses, 1u);
-  EXPECT_EQ(After.Insertions, 1u);
-
-  RouteReply Warm = Engine.route(Id, Dst);
-  EXPECT_EQ(Warm, Cold);
-  EXPECT_EQ(Engine.cache().totals().Hits, 1u);
-
-  // Same relative label from a different source pair: still one cache key.
-  Permutation Src2 = unrankPermutation(77, 6);
-  RouteReply Shifted = Engine.route(Src2, Src2.compose(Id.inverse().compose(Dst)));
-  EXPECT_EQ(Shifted.Hops, Cold.Hops);
-  EXPECT_EQ(Engine.cache().totals().Hits, 2u);
-
-  Engine.clearCache();
-  EXPECT_EQ(Engine.cache().size(), 0u);
-  EXPECT_EQ(Engine.route(Id, Dst), Cold);
-}
-
-TEST(QueryEngineTest, CacheEvictsAtCapacityAndDisabledCacheStillServes) {
-  SuperCayleyGraph Net = SuperCayleyGraph::star(6);
-  QueryEngineOptions Tiny;
-  Tiny.CacheCapacity = 8;
-  Tiny.CacheShards = 2;
-  QueryEngine Small(Net, Tiny);
-  QueryEngineOptions Off;
-  Off.CacheCapacity = 0;
-  QueryEngine Uncached(Net, Off);
-  EXPECT_FALSE(Uncached.cache().enabled());
-
-  Permutation Id = Permutation::identity(6);
-  for (uint64_t R = 1; R <= 200; ++R) {
-    Permutation Dst = unrankPermutation(R, 6);
-    EXPECT_EQ(Small.route(Id, Dst).Hops, Uncached.route(Id, Dst).Hops);
-  }
-  EXPECT_LE(Small.cache().size(), Tiny.CacheCapacity);
-  EXPECT_GT(Small.cache().totals().Evictions, 0u);
-  EXPECT_EQ(Uncached.cache().size(), 0u);
-}
 
 TEST(QueryEngineTest, PublishesQueryMetrics) {
   SuperCayleyGraph Net = SuperCayleyGraph::star(5);
@@ -344,12 +296,93 @@ TEST(QueryEngineTest, PublishesQueryMetrics) {
   Engine.publishMetrics(M);
   EXPECT_EQ(M.find("query.distance.count")->value(), 1.0);
   EXPECT_EQ(M.find("query.route.count")->value(), 2.0);
-  EXPECT_EQ(M.find("query.cache.hits")->value(), 1.0);
-  EXPECT_EQ(M.find("query.cache.misses")->value(), 1.0);
-  EXPECT_EQ(M.find("query.cache.hit_rate")->value(), 0.5);
-  ASSERT_NE(M.find("query.cache.shard0.hit_rate"), nullptr);
   EXPECT_EQ(M.find("query.answers.table")->value(), 0.0);
-  EXPECT_GT(M.find("query.answers.table_free")->value(), 0.0);
+  EXPECT_EQ(M.find("query.answers.table_free")->value(), 3.0);
+}
+
+TEST(QueryEngineTest, BatchCountersAddUpAtEveryThreadCount) {
+  // Chunks add their tallies once each; the totals must still count every
+  // query exactly once, whatever the chunking and the thread count.
+  const size_t N = 600;
+  SuperCayleyGraph Lifted =
+      SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 2);
+  SuperCayleyGraph Star = SuperCayleyGraph::star(6);
+  auto StarTable = std::make_shared<TableStore>(TableStore::build(Star));
+  for (unsigned Threads : {1u, 4u}) {
+    setGlobalThreadCount(Threads);
+    for (bool UseTable : {false, true}) {
+      const SuperCayleyGraph &Net = UseTable ? Star : Lifted;
+      QueryEngine Engine(Net);
+      if (UseTable)
+        Engine.attachTable(StarTable);
+      std::vector<PairQuery> Queries = makeWorkload(Net, N);
+      Engine.routeBatch(Queries);
+      Engine.distanceBatch(Queries);
+
+      MetricsRegistry M;
+      Engine.publishMetrics(M);
+      EXPECT_EQ(M.find("query.route.count")->value(), double(N));
+      EXPECT_EQ(M.find("query.distance.count")->value(), double(N));
+      EXPECT_EQ(M.find("query.answers.table")->value() +
+                    M.find("query.answers.table_free")->value(),
+                double(2 * N))
+          << Net.name() << " at " << Threads << " threads";
+      if (!UseTable) {
+        EXPECT_EQ(M.find("query.answers.table")->value(), 0.0);
+      }
+    }
+  }
+  setGlobalThreadCount(0);
+}
+
+TEST(QueryEngineTest, TableFreeRouteAllocatesOnce) {
+  // The star word goes through a stack buffer and a lifted route is sized
+  // before its templates are copied: the reply's vector is the only
+  // allocation.
+  for (SuperCayleyGraph Net :
+       {SuperCayleyGraph::star(8),
+        SuperCayleyGraph::create(NetworkKind::MacroStar, 2, 4)}) {
+    QueryEngine Engine(Net);
+    const unsigned K = Net.numSymbols();
+    Permutation Src = unrankPermutation(factorial(K) / 3, K);
+    Permutation Dst = unrankPermutation(factorial(K) - 1, K);
+    uint64_t Before = test::heapAllocations();
+    RouteReply Reply = Engine.route(Src, Dst);
+    EXPECT_EQ(test::heapAllocations() - Before, 1u) << Net.name();
+    EXPECT_EQ(Reply.Hops.capacity(), Reply.Hops.size()) << Net.name();
+    expectValidRoute(Net, Src, Dst, Reply.Hops);
+  }
+}
+
+TEST(QueryEngineTest, RejectsBadCallerInputInEveryBuild) {
+  SuperCayleyGraph Net = SuperCayleyGraph::star(6);
+  EXPECT_THROW(QueryEngine(SuperCayleyGraph::star(17)),
+               std::invalid_argument);
+
+  QueryEngine Engine(Net);
+  EXPECT_THROW(Engine.attachTable(nullptr), std::invalid_argument);
+  // A smaller table would be read past its end at the larger ranks.
+  EXPECT_THROW(Engine.attachTable(std::make_shared<TableStore>(
+                   TableStore::build(SuperCayleyGraph::star(5)))),
+               std::invalid_argument);
+  EXPECT_FALSE(Engine.tableBacked());
+
+  Permutation Id = Permutation::identity(6);
+  Permutation Short = Permutation::identity(5);
+  Permutation Long = Permutation::identity(7);
+  EXPECT_THROW(Engine.route(Id, Short), std::invalid_argument);
+  EXPECT_THROW(Engine.route(Long, Id), std::invalid_argument);
+  EXPECT_THROW(Engine.distance(Short, Id), std::invalid_argument);
+  EXPECT_THROW(Engine.distance(Id, Long), std::invalid_argument);
+  std::vector<Permutation> Rels = {Id, unrankPermutation(9, 6), Short};
+  EXPECT_THROW(Engine.routeBatchRelative(Rels), std::invalid_argument);
+  std::vector<PairQuery> Queries = {{Id, Id}, {Id, Long}};
+  EXPECT_THROW(Engine.routeBatch(Queries), std::invalid_argument);
+  EXPECT_THROW(Engine.distanceBatch(Queries), std::invalid_argument);
+
+  // Well-formed queries still answer after the rejected ones.
+  EXPECT_EQ(Engine.distance(Id, unrankPermutation(9, 6)).Distance,
+            starDistance(unrankPermutation(9, 6)));
 }
 
 //===----------------------------------------------------------------------===//

@@ -141,9 +141,7 @@ TEST(ScgRouter, EngineMatchesScalarOraclesOnEveryNode) {
     bool IsRotator = Net.kind() == NetworkKind::Rotator;
     unsigned K = Net.numSymbols();
     Permutation Id = Permutation::identity(K);
-    QueryEngineOptions Opts;
-    Opts.CacheCapacity = 0;
-    QueryEngine Engine(Net, Opts);
+    QueryEngine Engine(Net);
     std::vector<Permutation> Rels;
     for (uint64_t R = 0; R != Net.numNodes(); ++R)
       Rels.push_back(unrankPermutation(R, K));

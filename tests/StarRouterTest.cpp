@@ -46,13 +46,19 @@ TEST(StarRouter, WordRealizesThePermutation) {
 
 TEST(StarRouter, WordsMatchReferenceForEveryPermutation) {
   // The in-place kernels against the reference that builds a Permutation
-  // per move and a cycle list per distance: 46,233 permutations.
+  // per move and a cycle list per distance: 46,233 permutations. The
+  // kernel writes into a buffer of exactly starWordBound(k) entries, so
+  // the diameter bound is held here too.
   uint64_t Checked = 0;
   for (unsigned K = 1; K <= 8; ++K)
     for (uint64_t Rank = 0; Rank != factorial(K); ++Rank, ++Checked) {
       Permutation P = unrankPermutation(Rank, K);
-      ASSERT_EQ(starWordForPermutation(P), oracle::starWordReference(P))
+      std::vector<unsigned> Want = oracle::starWordReference(P);
+      std::vector<uint8_t> Dims(starWordBound(K));
+      unsigned M = starWordInto(P, Dims);
+      ASSERT_EQ(std::vector<unsigned>(Dims.begin(), Dims.begin() + M), Want)
           << P.str();
+      ASSERT_EQ(starWordForPermutation(P), Want) << P.str();
       ASSERT_EQ(starDistance(P), oracle::starDistanceReference(P)) << P.str();
     }
   EXPECT_EQ(Checked, 46233u);

@@ -73,9 +73,7 @@ TEST(TrafficSetupDifferential, BatchedMatchesLegacyAcrossFamiliesModels) {
     // Batched == scalar, hop for hop, on every distinct label.
     std::vector<Permutation> Rels = distinctLabels(
         Net, WorkloadGenerator(Net, uniformAt(C.Rate)).generate(C.Steps));
-    QueryEngineOptions QOpts;
-    QOpts.CacheCapacity = 0;
-    RouteArena Arena = QueryEngine(Host, QOpts).routeBatchRelative(Rels);
+    RouteArena Arena = QueryEngine(Host).routeBatchRelative(Rels);
     ASSERT_EQ(Arena.size(), Rels.size()) << C.Family.name();
     for (size_t I = 0; I != Rels.size(); ++I) {
       std::vector<GenIndex> Scalar =
