@@ -8,7 +8,9 @@
 //
 // Also carries the exact-distance engine curve (E22/E28): scalar vs
 // bit-parallel (push MS-BFS) all-pairs sweeps on the star family, plus
-// the MS-BFS sweep's 1/2/4/8-thread scaling table.
+// the MS-BFS sweep's 1/2/4/8-thread scaling table. The scalar rows run
+// oracle::scalarAllPairsStats from tests/Oracles.h, the one-BFS-per-source
+// reference the library no longer carries.
 //
 // Modes (consistent with bench_kernels / bench_pipelining):
 //   (default)  inventory table + scaling + google-benchmark timings
@@ -37,6 +39,8 @@
 #include "support/BatchRunner.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
+
+#include "Oracles.h"
 
 #include <benchmark/benchmark.h>
 
@@ -147,7 +151,7 @@ Measurement scalarSweep(unsigned K) {
   DistanceStats S;
   for (int Rep = 0, Reps = curveReps(K); Rep != Reps; ++Rep) {
     auto Start = Clock::now();
-    S = scalarAllPairsStats(G);
+    S = oracle::scalarAllPairsStats(G);
     BestMs = std::min(BestMs, msSince(Start));
   }
   return {"all_pairs_scalar_star" + std::to_string(K), BestMs, S.Diameter,
@@ -284,7 +288,7 @@ int runSmoke() {
     double ScalarMs = 1e300, PushMs = 1e300;
     for (int Rep = 0; Rep != Reps; ++Rep) {
       auto StartScalar = Clock::now();
-      Scalar = scalarAllPairsStats(G);
+      Scalar = oracle::scalarAllPairsStats(G);
       ScalarMs = std::min(ScalarMs, msSince(StartScalar));
       auto StartPush = Clock::now();
       Push = msAllPairsStats(G);

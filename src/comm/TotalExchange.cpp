@@ -2,7 +2,7 @@
 
 #include "comm/TotalExchange.h"
 
-#include "graph/Bfs.h"
+#include "graph/MsBfs.h"
 #include "query/QueryEngine.h"
 
 #include <cassert>
@@ -13,9 +13,11 @@ using namespace scg;
 uint64_t scg::teLowerBound(const ExplicitScg &Net) {
   // Vertex transitivity: one BFS gives every node's distance sum. Total
   // packet-hops N * sum over N * degree link capacity per step.
-  BfsResult R = bfsExplicit(Net, 0);
-  assert(R.NumReached == Net.numNodes() && "network is disconnected");
-  return (R.DistanceSum + Net.degree() - 1) / Net.degree();
+  NodeId Identity[1] = {0};
+  MsBfsCounts Counts;
+  msBfsCore(Net.toCsr(), Identity, Counts);
+  assert(Counts.Visits == Net.numNodes() && "network is disconnected");
+  return (Counts.DistanceSum + Net.degree() - 1) / Net.degree();
 }
 
 TeResult scg::simulateTotalExchange(const ExplicitScg &Net,

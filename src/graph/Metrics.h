@@ -8,14 +8,14 @@
 /// Graph-level metrics: connectivity, diameter, average internodal distance.
 /// For vertex-transitive graphs (every Cayley graph is), the eccentricity
 /// and distance distribution of a single node are those of every node, so
-/// one BFS suffices. The general all-pairs form, for the guest topologies
-/// (meshes, trees -- not vertex-transitive) and for cross-checking the
-/// transitivity shortcut, is msAllPairsStats on the bit-parallel
-/// multi-source BFS engine (graph/MsBfs.h): 64 sources per batch, batches
-/// spread across the ThreadPool -- which is what makes exact sweeps at
-/// k = 9 (362,880 nodes) a minutes-scale run. The scalar
-/// one-BFS-per-source engine survives as scalarAllPairsStats, the
-/// reference the bit-parallel results are pinned against.
+/// one BFS suffices: vertexTransitiveStats is a one-lane run of the
+/// bit-parallel engine (graph/MsBfs.h). The general all-pairs form, for the
+/// guest topologies (meshes, trees -- not vertex-transitive) and for
+/// cross-checking the transitivity shortcut, is msAllPairsStats on the same
+/// engine: 64 sources per batch, batches spread across the ThreadPool --
+/// which is what makes exact sweeps at k = 9 (362,880 nodes) a
+/// minutes-scale run. Both are pinned against the scalar one-BFS-per-source
+/// oracles of tests/Oracles.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +33,11 @@ struct DistanceStats {
   double AverageDistance = 0.0; ///< Over ordered pairs of distinct nodes.
 };
 
-/// The scalar reference engine: one BFS per source, parallel over source
-/// nodes. Kept as the differential baseline for the bit-parallel engine
-/// (tests/MsBfsTest.cpp, bench_network_properties); prefer msAllPairsStats
-/// everywhere else.
-DistanceStats scalarAllPairsStats(const Csr &G);
-
 /// Single-BFS statistics from \p Representative, valid for vertex-transitive
-/// graphs; \p Representative defaults to node 0.
+/// graphs; \p Representative defaults to node 0. On a disconnected graph,
+/// Connected is false and Diameter / AverageDistance describe the part
+/// reached (its eccentricity, and its distance sum over N - 1). Throws
+/// std::invalid_argument when \p Representative is not a node of \p G.
 DistanceStats vertexTransitiveStats(const Csr &G, NodeId Representative = 0);
 
 } // namespace scg

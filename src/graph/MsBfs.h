@@ -14,9 +14,11 @@
 /// msBfsCore is the one engine: every level scans all N frontier words,
 /// ORs each live word into its out-neighbors' next words, then commits
 /// the lanes not yet seen. Its sink fires once per (node, level) with the
-/// exact lane mask first reaching the node then; msBfsDistances,
-/// msBfsDistanceRow and msAllPairsStats are small sinks over it, and the
-/// fault analyses (graph/Faults.cpp) call it directly with a counting sink.
+/// exact lane mask first reaching the node then. It is the library's only
+/// BFS: msBfsDistanceRow is a one-lane sink over it; msAllPairsStats,
+/// vertexTransitiveStats (graph/Metrics.h) and teLowerBound
+/// (comm/TotalExchange.h) fold the MsBfsCounts sink; and the fault analyses
+/// (graph/Faults.cpp) call it directly with a counting sink of their own.
 /// Sinks that only need totals fold each call with one laneCount rather than
 /// peeling the mask lane by lane.
 ///
@@ -30,14 +32,13 @@
 /// with order-independent operations (integer sums / max / AND), and
 /// msAllPairsStats reduces batches through the ThreadPool's
 /// order-independent fold, so parallel runs are byte-identical to serial
-/// (pinned against scalar bfs() by tests/MsBfsTest.cpp).
+/// (pinned against the scalar oracle::bfs by tests/MsBfsTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCG_GRAPH_MSBFS_H
 #define SCG_GRAPH_MSBFS_H
 
-#include "graph/Bfs.h"
 #include "graph/Csr.h"
 #include "graph/Metrics.h"
 #include "support/Scratch.h"
@@ -64,6 +65,23 @@ inline unsigned laneCount(uint64_t Mask) {
   return unsigned((Mask * 0x0101010101010101ULL) >> 56);
 #endif
 }
+
+/// Counting sink for msBfsCore: totals over every lane of one run, one
+/// laneCount per call. Visits counts (lane, node) arrivals, the sources
+/// included, so every lane reached all N nodes iff Visits == N * lanes;
+/// DistanceSum adds each arrival's Level; Eccentricity is the last level
+/// any lane reached (levels ascend, so the last is the largest).
+struct MsBfsCounts {
+  uint64_t Visits = 0;
+  uint64_t DistanceSum = 0;
+  uint32_t Eccentricity = 0;
+  void operator()(NodeId, uint64_t NewMask, uint32_t Level) {
+    unsigned Count = laneCount(NewMask);
+    Visits += Count;
+    DistanceSum += uint64_t(Level) * Count;
+    Eccentricity = Level;
+  }
+};
 
 /// Number of BFS sources a single batch advances in bit-parallel: one per
 /// bit of the per-node frontier word.
@@ -191,14 +209,15 @@ constexpr uint8_t MsBfsUnreachableByte = 0xFF;
 /// two digits). This is the export the query layer's TableStore
 /// serializes -- one byte per node keeps a k = 10 table at 3.6 MB, and
 /// a row is all a vertex-transitive network needs for exact all-pairs
-/// service (d(U, V) = d(id, U^-1 o V)).
+/// service (d(U, V) = d(id, U^-1 o V)). Throws std::invalid_argument
+/// when \p Source is not a node of \p G.
 std::vector<uint8_t> msBfsDistanceRow(const Csr &G, NodeId Source);
 
 /// All-pairs distance statistics over \p G: sources batched 64 per word,
 /// batches spread over the global ThreadPool (SCG_THREADS=1 forces
-/// serial), results byte-identical at every thread count and to
-/// scalarAllPairsStats. For a disconnected graph, returns Connected=false
-/// with zeroed Diameter/AverageDistance.
+/// serial), results byte-identical at every thread count and to the scalar
+/// one-BFS-per-source oracle of tests/Oracles.h. For a disconnected graph,
+/// returns Connected=false with zeroed Diameter/AverageDistance.
 DistanceStats msAllPairsStats(const Csr &G);
 
 } // namespace scg

@@ -47,14 +47,3 @@ NodeId ExplicitScg::rankOf(const Permutation &P) const {
 Csr ExplicitScg::toCsr() const { return Csr(Count, degree(), Next); }
 
 Csr ExplicitScg::toGraph() const { return toCsr(); }
-
-BfsResult scg::bfsExplicit(const ExplicitScg &Net, NodeId Source) {
-  const std::vector<NodeId> &Table = Net.nextTable();
-  unsigned Degree = Net.degree();
-  return bfsCore(Net.numNodes(), Source,
-                 [&Table, Degree](NodeId Node, auto &&Sink) {
-                   const NodeId *Row = Table.data() + uint64_t(Node) * Degree;
-                   for (unsigned G = 0; G != Degree; ++G)
-                     Sink(Row[G]);
-                 });
-}

@@ -8,7 +8,8 @@
 /// Materializes a SuperCayleyGraph descriptor as an explicit graph whose
 /// node ids are Lehmer ranks of the labels (identity = node 0). Also keeps
 /// the per-link generator labels, which routing, embedding congestion, and
-/// the simulator all need.
+/// the simulator all need. Distances run on the toCsr() view, through the
+/// one BFS engine, msBfsCore (graph/MsBfs.h).
 ///
 /// Construction is embarrassingly parallel: every Next-table slot is a pure
 /// function of its rank (unrank, compose, re-rank), so the builder sweeps
@@ -23,7 +24,6 @@
 #define SCG_NETWORKS_EXPLICIT_H
 
 #include "core/SuperCayleyGraph.h"
-#include "graph/Bfs.h"
 #include "graph/Csr.h"
 
 namespace scg {
@@ -72,11 +72,6 @@ private:
   NodeId Count;
   std::vector<NodeId> Next; ///< Count x degree neighbor table.
 };
-
-/// BFS from \p Source straight over the Next table: the neighbor walk is a
-/// contiguous row read, fully inlined through bfsCore (no Csr
-/// materialization, no callback indirection).
-BfsResult bfsExplicit(const ExplicitScg &Net, NodeId Source);
 
 } // namespace scg
 

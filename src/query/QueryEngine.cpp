@@ -3,7 +3,6 @@
 #include "query/QueryEngine.h"
 
 #include "emulation/SdcEmulation.h"
-#include "graph/Bfs.h"
 #include "perm/Lehmer.h"
 #include "routing/RotatorRouter.h"
 #include "routing/StarRouter.h"

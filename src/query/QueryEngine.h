@@ -53,6 +53,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -60,6 +61,9 @@
 namespace scg {
 
 class MetricsRegistry;
+
+/// Distance value for an unreachable destination.
+constexpr uint32_t UnreachableDistance = std::numeric_limits<uint32_t>::max();
 
 /// One source/destination query; labels must be on the engine's k symbols.
 struct PairQuery {

@@ -2,7 +2,6 @@
 
 #include "routing/BagSolver.h"
 
-#include "graph/Bfs.h"
 #include "networks/Explicit.h"
 #include "perm/Lehmer.h"
 #include "support/Format.h"
@@ -18,7 +17,7 @@ namespace {
 /// Exhaustively checks solveBag against BFS distances from the identity.
 void checkAgainstBfs(const SuperCayleyGraph &Scg, unsigned Stride) {
   ExplicitScg Net(Scg);
-  BfsResult R = bfs(Net.toCsr(), 0);
+  oracle::BfsResult R = oracle::bfs(Net.toCsr(), 0);
   Permutation Id = Permutation::identity(Scg.numSymbols());
   for (uint64_t Rank = 0; Rank < Net.numNodes(); Rank += Stride) {
     Permutation Dst = Net.label(Rank);

@@ -2,7 +2,6 @@
 
 #include "graph/Containers.h"
 
-#include "graph/Bfs.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
 
@@ -49,7 +48,7 @@ void expectValidContainer(const Csr &G, NodeId Src, NodeId Dst,
     EXPECT_EQ(Path.back(), Dst);
   }
   ASSERT_FALSE(Paths.empty());
-  EXPECT_EQ(Paths.front().size() - 1, bfs(G, Src).Distance[Dst]);
+  EXPECT_EQ(Paths.front().size() - 1, oracle::bfs(G, Src).Distance[Dst]);
   for (size_t I = 0; I + 1 < Paths.size(); ++I)
     EXPECT_LE(Paths[I].size(), Paths[I + 1].size());
 }

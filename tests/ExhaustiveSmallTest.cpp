@@ -12,7 +12,6 @@
 #include "Oracles.h"
 
 #include "emulation/SdcEmulation.h"
-#include "graph/Bfs.h"
 #include "networks/Explicit.h"
 #include "routing/RouteOptimizer.h"
 #include "routing/StarRouter.h"
@@ -65,10 +64,10 @@ TEST(ExhaustiveSmall, BfsDistancesAreSymmetricOnUndirectedHosts) {
       continue;
     ExplicitScg X(Net);
     Csr G = X.toCsr();
-    BfsResult From0 = bfs(G, 0);
+    oracle::BfsResult From0 = oracle::bfs(G, 0);
     // Spot rows: distance symmetry d(0, v) = d(v, 0).
     for (NodeId V = 0; V < X.numNodes(); V += 13) {
-      BfsResult FromV = bfs(G, V);
+      oracle::BfsResult FromV = oracle::bfs(G, V);
       EXPECT_EQ(From0.Distance[V], FromV.Distance[0])
           << Net.name() << " node " << V;
     }
@@ -99,7 +98,7 @@ TEST(ExhaustiveSmall, LiftedWorstCaseMatchesSlowdownTimesDiameter) {
   // least the network diameter.
   for (const SuperCayleyGraph &Net : hostsAtFive()) {
     ExplicitScg X(Net);
-    BfsResult R = bfs(X.toCsr(), 0);
+    oracle::BfsResult R = oracle::bfs(X.toCsr(), 0);
     unsigned WorstLifted = 0;
     Permutation Id = Permutation::identity(5);
     for (NodeId Rank = 0; Rank != X.numNodes(); ++Rank)

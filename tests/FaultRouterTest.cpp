@@ -2,7 +2,6 @@
 
 #include "routing/FaultRouter.h"
 
-#include "graph/Bfs.h"
 #include "graph/Containers.h"
 #include "routing/StarRouter.h"
 #include "support/Format.h"

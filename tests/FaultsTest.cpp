@@ -2,7 +2,6 @@
 
 #include "graph/Faults.h"
 
-#include "graph/Bfs.h"
 #include "graph/Metrics.h"
 #include "networks/Classic.h"
 #include "networks/Explicit.h"
@@ -221,7 +220,7 @@ TEST(Faults, ReachabilityMatchesAllPairsOnHealthyGraph) {
 // FaultAnalysisDifferential: both analyses fold whole lane masks with one
 // popcount per (node, level) over a surviving Csr built straight from the
 // fault set. They must match, field by field, a per-lane oracle: one
-// scalar bfs() per healthy source over oracle::applyFaults.
+// scalar oracle::bfs() per healthy source over oracle::applyFaults.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -244,7 +243,7 @@ OracleAnalyses oracleAnalyses(const Csr &G, const FaultSet &Faults) {
   bool Connected = true;
   uint32_t MaxEccentricity = 0;
   for (NodeId Src : Healthy) {
-    BfsResult Lane = bfs(Surviving, Src);
+    oracle::BfsResult Lane = oracle::bfs(Surviving, Src);
     Ref.Reach.ReachableOrderedPairs += Lane.NumReached - 1;
     Connected = Connected && Lane.NumReached == Healthy.size();
     MaxEccentricity = std::max(MaxEccentricity, Lane.Eccentricity);

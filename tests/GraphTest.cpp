@@ -2,7 +2,6 @@
 
 #include "graph/Csr.h"
 
-#include "graph/Bfs.h"
 #include "graph/Metrics.h"
 #include "graph/MsBfs.h"
 #include "networks/Classic.h"
@@ -60,7 +59,7 @@ TEST(Csr, RejectsOutOfRangeEndpointsAndSelfLoops) {
 
 TEST(Bfs, PathGraphDistances) {
   Csr G = oracle::undirectedGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  BfsResult R = bfs(G, 0);
+  oracle::BfsResult R = oracle::bfs(G, 0);
   for (NodeId I = 0; I != 5; ++I)
     EXPECT_EQ(R.Distance[I], I);
   EXPECT_EQ(R.Eccentricity, 4u);
@@ -70,14 +69,14 @@ TEST(Bfs, PathGraphDistances) {
 
 TEST(Bfs, ParentsFormShortestPathTree) {
   Csr G = mesh2D(3, 3);
-  BfsResult R = bfs(G, 0);
+  oracle::BfsResult R = oracle::bfs(G, 0);
   for (NodeId V = 1; V != G.numNodes(); ++V)
     EXPECT_EQ(R.Distance[V], R.Distance[R.Parent[V]] + 1);
 }
 
 TEST(Bfs, DisconnectedMarksUnreachable) {
   Csr G = oracle::undirectedGraph(4, {{0, 1}, {2, 3}});
-  BfsResult R = bfs(G, 0);
+  oracle::BfsResult R = oracle::bfs(G, 0);
   EXPECT_EQ(R.Distance[2], UnreachableDistance);
   EXPECT_EQ(R.NumReached, 2u);
   EXPECT_FALSE(oracle::isConnectedFromZero(G));
@@ -98,6 +97,15 @@ TEST(Metrics, AllPairsMatchesTransitiveOnHypercube) {
   DistanceStats One = vertexTransitiveStats(G);
   EXPECT_EQ(All.Diameter, One.Diameter);
   EXPECT_DOUBLE_EQ(All.AverageDistance, One.AverageDistance);
+}
+
+TEST(Metrics, RejectsOutOfRangeRepresentativeInEveryBuild) {
+  Csr G = hypercube(3);
+  EXPECT_THROW(vertexTransitiveStats(G, 8), std::invalid_argument);
+  EXPECT_THROW(vertexTransitiveStats(G, UINT32_MAX), std::invalid_argument);
+  EXPECT_THROW(vertexTransitiveStats(Csr(0, ArcList{})),
+               std::invalid_argument);
+  EXPECT_EQ(vertexTransitiveStats(G, 7).Diameter, 3u);
 }
 
 TEST(Metrics, MeshDiameter) {

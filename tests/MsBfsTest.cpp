@@ -3,7 +3,7 @@
 // Differential tests for the bit-parallel distance engine (graph/MsBfs.h):
 //
 //  * msBfsDistances and the per-lane oracle::msBfs sink (tests/Oracles.h)
-//    must agree with one scalar bfs() per source -- distances,
+//    must agree with one scalar oracle::bfs() per source -- distances,
 //    eccentricity, reached count, and distance sum, per lane -- on every
 //    network family at k = 5, from both Csr builds (the arc-list
 //    constructor and ExplicitScg::toCsr's table adoption).
@@ -40,6 +40,7 @@
 #include <bit>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 using namespace scg;
@@ -67,7 +68,7 @@ std::vector<SuperCayleyGraph> allFamiliesK5() {
   return Nets;
 }
 
-/// Checks one batch of sources against one scalar bfs() per source:
+/// Checks one batch of sources against one scalar oracle::bfs() per source:
 /// distance rows byte-equal, per-lane stats equal.
 void expectBatchMatchesScalar(const Csr &G, const Csr &C,
                               std::span<const NodeId> Sources,
@@ -77,7 +78,7 @@ void expectBatchMatchesScalar(const Csr &G, const Csr &C,
   ASSERT_EQ(Batch.Eccentricity.size(), Sources.size()) << What;
   ASSERT_EQ(Rows.size(), Sources.size()) << What;
   for (size_t Lane = 0; Lane != Sources.size(); ++Lane) {
-    BfsResult Ref = bfs(G, Sources[Lane]);
+    oracle::BfsResult Ref = oracle::bfs(G, Sources[Lane]);
     EXPECT_EQ(Rows[Lane], Ref.Distance)
         << What << " lane " << Lane << " source " << Sources[Lane];
     EXPECT_EQ(Batch.Eccentricity[Lane], Ref.Eccentricity) << What << " lane "
@@ -162,7 +163,8 @@ TEST(MsBfs, DisconnectedGraphPerLaneReach) {
   EXPECT_EQ(Batch.NumReached[7], 1u); // the isolated node reaches itself.
   EXPECT_EQ(Batch.Eccentricity[7], 0u);
   EXPECT_EQ(Batch.DistanceSum[7], 0u);
-  expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "disconnected");
+  expectSameStats(msAllPairsStats(G), oracle::scalarAllPairsStats(G),
+                  "disconnected");
   EXPECT_FALSE(msAllPairsStats(G).Connected);
 }
 
@@ -185,26 +187,29 @@ TEST(MsBfs, FaultedGraphMatchesScalar) {
         std::span(Sources).subspan(
             Begin, std::min<size_t>(MsBfsLanes, Sources.size() - Begin)),
         "faulted star5");
-  expectSameStats(msAllPairsStats(Surviving), scalarAllPairsStats(Surviving),
+  expectSameStats(msAllPairsStats(Surviving),
+                  oracle::scalarAllPairsStats(Surviving),
                   "faulted star5 sweep");
 }
 
 TEST(MsBfs, AllPairsMatchesScalarEngineOnEveryFamily) {
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
     Csr G = ExplicitScg(Scg).toCsr();
-    expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), Scg.name());
+    expectSameStats(msAllPairsStats(G), oracle::scalarAllPairsStats(G),
+                    Scg.name());
   }
   // Non-vertex-transitive guests take the same engine.
   for (const Csr &G : {mesh2D(4, 5), completeBinaryTree(4), hypercube(5)})
-    expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "guest");
+    expectSameStats(msAllPairsStats(G), oracle::scalarAllPairsStats(G),
+                    "guest");
 }
 
 TEST(MsBfs, AllPairsMatchesScalarAtK6) {
   // One larger instance (720 nodes: 12 batches) per acceptance criteria.
   Csr G = ExplicitScg(SuperCayleyGraph::star(6)).toCsr();
-  expectSameStats(msAllPairsStats(G), scalarAllPairsStats(G), "star6");
+  expectSameStats(msAllPairsStats(G), oracle::scalarAllPairsStats(G), "star6");
   Csr R = ExplicitScg(SuperCayleyGraph::rotator(6)).toCsr();
-  expectSameStats(msAllPairsStats(R), scalarAllPairsStats(R),
+  expectSameStats(msAllPairsStats(R), oracle::scalarAllPairsStats(R),
                   "rotator6 (directed)");
 }
 
@@ -236,7 +241,8 @@ TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
   Faults.failLink(0, G.neighbors(0)[0]);
   Csr Surviving = oracle::applyFaults(G, Faults);
   expectSameStats(msAllPairsStats(Surviving),
-                  scalarAllPairsStats(Surviving), "faulted star5 sweep");
+                  oracle::scalarAllPairsStats(Surviving),
+                  "faulted star5 sweep");
 
   // Two components plus an isolated node: the sweep reports
   // Connected = false at every thread count.
@@ -246,7 +252,7 @@ TEST(MsBfsHybrid, FaultedAndDisconnectedGraphs) {
     DistanceStats Stats =
         withThreads(Threads, [&] { return msAllPairsStats(Two); });
     EXPECT_FALSE(Stats.Connected) << Threads;
-    expectSameStats(Stats, scalarAllPairsStats(Two),
+    expectSameStats(Stats, oracle::scalarAllPairsStats(Two),
                     "two components @" + std::to_string(Threads));
   }
 }
@@ -258,7 +264,7 @@ TEST(MsBfsHybrid, SweepEnginesByteIdenticalAcrossThreadCounts) {
     ExplicitScg Net(Scg);
     Csr C = Net.toCsr();
     DistanceStats Ref = withThreads(1, [&] { return msAllPairsStats(C); });
-    expectSameStats(Ref, scalarAllPairsStats(Net.toCsr()),
+    expectSameStats(Ref, oracle::scalarAllPairsStats(Net.toCsr()),
                     Scg.name() + " scalar");
     for (unsigned Threads : {2u, 8u})
       expectSameStats(Ref, withThreads(Threads, [&] {
@@ -317,6 +323,15 @@ TEST(MsBfs, LaneCountMatchesPopcount) {
   }
 }
 
+TEST(MsBfs, DistanceRowRejectsOutOfRangeSource) {
+  Csr G = ExplicitScg(SuperCayleyGraph::star(4)).toCsr();
+  EXPECT_THROW(msBfsDistanceRow(G, 24), std::invalid_argument);
+  EXPECT_THROW(msBfsDistanceRow(G, UINT32_MAX), std::invalid_argument);
+  Csr Empty(0, std::span<const std::pair<NodeId, NodeId>>());
+  EXPECT_THROW(msBfsDistanceRow(Empty, 0), std::invalid_argument);
+  EXPECT_EQ(msBfsDistanceRow(G, 23).size(), 24u);
+}
+
 TEST(MsBfs, TransposeOfDirectedRotator) {
   // rotator(5) is directed, so its transpose genuinely differs from the
   // forward CSR: T holds exactly the reversed edges, and transposing
@@ -356,11 +371,11 @@ TEST(MsBfs, LeanReachabilityAgreesWithBfs) {
   // connected, disconnected, and directed graphs.
   Csr Disconnected = oracle::undirectedGraph(6, {{0, 1}, {2, 3}});
   EXPECT_EQ(oracle::bfsReachableCount(Disconnected, 0),
-            bfs(Disconnected, 0).NumReached);
+            oracle::bfs(Disconnected, 0).NumReached);
   EXPECT_FALSE(oracle::isConnectedFromZero(Disconnected));
   for (const SuperCayleyGraph &Scg : allFamiliesK5()) {
     Csr G = ExplicitScg(Scg).toCsr();
-    EXPECT_EQ(oracle::bfsReachableCount(G, 0), bfs(G, 0).NumReached)
+    EXPECT_EQ(oracle::bfsReachableCount(G, 0), oracle::bfs(G, 0).NumReached)
         << Scg.name();
     EXPECT_TRUE(oracle::isConnectedFromZero(G)) << Scg.name();
   }

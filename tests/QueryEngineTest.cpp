@@ -20,6 +20,7 @@
 #include "support/ThreadPool.h"
 
 #include "AllocCounter.h"
+#include "Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -106,7 +107,7 @@ TEST_P(QueryEngineFamilyTest, TableFreeMatchesBfs) {
     GTEST_SKIP() << Net.name() << " is table-only";
   QueryEngine Engine(Net);
   ExplicitScg Ex(Net);
-  BfsResult FromId = bfsExplicit(Ex, 0);
+  oracle::BfsResult FromId = oracle::bfs(Ex.toCsr(), 0);
   Permutation Id = Permutation::identity(Net.numSymbols());
 
   for (uint64_t R : sampleRanks(Ex.numNodes(), 120)) {
@@ -136,7 +137,7 @@ TEST_P(QueryEngineFamilyTest, TableFreeArbitrarySources) {
   // Cayley normalization: d(Src, Dst) must match a BFS rooted at Src, not
   // just at the identity.
   NodeId SrcRank = NodeId(Ex.numNodes() / 3);
-  BfsResult FromSrc = bfsExplicit(Ex, SrcRank);
+  oracle::BfsResult FromSrc = oracle::bfs(Ex.toCsr(), SrcRank);
   Permutation Src = Ex.label(SrcRank);
 
   for (uint64_t R : sampleRanks(Ex.numNodes(), 60)) {
@@ -162,7 +163,7 @@ TEST_P(QueryEngineFamilyTest, TableBackedIsExact) {
   ASSERT_TRUE(Engine.tableBacked());
   ExplicitScg Ex(Net);
   NodeId SrcRank = NodeId(Ex.numNodes() / 5);
-  BfsResult FromSrc = bfsExplicit(Ex, SrcRank);
+  oracle::BfsResult FromSrc = oracle::bfs(Ex.toCsr(), SrcRank);
   Permutation Src = Ex.label(SrcRank);
 
   for (uint64_t R : sampleRanks(Ex.numNodes(), 120)) {

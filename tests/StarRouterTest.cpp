@@ -3,7 +3,6 @@
 #include "routing/StarRouter.h"
 
 #include "core/Generator.h"
-#include "graph/Bfs.h"
 #include "support/Format.h"
 
 #include "graph/Metrics.h"
@@ -77,7 +76,7 @@ TEST(StarRouter, DistanceIsAllocationFree) {
 TEST(StarRouter, DistanceMatchesBfsOnAllOfS5) {
   ExplicitScg Net(SuperCayleyGraph::star(5));
   Csr G = Net.toCsr();
-  BfsResult R = bfs(G, 0); // distances from the identity.
+  oracle::BfsResult R = oracle::bfs(G, 0); // distances from the identity.
   for (uint64_t Rank = 0; Rank != factorial(5); ++Rank) {
     Permutation P = unrankPermutation(Rank, 5);
     // Route identity -> P: word for identity^-1 o P = P.
@@ -89,7 +88,7 @@ TEST(StarRouter, DistanceMatchesBfsOnAllOfS5) {
 TEST(StarRouter, DistanceMatchesBfsOnAllOfS6) {
   ExplicitScg Net(SuperCayleyGraph::star(6));
   Csr G = Net.toCsr();
-  BfsResult R = bfs(G, 0);
+  oracle::BfsResult R = oracle::bfs(G, 0);
   for (uint64_t Rank = 0; Rank != factorial(6); ++Rank) {
     Permutation P = unrankPermutation(Rank, 6);
     EXPECT_EQ(starDistance(P), R.Distance[Rank]);
